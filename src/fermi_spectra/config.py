@@ -16,6 +16,10 @@ Schema (keys exactly as below; all tolerances optional):
       "output": {"dir": "out"}
     }
 
+Mesh sizes are at least 8.  solve2d and sweep also need an even mesh.ns
+(the odd-mode solve halves the strip at its midline), and sweep needs
+mesh.nt of at least 16.
+
 Curvature and width accept either an expression string or an array of
 samples (uniform in s, first sample at s = 0, last at s = L).  Expressions
 use the free variable "s" ("t" in parametric mode) plus the bound constant
@@ -199,6 +203,7 @@ def load_config(path, command=None, overrides=None):
         p = _number(overrides["p"], "--p", minimum=1.0)
 
     mesh = dict(DEFAULT_MESH)
+    source = {key: f"mesh.{key}" for key in DEFAULT_MESH}
     for key, value in _expect_map(data.get("mesh", {}), "mesh").items():
         if key not in DEFAULT_MESH:
             _fail(f"mesh.{key}", "unknown key")
@@ -206,6 +211,11 @@ def load_config(path, command=None, overrides=None):
     for flag in ("ns", "nt"):
         if flag in overrides and overrides[flag] is not None:
             mesh[flag] = _integer(overrides[flag], f"--{flag}", minimum=8)
+            source[flag] = f"--{flag}"
+    if effective_command in ("solve2d", "sweep") and mesh["ns"] % 2 != 0:
+        _fail(source["ns"], f"must be even for {effective_command} (got {mesh['ns']})")
+    if effective_command == "sweep" and mesh["nt"] < 16:
+        _fail(source["nt"], f"must be at least 16 for sweep (got {mesh['nt']})")
 
     epsilons = data.get("epsilons")
     if epsilons is not None:

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.optimize
 
 from .analysis import lyapunov_bound
 from .errors import (
@@ -207,7 +208,11 @@ def solve_shooting(problem, tol=1e-10, n_steps=4096):
 
 
 def pmean_shift(values, weights, p):
-    """The scalar c with sum w |v - c|^(p-2) (v - c) = 0; monotone, by bisection."""
+    """The scalar c with sum w |v - c|^(p-2) (v - c) = 0.
+
+    The sum falls monotonically in c from its value at min v to its value
+    at max v, so Brent's method on that bracket finds the unique root.
+    """
     v = np.asarray(values, dtype=float)
     w = np.asarray(weights, dtype=float)
     pm1 = p - 1.0
@@ -219,15 +224,7 @@ def pmean_shift(values, weights, p):
     lo, hi = float(np.min(v)), float(np.max(v))
     if hi - lo == 0.0:
         return lo
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if g(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-15 * max(1.0, abs(hi) + abs(lo)):
-            break
-    return 0.5 * (lo + hi)
+    return scipy.optimize.brentq(g, lo, hi, xtol=1e-15 * max(1.0, abs(hi) + abs(lo)))
 
 
 def _discrete_quotient(u, h, w_mid, m_lumped, p):

@@ -11,11 +11,19 @@ and the area element (1 + r k) delta ds dt.  Bilinear quadrilaterals with
 2 x 2 Gauss quadrature discretize the band.  Odd eigenvalues use the half
 band with a homogeneous essential condition on the midline, which is
 equivalent to odd reflection when the weight data is even.
+
+The Rayleigh descent for p != 2 evaluates the p-quotient through sparse
+quadrature operators D_s, D_t and N, which map nodal values to the s- and
+t-gradients and to the values at the Gauss points.  A mesh builds them,
+with their transposes, the first time the descent asks for them and keeps
+them (Mesh2D.quadrature); the p = 2 solvers never build them.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse
@@ -25,6 +33,22 @@ from .eig1d import pmean_shift
 from .errors import BadExponent, DegenerateCell, SolveFailure
 
 _GPTS = np.array([-1.0, 1.0]) / np.sqrt(3.0)
+
+
+class QuadratureOperators(NamedTuple):
+    """Nodal values to Gauss-point data; rows are ordered cell by cell,
+    Gauss point within cell, like Mesh2D.gauss_weight.ravel()."""
+
+    D_s: scipy.sparse.csr_matrix
+    D_t: scipy.sparse.csr_matrix
+    N: scipy.sparse.csr_matrix
+    D_sT: scipy.sparse.csr_matrix
+    D_tT: scipy.sparse.csr_matrix
+    NT: scipy.sparse.csr_matrix
+    weight: np.ndarray
+    g_ss: np.ndarray
+    g_st: np.ndarray
+    g_tt: np.ndarray
 
 
 @dataclass
@@ -48,6 +72,38 @@ class Mesh2D:
 
     def total_mass(self):
         return float(np.sum(self.gauss_weight))
+
+    @functools.cached_property
+    def quadrature(self):
+        """The QuadratureOperators of this mesh, built on first access."""
+        n_cells, n_local = self.conn.shape
+        n_gauss = len(self.shape)
+        # Row c * n_gauss + g holds the cell's nodes in connectivity order,
+        # so each mat-vec row sums in the order of the per-cell contraction.
+        cols = np.repeat(self.conn, n_gauss, axis=0).ravel()
+        indptr = np.arange(0, len(cols) + 1, n_local)
+        size = (n_cells * n_gauss, self.n_nodes)
+
+        def operator(local):
+            data = np.tile(local.ravel(), n_cells)
+            return scipy.sparse.csr_matrix((data, cols, indptr), shape=size)
+
+        D_s = operator(self.shape_grad[:, :, 0])
+        D_t = operator(self.shape_grad[:, :, 1])
+        N = operator(self.shape)
+        metric = self.metric.reshape(-1, 2, 2)
+        return QuadratureOperators(
+            D_s=D_s,
+            D_t=D_t,
+            N=N,
+            D_sT=D_s.T.tocsr(),
+            D_tT=D_t.T.tocsr(),
+            NT=N.T.tocsr(),
+            weight=self.gauss_weight.ravel(),
+            g_ss=np.ascontiguousarray(metric[:, 0, 0]),
+            g_st=np.ascontiguousarray(metric[:, 0, 1]),
+            g_tt=np.ascontiguousarray(metric[:, 1, 1]),
+        )
 
 
 @dataclass
@@ -189,6 +245,11 @@ def solve_mu1_linear(domain, ns=256, nt=16, tol=1e-12, max_iter=200):
     Shifted inverse iteration with the constant mode deflated in the mass
     inner product; deterministic cosine start.
     """
+    return _full_linear(domain, ns, nt, tol, max_iter)[0]
+
+
+def _full_linear(domain, ns, nt, tol=1e-12, max_iter=200):
+    """solve_mu1_linear's result together with the K and M it assembled."""
     domain.require_valid()
     mesh = build_mesh(domain, ns, nt)
     K, M = assemble(mesh)
@@ -201,10 +262,11 @@ def solve_mu1_linear(domain, ns=256, nt=16, tol=1e-12, max_iter=200):
     mu, u, residual, it = _inverse_iterate(
         A_lu, K, M, u0, deflate=ones, tol=tol, max_iter=max_iter
     )
-    return Eigen2DResult(
+    result = Eigen2DResult(
         mu=mu, u=u, residual=residual, method="linear", iterations=it,
         converged=True, mesh=mesh,
     )
+    return result, K, M
 
 
 def _half_mesh_reduction(domain, ns, nt):
@@ -241,29 +303,29 @@ def solve_mu1_odd_linear(domain, ns=256, nt=16, tol=1e-12, max_iter=200):
 
 
 def _p_rayleigh(mesh, u, p, floor=1e-60):
-    ue = u[mesh.conn]
-    grad = np.einsum("gax,ca->cgx", mesh.shape_grad, ue)
-    energy = np.einsum("cgx,cgxy,cgy->cg", grad, mesh.metric, grad)
+    q = mesh.quadrature
+    gs = q.D_s @ u
+    gt = q.D_t @ u
+    # grad . G grad as four terms in row-major order of G, which rounds like
+    # the per-cell contraction; G is symmetric, so g_st serves both
+    # off-diagonal entries.
+    energy = gs * q.g_ss * gs + gs * q.g_st * gt + gt * q.g_st * gs + gt * q.g_tt * gt
     energy = np.maximum(energy, floor)
-    ug = np.einsum("ga,ca->cg", mesh.shape, ue)
-    w = mesh.gauss_weight
-    num = float(np.sum(w * energy ** (0.5 * p)))
-    den = float(np.sum(w * np.abs(ug) ** p))
-    return num, den, grad, energy, ug
+    ug = q.N @ u
+    num = float(np.sum(q.weight * energy ** (0.5 * p)))
+    den = float(np.sum(q.weight * np.abs(ug) ** p))
+    return num, den, (gs, gt), energy, ug
 
 
 def _p_rayleigh_grad(mesh, p, num, den, grad, energy, ug):
-    w = mesh.gauss_weight
-    flux = np.einsum("cgxy,cgy->cgx", mesh.metric, grad)
-    s1 = w * energy ** (0.5 * p - 1.0)
-    gnum_local = p * np.einsum("cg,cgx,gax->ca", s1, flux, mesh.shape_grad)
-    s2 = w * np.abs(ug) ** (p - 1.0) * np.sign(ug)
-    gden_local = p * np.einsum("cg,ga->ca", s2, mesh.shape)
-    n = mesh.n_nodes
-    gnum = np.zeros(n)
-    gden = np.zeros(n)
-    np.add.at(gnum, mesh.conn, gnum_local)
-    np.add.at(gden, mesh.conn, gden_local)
+    q = mesh.quadrature
+    gs, gt = grad
+    s1 = q.weight * energy ** (0.5 * p - 1.0)
+    flux_s = s1 * (q.g_ss * gs + q.g_st * gt)
+    flux_t = s1 * (q.g_st * gs + q.g_tt * gt)
+    gnum = p * (q.D_sT @ flux_s + q.D_tT @ flux_t)
+    s2 = q.weight * np.abs(ug) ** (p - 1.0) * np.sign(ug)
+    gden = p * (q.NT @ s2)
     return (gnum - (num / den) * gden) / den
 
 
@@ -311,11 +373,10 @@ def solve_mu1_nonlinear(
             return out
 
     else:
-        lin = solve_mu1_linear(domain, ns, nt)
+        lin, K2, M = _full_linear(domain, ns, nt)
         mesh = lin.mesh
         u = lin.u
         free = None
-        K2, M = assemble(mesh)
         m_lump = np.asarray(M.sum(axis=1)).ravel()
         P_lu = scipy.sparse.linalg.splu((K2 + lin.mu * M).tocsc())
         precondition = P_lu.solve

@@ -158,6 +158,24 @@ class TestExitCodes:
         cfg = write_cfg(tmp_path, RECT)
         assert main(["frobnicate", "--config", str(cfg)]) == 1
 
+    @pytest.mark.parametrize(
+        "command, mesh, extra, key",
+        [
+            ("solve2d", {"ns": 9, "nt": 16}, [], "mesh.ns"),
+            ("solve2d", {"ns": 64, "nt": 16}, ["--ns", "9"], "--ns"),
+            ("sweep", {"ns": 64, "nt": 8}, [], "mesh.nt"),
+            ("sweep", {"ns": 64, "nt": 16}, ["--nt", "8"], "--nt"),
+        ],
+    )
+    def test_mesh_solver_cannot_take_is_one(self, tmp_path, capsys, command, mesh, extra, key):
+        payload = dict(RECT, mesh=mesh, epsilons=[0.4])
+        code, _, report = run(tmp_path, command, payload, extra=extra)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert report is None
+        assert "config error" in err and key in err
+        assert "Traceback" not in err
+
     def test_solver_error_is_two(self, tmp_path, capsys):
         payload = dict(RECT, curve={"mode": "curvature", "L": math.pi, "k": "4"})
         code, _, _ = run(tmp_path, "solve2d", payload)

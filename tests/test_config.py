@@ -99,6 +99,24 @@ class TestRejections:
         with pytest.raises(SchemaError):
             load_config(write(tmp_path, payload), command="certify")
 
+    @pytest.mark.parametrize(
+        "command, mesh, key",
+        [
+            ("solve2d", {"ns": 9}, "mesh.ns"),
+            ("sweep", {"ns": 65}, "mesh.ns"),
+            ("sweep", {"nt": 8}, "mesh.nt"),
+        ],
+    )
+    def test_mesh_the_solvers_cannot_take(self, tmp_path, command, mesh, key):
+        payload = dict(BASE, mesh=mesh, epsilons=[0.4])
+        with pytest.raises(SchemaError, match=key):
+            load_config(write(tmp_path, payload), command=command)
+
+    def test_mesh_rules_bind_only_the_solvers_that_need_them(self, tmp_path):
+        payload = dict(BASE, mesh={"ns": 9, "nt": 8})
+        cfg = load_config(write(tmp_path, payload), command="certify")
+        assert cfg.mesh["ns"] == 9 and cfg.mesh["nt"] == 8
+
     def test_sweep_requires_epsilons(self, tmp_path):
         with pytest.raises(SchemaError, match="epsilons"):
             load_config(write(tmp_path, BASE), command="sweep")
@@ -144,6 +162,18 @@ class TestOverrides:
         assert cfg.mesh["nt"] == 32
         assert cfg.p == 3.0
         assert cfg.out_dir == "b"
+
+    @pytest.mark.parametrize(
+        "command, flags, key",
+        [
+            ("solve2d", {"ns": 9}, "--ns"),
+            ("sweep", {"nt": 8}, "--nt"),
+        ],
+    )
+    def test_mesh_flags_checked_against_command(self, tmp_path, command, flags, key):
+        payload = dict(BASE, mesh={"ns": 64, "nt": 16}, epsilons=[0.4])
+        with pytest.raises(SchemaError, match=key):
+            load_config(write(tmp_path, payload), command=command, overrides=flags)
 
     def test_override_p_still_validated(self, tmp_path):
         with pytest.raises(SchemaError):

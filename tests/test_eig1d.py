@@ -167,6 +167,29 @@ class TestPMeanShift:
         d = v - c
         assert abs(np.sum(w * np.abs(d) ** (p - 1.0) * np.sign(d))) < 1e-8
 
+    def test_constant_vector_returns_its_value(self):
+        w = np.linspace(0.5, 2.0, 20)
+        assert pmean_shift(np.full(20, 0.37), w, 3.0) == 0.37
+
+    @pytest.mark.parametrize("p", [1.5, 4.0])
+    def test_pmean_vanishes_on_normalized_vector(self, p):
+        rng = np.random.default_rng(2)
+        v = rng.normal(size=200)
+        v = v / np.max(np.abs(v))
+        w = rng.uniform(0.5, 2.0, 200)
+        d = v - pmean_shift(v, w, p)
+        terms = w * np.abs(d) ** (p - 1.0)
+        assert abs(np.sum(terms * np.sign(d))) <= 1e-12 * np.sum(terms)
+
+    @pytest.mark.parametrize("p", [1.5, 4.0])
+    def test_stays_inside_range_with_outlier(self, p):
+        rng = np.random.default_rng(3)
+        v = rng.normal(size=50)
+        v[17] = 1e6
+        w = rng.uniform(0.5, 2.0, 50)
+        c = pmean_shift(v, w, p)
+        assert np.min(v) <= c <= np.max(v)
+
 
 @given(
     st.lists(st.floats(min_value=0.2, max_value=2.0), min_size=8, max_size=24),

@@ -26,7 +26,7 @@ from fermi_spectra import (
     solve_mu1_odd_linear,
     width_profile,
 )
-from fermi_spectra.eig2d import assemble
+from fermi_spectra.eig2d import _p_rayleigh, _p_rayleigh_grad, assemble
 from fermi_spectra.errors import DegenerateCell
 
 ANNULUS_MU1_RADIAL = 1.3139311581  # frozen output of radial_oracle(nu=2)
@@ -173,3 +173,60 @@ class TestNonlinearSolver:
         a = solve_mu1_nonlinear(annulus, p, ns=64, nt=8)
         b = solve_mu1_nonlinear(scale_width(annulus, 0.5), p, ns=64, nt=8)
         assert abs(b.mu - limit) < abs(a.mu - limit)
+
+
+def loop_quotient(mesh, u, p):
+    """Numerator and denominator of the p-quotient, one cell and Gauss point at a time."""
+    num = den = 0.0
+    for c, cell in enumerate(mesh.conn):
+        ue = u[cell]
+        for g in range(len(mesh.shape)):
+            grad = mesh.shape_grad[g].T @ ue
+            energy = grad @ mesh.metric[c, g] @ grad
+            w = mesh.gauss_weight[c, g]
+            num += w * energy ** (0.5 * p)
+            den += w * abs(mesh.shape[g] @ ue) ** p
+    return num, den
+
+
+class TestPQuotient:
+    """The sparse-operator p-quotient on a curved, variable-width strip."""
+
+    @pytest.fixture(scope="class")
+    def mesh_and_u(self, wavy):
+        mesh = build_mesh(wavy, 16, 8)
+        rng = np.random.default_rng(7)
+        u = np.cos(np.pi * mesh.node_s / wavy.L) + 0.2 * rng.normal(size=mesh.n_nodes)
+        return mesh, u
+
+    @pytest.mark.parametrize("p", [1.5, 3.0, 4.0])
+    def test_value_matches_cell_loop(self, mesh_and_u, p):
+        mesh, u = mesh_and_u
+        num, den, *_ = _p_rayleigh(mesh, u, p)
+        ref_num, ref_den = loop_quotient(mesh, u, p)
+        assert num == pytest.approx(ref_num, rel=1e-12)
+        assert den == pytest.approx(ref_den, rel=1e-12)
+
+    @pytest.mark.parametrize("p", [1.5, 3.0, 4.0])
+    def test_gradient_matches_central_differences(self, mesh_and_u, p):
+        mesh, u = mesh_and_u
+
+        def quotient(vec):
+            num, den, *_ = _p_rayleigh(mesh, vec, p)
+            return num / den
+
+        grad = _p_rayleigh_grad(mesh, p, *_p_rayleigh(mesh, u, p))
+        h = 1e-6
+        fd = np.empty(mesh.n_nodes)
+        for i in range(mesh.n_nodes):
+            e = np.zeros(mesh.n_nodes)
+            e[i] = h
+            fd[i] = (quotient(u + e) - quotient(u - e)) / (2.0 * h)
+        assert np.max(np.abs(grad - fd)) <= 1e-6 * np.max(np.abs(fd))
+
+    @pytest.mark.parametrize("p", [1.5, 3.0, 4.0])
+    def test_full_strip_not_above_odd(self, wavy, p):
+        # the odd space is part of the full one
+        full = solve_mu1_nonlinear(wavy, p, ns=32, nt=8)
+        odd = solve_mu1_nonlinear(wavy, p, ns=32, nt=8, odd=True)
+        assert full.mu <= odd.mu * (1.0 + 1e-6)
