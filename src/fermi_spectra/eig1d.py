@@ -82,9 +82,9 @@ def _phi(z, power):
 def _shoot(mu, p, q, w_stage, h, n_steps, record=False):
     """RK4 integration of u' = phi_q(v/w), v' = -mu w phi_p(u) from (1, 0).
 
-    Without record, stops at the first nonpositive u and reports the step
-    index; with record, integrates the whole half interval and returns the
-    sampled trajectory.
+    Integrates the whole half interval and returns (crossed, u_end, us, vs):
+    whether u became nonpositive at some step, the terminal value u(L/2),
+    and, with record, the sampled trajectory (None otherwise).
     """
     pm1 = p - 1.0
     qm1 = q - 1.0
@@ -92,7 +92,7 @@ def _shoot(mu, p, q, w_stage, h, n_steps, record=False):
     v = 0.0
     us = [1.0] if record else None
     vs = [0.0] if record else None
-    crossed_at = -1
+    crossed = False
     for i in range(n_steps):
         j = 2 * i
         w0 = w_stage[j]
@@ -116,23 +116,27 @@ def _shoot(mu, p, q, w_stage, h, n_steps, record=False):
         v += h * (dv1 + 2.0 * (dv2 + dv3) + dv4) / 6.0
         if u != u or v != v:
             raise StiffFailure(f"integration produced non-finite state at mu={mu:.6g}")
+        if u <= 0.0:
+            crossed = True
         if record:
             us.append(u)
             vs.append(v)
-        elif u <= 0.0:
-            crossed_at = i + 1
-            return True, crossed_at, None, None
     if record:
-        return u <= 0.0, n_steps, np.array(us), np.array(vs)
-    return u <= 0.0, n_steps, None, None
+        return crossed, u, np.array(us), np.array(vs)
+    return crossed, u, None, None
 
 
 def solve_shooting(problem, tol=1e-10, n_steps=4096):
     """Locate the smallest mu whose shot from s = 0 vanishes by L/2.
 
-    Brackets by doubling from the Lyapunov lower bound, then bisects the
-    crossing predicate, which is monotone in mu.  tol is relative on mu.
-    Returns the eigenfunction on the problem grid, extended oddly to [0, L].
+    Brackets by doubling from the Lyapunov lower bound with the crossing
+    predicate, which is monotone in mu, then runs Brent's method on the
+    terminal value u(L/2; mu), which is continuous in mu and changes sign
+    across the bracket.  tol is relative on mu; converged says that brentq
+    converged and that the final bracket of the crossing predicate (the
+    largest uncrossed and the smallest crossed mu shot) is at most tol * mu
+    wide.  iterations counts the shots that located mu.  Returns the
+    eigenfunction on the problem grid, extended oddly to [0, L].
     """
     p = problem.p
     q = p / (p - 1.0)
@@ -142,40 +146,57 @@ def solve_shooting(problem, tol=1e-10, n_steps=4096):
     stage_s = np.linspace(0.0, half, 2 * n_steps + 1)
     w_stage = np.interp(stage_s, problem.s_samples, problem.w_samples).tolist()
 
-    shots = 0
+    shots = {}
 
-    def crossed(mu):
-        nonlocal shots
-        shots += 1
-        return _shoot(mu, p, q, w_stage, h, n_steps)[0]
+    def shoot(mu):
+        """(crossed, u(L/2)) at mu; each mu is integrated once."""
+        if mu not in shots:
+            shots[mu] = _shoot(mu, p, q, w_stage, h, n_steps)[:2]
+        return shots[mu]
 
     lo = lyapunov_bound(problem.w_samples, L, p, evenness_tol=problem.evenness_tol)
     guard = 0
-    while crossed(lo):
+    while shoot(lo)[0]:
         lo *= 0.5
         guard += 1
         if guard > 60:
             raise NoCrossing("no uncrossed lower bracket found")
-    hi = lo
+    hi = 2.0 * lo
     guard = 0
-    while not crossed(hi):
+    while not shoot(hi)[0]:
+        lo = hi
         hi *= 2.0
         guard += 1
         if guard > 60:
             raise NoCrossing("doubling never produced a crossing")
-    lo = hi * 0.5 if guard > 0 else lo
-
-    while hi - lo > tol * hi:
+    # A crossed shot ends below zero unless it crossed back; shrink such an
+    # end with the crossing predicate until the terminal value changes sign.
+    guard = 0
+    while shoot(hi)[1] >= 0.0:
         mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        if crossed(mid):
+        if shoot(mid)[0]:
             hi = mid
         else:
             lo = mid
+        guard += 1
+        if guard > 60:
+            raise NoCrossing("no crossed bracket end with a negative terminal value")
 
-    mu = 0.5 * (lo + hi)
-    # Sample the eigenfunction at the certified uncrossed end so it stays
+    # brentq needs xtol > 0 and rtol >= 4 eps; tol alone sets the width.
+    mu, root = scipy.optimize.brentq(
+        lambda m: shoot(m)[1],
+        lo,
+        hi,
+        xtol=np.finfo(float).tiny,
+        rtol=max(tol, 4.0 * np.finfo(float).eps),
+        full_output=True,
+        disp=False,
+    )
+    lo = max(m for m, (c, _) in shots.items() if not c)
+    hi = min(m for m, (c, _) in shots.items() if c)
+    converged = root.converged and hi - lo <= tol * mu
+
+    # Sample the eigenfunction at the largest uncrossed mu shot so it stays
     # positive up to the midpoint; the boundary defect goes into residual.
     _, _, us, vs = _shoot(lo, p, q, w_stage, h, n_steps, record=True)
     residual = abs(us[-1]) / np.max(np.abs(us))
@@ -201,8 +222,8 @@ def solve_shooting(problem, tol=1e-10, n_steps=4096):
         u_samples=u_full,
         residual=float(residual),
         method="shooting",
-        iterations=shots,
-        converged=True,
+        iterations=len(shots),
+        converged=bool(converged),
         du_samples=du_full,
     )
 

@@ -69,7 +69,3 @@ class StiffFailure(FermiSpectraError):
 
 class SolveFailure(FermiSpectraError):
     """A linear algebra step (factorization or eigensolve) failed."""
-
-
-class NonConvergence(FermiSpectraError):
-    """An iterative solver hit its iteration budget without stagnating."""

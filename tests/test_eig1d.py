@@ -14,6 +14,7 @@ from fermi_spectra import (
     solve_discretized,
     solve_shooting,
 )
+from fermi_spectra import eig1d
 from fermi_spectra.eig1d import pmean_shift
 from fermi_spectra.errors import AsymmetricWeight, BadExponent, NonpositiveWeight
 
@@ -148,6 +149,83 @@ class TestWeightedProperties:
         disc = solve_discretized(problem, n=512)
         assert disc.converged
         assert shot.mu == pytest.approx(disc.mu, rel=1e-3)
+
+
+def criterion4_problems():
+    """The five weights of acceptance criterion 4, then constant weight at three p."""
+    L = math.pi
+    s = np.linspace(0.0, L, 513)
+    weights = [
+        (2.0, 1.0 + 0.5 * np.cos(2.0 * s)),
+        (2.0, np.exp(-((s - L / 2.0) ** 2))),
+        (1.5, 1.0 + 0.3 * np.cos(2.0 * s) + 0.1 * np.cos(4.0 * s)),
+        (3.0, 2.0 - np.sin(s)),
+        (2.5, 1.0 + np.abs(np.cos(s))),
+    ]
+    weights += [(p, np.ones(513)) for p in (1.5, 2.0, 3.0)]
+    return [OneDimProblem(L=L, p=p, w_samples=w) for p, w in weights]
+
+
+def bisect_crossing(problem, n_steps, rtol=1e-13):
+    """The smallest mu whose shot crosses zero by L/2, by plain bisection."""
+    p = problem.p
+    q = p / (p - 1.0)
+    half = 0.5 * problem.L
+    stage_s = np.linspace(0.0, half, 2 * n_steps + 1)
+    w_stage = np.interp(stage_s, problem.s_samples, problem.w_samples).tolist()
+
+    def crossed(mu):
+        return eig1d._shoot(mu, p, q, w_stage, half / n_steps, n_steps)[0]
+
+    lo, hi = 0.0, 1.0
+    while not crossed(hi):
+        lo, hi = hi, 2.0 * hi
+    while hi - lo > rtol * hi:
+        mid = 0.5 * (lo + hi)
+        if crossed(mid):
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
+class TestShootingRoot:
+    @pytest.mark.parametrize("index", range(8))
+    def test_few_shots_converged_and_positive(self, index):
+        problem = criterion4_problems()[index]
+        result = solve_shooting(problem)
+        assert result.iterations <= 14
+        assert result.converged
+        left = problem.s_samples < 0.5 * problem.L
+        assert np.all(result.u_samples[left] > 0.0)
+
+    @pytest.mark.parametrize("index", range(8))
+    def test_agrees_with_bisection(self, index):
+        problem = criterion4_problems()[index]
+        mu = solve_shooting(problem, n_steps=1024).mu
+        assert mu == pytest.approx(bisect_crossing(problem, 1024), rel=1e-9)
+
+    def test_unreachable_tolerance_is_not_converged(self):
+        result = solve_shooting(constant_problem(2.0, math.pi), tol=0.0, n_steps=512)
+        assert not result.converged
+        assert result.mu == pytest.approx(1.0, rel=1e-5)
+
+    def test_crossed_end_ending_positive_is_shrunk(self, monkeypatch):
+        # Pretend shots above mu = 1.2 cross back up by L/2, as a second
+        # crossing would.  The doubling bracket of this problem ends at 1.62,
+        # where brentq would then see no sign change.
+        problem = constant_problem(2.0, math.pi)
+        plain = solve_shooting(problem, n_steps=1024)
+        shoot = eig1d._shoot
+
+        def crossing_back(mu, *args, **kwargs):
+            crossed, u_end, us, vs = shoot(mu, *args, **kwargs)
+            return crossed, abs(u_end) if mu > 1.2 else u_end, us, vs
+
+        monkeypatch.setattr(eig1d, "_shoot", crossing_back)
+        guarded = solve_shooting(problem, n_steps=1024)
+        assert guarded.mu == pytest.approx(plain.mu, rel=1e-9)
+        assert guarded.converged
 
 
 class TestPMeanShift:
