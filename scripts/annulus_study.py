@@ -19,9 +19,7 @@ from fermi_spectra import (
     lower_bound_variable_width,
     make_domain,
     reconstruct_from_curvature,
-    solve_mu1_linear,
     solve_mu1_nonlinear,
-    solve_mu1_odd_linear,
     test_function_upper_bound,
     width_profile,
 )
@@ -47,12 +45,8 @@ def main() -> None:
     for p in args.p:
         lo_c = lower_bound_constant_width(domain, p)
         lo_v = lower_bound_variable_width(domain, p)
-        if p == 2.0:
-            odd = solve_mu1_odd_linear(domain, ns=args.ns, nt=args.nt)
-            full = solve_mu1_linear(domain, ns=args.ns, nt=args.nt)
-        else:
-            odd = solve_mu1_nonlinear(domain, p, ns=args.ns, nt=args.nt, odd=True)
-            full = solve_mu1_nonlinear(domain, p, ns=args.ns, nt=args.nt)
+        odd = solve_mu1_nonlinear(domain, p, ns=args.ns, nt=args.nt, odd=True)
+        full = solve_mu1_nonlinear(domain, p, ns=args.ns, nt=args.nt)
         upper = test_function_upper_bound(domain, p)
         lo = max(
             lo_c.value if lo_c.applicable else -math.inf,

@@ -17,7 +17,7 @@ from scipy.integrate import simpson
 
 from .analysis import certify_odd, fermi_layer_integral
 from .eig1d import OneDimProblem, solve_shooting
-from .eig2d import solve_mu1_linear, solve_mu1_nonlinear
+from .eig2d import solve_mu1_nonlinear
 from .errors import FermiSpectraError
 from .geometry import scale_width
 
@@ -79,12 +79,6 @@ def upper_bound_epsilon(domain, p, eps, limit_result=None):
     return float(num / den)
 
 
-def _solve_strip(domain, p, ns, nt):
-    if p == 2.0:
-        return solve_mu1_linear(domain, ns, nt)
-    return solve_mu1_nonlinear(domain, p, ns, nt)
-
-
 def epsilon_sweep(domain, p, epsilons, policy=None):
     """Eigenvalues of the eps-scaled strips against the thin-limit value.
 
@@ -120,11 +114,11 @@ def epsilon_sweep(domain, p, epsilons, policy=None):
     for i, eps in enumerate(eps_arr):
         try:
             d_eps = scale_width(domain, float(eps))
-            res = _solve_strip(d_eps, p, policy.ns, policy.nt)
+            res = solve_mu1_nonlinear(d_eps, p, policy.ns, policy.nt)
             mu = res.mu
             ok = res.converged
             if policy.refine_check:
-                fine = _solve_strip(d_eps, p, 2 * policy.ns, 2 * policy.nt)
+                fine = solve_mu1_nonlinear(d_eps, p, 2 * policy.ns, 2 * policy.nt)
                 refine_estimates[i] = abs(fine.mu - mu)
                 mu = fine.mu + (fine.mu - mu) / 3.0
                 ok = ok and fine.converged

@@ -36,7 +36,7 @@ from .analysis import (
 from .asymptotics import MeshPolicy, epsilon_sweep, limit_problem
 from .config import COMMANDS, expression_callable, load_config
 from .eig1d import solve_discretized, solve_shooting
-from .eig2d import solve_mu1_linear, solve_mu1_nonlinear, solve_mu1_odd_linear
+from .eig2d import solve_mu1_nonlinear
 from .errors import FermiSpectraError, ParseError, SchemaError
 from .expressions import pretty
 from .geometry import (
@@ -178,12 +178,8 @@ def run_command(cfg, domain=None):
 
     if cfg.command == "solve2d":
         ns, nt = cfg.mesh["ns"], cfg.mesh["nt"]
-        if cfg.p == 2.0:
-            full = solve_mu1_linear(domain, ns, nt)
-            odd = solve_mu1_odd_linear(domain, ns, nt)
-        else:
-            full = solve_mu1_nonlinear(domain, cfg.p, ns, nt)
-            odd = solve_mu1_nonlinear(domain, cfg.p, ns, nt, odd=True)
+        full = solve_mu1_nonlinear(domain, cfg.p, ns, nt)
+        odd = solve_mu1_nonlinear(domain, cfg.p, ns, nt, odd=True)
         doc["results"] = {"full": _result_dict(full), "odd": _result_dict(odd)}
         mesh = full.mesh
         rows = np.column_stack([mesh.node_s, mesh.node_t, full.u])

@@ -19,13 +19,8 @@ import scipy.linalg
 import scipy.optimize
 
 from .analysis import lyapunov_bound
-from .errors import (
-    AsymmetricWeight,
-    BadExponent,
-    NoCrossing,
-    NonpositiveWeight,
-    StiffFailure,
-)
+from .errors import BadExponent, NoCrossing, StiffFailure
+from .geometry import _check_weight
 
 PHI_FLOOR = 1e-14
 
@@ -45,11 +40,7 @@ class OneDimProblem:
         w = np.asarray(self.w_samples, dtype=float)
         if len(w) < 8:
             raise ValueError("need at least 8 weight samples")
-        if np.min(w) <= 0.0:
-            raise NonpositiveWeight(f"weight must be positive (min {np.min(w):.6g})")
-        res = np.max(np.abs(w - w[::-1]))
-        if res > self.evenness_tol * np.max(w):
-            raise AsymmetricWeight(f"weight is not even about L/2 (residual {res:.3g})")
+        _check_weight(w, self.evenness_tol, "weight")
         self.w_samples = w
 
     @property

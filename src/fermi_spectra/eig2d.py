@@ -269,7 +269,18 @@ def _full_linear(domain, ns, nt, tol=1e-12, max_iter=200):
     return result, K, M
 
 
-def _half_mesh_reduction(domain, ns, nt):
+def solve_mu1_odd_linear(domain, ns=256, nt=16, tol=1e-12, max_iter=200):
+    """Smallest eigenvalue among modes odd about the midline, p = 2.
+
+    Solved on the half strip with the midline held at zero; for even
+    curvature and width data this is the odd-reflection eigenvalue.
+    """
+    return _odd_linear(domain, ns, nt, tol, max_iter)[0]
+
+
+def _odd_linear(domain, ns, nt, tol=1e-12, max_iter=200):
+    """solve_mu1_odd_linear's result with its stiffness factor and free nodes."""
+    domain.require_valid()
     if ns % 2 != 0:
         raise ValueError("odd-mode solves need an even ns")
     mesh = build_mesh(domain, ns // 2, nt, s_range=(0.0, 0.5 * domain.L))
@@ -278,17 +289,6 @@ def _half_mesh_reduction(domain, ns, nt):
     keep = np.flatnonzero(~essential)
     K_red = K[keep][:, keep].tocsr()
     M_red = M[keep][:, keep].tocsr()
-    return mesh, K_red, M_red, keep
-
-
-def solve_mu1_odd_linear(domain, ns=256, nt=16, tol=1e-12, max_iter=200):
-    """Smallest eigenvalue among modes odd about the midline, p = 2.
-
-    Solved on the half strip with the midline held at zero; for even
-    curvature and width data this is the odd-reflection eigenvalue.
-    """
-    domain.require_valid()
-    mesh, K_red, M_red, keep = _half_mesh_reduction(domain, ns, nt)
     A_lu = scipy.sparse.linalg.splu(K_red.tocsc())
     u0 = np.cos(np.pi * mesh.node_s[keep] / domain.L)
     mu, u_red, residual, it = _inverse_iterate(
@@ -296,10 +296,11 @@ def solve_mu1_odd_linear(domain, ns=256, nt=16, tol=1e-12, max_iter=200):
     )
     u = np.zeros(mesh.n_nodes)
     u[keep] = u_red
-    return Eigen2DResult(
+    result = Eigen2DResult(
         mu=mu, u=u, residual=residual, method="linear-odd", iterations=it,
         converged=True, mesh=mesh,
     )
+    return result, A_lu, keep
 
 
 def _p_rayleigh(mesh, u, p, floor=1e-60):
@@ -349,23 +350,19 @@ def solve_mu1_nonlinear(
     on the half strip with the midline pinned, where no constraint is
     needed.  converged reports stagnation of the quotient, which for a
     descent method is the attainable notion of success; mu is then an
-    upper estimate of the discrete minimum.
+    upper estimate of the discrete minimum.  At p = 2 it returns the
+    result of solve_mu1_linear, or of solve_mu1_odd_linear when odd.
     """
     if not p > 1.0:
         raise BadExponent(f"p must exceed 1 (got {p})")
     domain.require_valid()
     if p == 2.0:
-        res = solve_mu1_odd_linear(domain, ns, nt) if odd else solve_mu1_linear(domain, ns, nt)
-        return res
+        return solve_mu1_odd_linear(domain, ns, nt) if odd else solve_mu1_linear(domain, ns, nt)
 
     if odd:
-        mesh, K_red, M_red, keep = _half_mesh_reduction(domain, ns, nt)
-        A_lu = scipy.sparse.linalg.splu(K_red.tocsc())
-        u0 = np.cos(np.pi * mesh.node_s[keep] / domain.L)
-        _, u_red, _, _ = _inverse_iterate(A_lu, K_red, M_red, u0)
-        u = np.zeros(mesh.n_nodes)
-        u[keep] = u_red
-        free = keep
+        lin, A_lu, free = _odd_linear(domain, ns, nt)
+        mesh = lin.mesh
+        u = lin.u
 
         def precondition(vec):
             out = np.zeros(mesh.n_nodes)

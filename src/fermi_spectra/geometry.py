@@ -152,8 +152,9 @@ def check_curve(spec):
     if speed_err > 1e-8:
         raise SymmetryViolation(f"tangent samples deviate from unit length by {speed_err:.3g}")
 
+    # Negated so that NaN fails; an infinite sample fails through the bound.
     k_res = np.max(np.abs(k - k[::-1])) if len(k) else 0.0
-    if k_res > tol * (1.0 + np.max(np.abs(k))):
+    if not k_res <= tol * (1.0 + np.max(np.abs(k))) < np.inf:
         raise AsymmetricCurvature(f"curvature samples are not even about L/2 (residual {k_res:.3g})")
 
     scale = 1.0 + np.max(np.abs(pts))
@@ -163,6 +164,22 @@ def check_curve(spec):
         raise SymmetryViolation(
             f"curve samples are not mirror symmetric (x residual {x_res:.3g}, y residual {y_res:.3g})"
         )
+
+
+def _check_weight(w, evenness_tol, noun):
+    """Raise unless the samples w are positive and even about their midpoint.
+
+    Returns (min w, evenness residual).  Both tests are negated
+    comparisons, so a NaN sample fails them; an infinite one fails the
+    evenness bound.  noun ("width" or "weight") names w in the message.
+    """
+    w_min = float(np.min(w))
+    if not w_min > 0.0:
+        raise NonpositiveWeight(f"{noun} must be positive (min {w_min:.6g})")
+    res = float(np.max(np.abs(w - w[::-1])))
+    if not res <= evenness_tol * np.max(w) < np.inf:
+        raise AsymmetricWeight(f"{noun} is not even about L/2 (residual {res:.3g})")
+    return w_min, res
 
 
 def curvature_from_parametric(x, y, t_range, n_samples=1024, derivatives=None, symmetry_tol=1e-6):
@@ -253,10 +270,6 @@ def reconstruct_from_curvature(L, k, n_samples=1024, symmetry_tol=1e-6):
             k_samples = np.interp(s_grid, own, arr)
             k_eval = _vectorized(lambda s: np.interp(s, own, arr))
 
-    k_res = np.max(np.abs(k_samples - k_samples[::-1]))
-    if k_res > symmetry_tol * (1.0 + np.max(np.abs(k_samples))):
-        raise AsymmetricCurvature(f"curvature is not even about L/2 (residual {k_res:.3g})")
-
     # One RK4 step of (theta, x, y)' = (k, cos theta, sin theta).
     def rk4_step(state, s, h):
         theta, xx, yy = state
@@ -313,11 +326,7 @@ def width_profile(width, L, n_samples=1024, evenness_tol=1e-8):
             own = np.linspace(0.0, float(L), len(arr))
             delta = np.interp(s_grid, own, arr)
 
-    if np.min(delta) <= 0.0:
-        raise NonpositiveWeight(f"width must be positive (min {np.min(delta):.6g})")
-    res = np.max(np.abs(delta - delta[::-1]))
-    if res > evenness_tol * np.max(delta):
-        raise AsymmetricWeight(f"width is not even about L/2 (residual {res:.3g})")
+    _check_weight(delta, evenness_tol, "width")
     ddelta = np.gradient(delta, s_grid[1] - s_grid[0])
     return WidthProfile(delta_samples=delta, ddelta_samples=ddelta, evenness_tol=evenness_tol)
 

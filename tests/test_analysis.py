@@ -145,6 +145,11 @@ class TestLayerIntegral:
         exact = (1.18**-1.0 - 1.0) / (0.6 * -1.0)
         assert got == pytest.approx(exact, rel=1e-13)
 
+    def test_scalar_input_gives_float(self):
+        for k in (0.0, 0.5, -0.5):
+            assert type(fermi_layer_integral(0.3, k, -1.0)) is float
+            assert type(fermi_layer_integral(0.3, k, 2.0)) is float
+
     def test_vector_matches_scalar(self):
         rng = np.random.default_rng(7)
         delta = rng.uniform(0.05, 0.5, 40)

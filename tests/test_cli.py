@@ -176,6 +176,23 @@ class TestExitCodes:
         assert "config error" in err and key in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("width", "sqrt(0.5 - abs(s - L/2))"), ("k", "sqrt(0.5 - abs(s - L/2))")],
+    )
+    def test_nan_samples_are_config_error(self, tmp_path, capsys, key, value):
+        # The expression is NaN where |s - L/2| > 1/2.
+        if key == "width":
+            payload = dict(RECT, width=value)
+        else:
+            payload = dict(RECT, curve={"mode": "curvature", "L": math.pi, "k": value})
+        code, _, report = run(tmp_path, "bounds", payload)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert report is None
+        assert "config error" in err
+        assert "Traceback" not in err
+
     def test_solver_error_is_two(self, tmp_path, capsys):
         payload = dict(RECT, curve={"mode": "curvature", "L": math.pi, "k": "4"})
         code, _, _ = run(tmp_path, "solve2d", payload)

@@ -40,6 +40,12 @@ class TestValidation:
         with pytest.raises(NonpositiveWeight):
             OneDimProblem(L=1.0, p=2.0, w_samples=w)
 
+    def test_rejects_nan_weight(self):
+        w = np.ones(16)
+        w[[2, 13]] = np.nan
+        with pytest.raises(NonpositiveWeight):
+            OneDimProblem(L=1.0, p=2.0, w_samples=w)
+
     def test_rejects_uneven_weight(self):
         s = np.linspace(0.0, 1.0, 64)
         with pytest.raises(AsymmetricWeight):

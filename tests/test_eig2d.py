@@ -155,9 +155,14 @@ class TestNonlinearSolver:
         assert result.mu == pytest.approx(exact, rel=2e-3)
 
     def test_p2_consistency_with_linear(self, annulus):
-        lin = solve_mu1_linear(annulus, ns=64, nt=8)
-        non = solve_mu1_nonlinear(annulus, 2.0, ns=64, nt=8)
-        assert non.mu == pytest.approx(lin.mu, rel=1e-6)
+        # p = 2 delegates to the linear solver of the parity, so the
+        # results are the same numbers, not merely close ones.
+        for odd, linear in ((False, solve_mu1_linear), (True, solve_mu1_odd_linear)):
+            lin = linear(annulus, ns=64, nt=8)
+            non = solve_mu1_nonlinear(annulus, 2.0, ns=64, nt=8, odd=odd)
+            assert non.mu == lin.mu
+            np.testing.assert_array_equal(non.u, lin.u)
+            assert non.method == lin.method
 
     def test_odd_mode(self, annulus):
         full = solve_mu1_nonlinear(annulus, 3.0, ns=64, nt=8)

@@ -132,6 +132,14 @@ class TestReconstruction:
         with pytest.raises(AsymmetricCurvature):
             reconstruct_from_curvature(math.pi, lambda s: s - math.pi / 2.0)
 
+    def test_nan_curvature_rejected(self):
+        # NaN where |s - L/2| > 1/2; every comparison with NaN is False,
+        # so the evenness test must be written to fail on it.
+        with pytest.raises(AsymmetricCurvature):
+            reconstruct_from_curvature(
+                math.pi, lambda s: np.sqrt(0.5 - np.abs(s - math.pi / 2.0))
+            )
+
 
 class TestWidthProfile:
     def test_constant_and_array_inputs_agree(self):
@@ -156,6 +164,19 @@ class TestWidthProfile:
     def test_uneven_rejected(self):
         with pytest.raises(AsymmetricWeight):
             width_profile(lambda s: 1.0 + 0.1 * s, math.pi)
+
+    def test_nan_sample_rejected(self):
+        delta = np.full(65, 0.4)
+        delta[[3, -4]] = np.nan
+        with pytest.raises(NonpositiveWeight):
+            width_profile(delta, math.pi, n_samples=65)
+
+    @pytest.mark.parametrize("ends", [[0], [0, -1]])
+    def test_infinite_sample_rejected(self, ends):
+        delta = np.full(65, 0.4)
+        delta[ends] = np.inf
+        with pytest.raises(AsymmetricWeight):
+            width_profile(delta, math.pi, n_samples=65)
 
 
 class TestDomain:
