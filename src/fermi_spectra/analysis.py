@@ -188,14 +188,18 @@ def fermi_layer_integral(delta, k, q):
     return float(out) if out.ndim == 0 else out
 
 
-def _panel_rule(L, panels=256, order=10):
-    """Nodes and weights of a composite Gauss rule on [0, L]."""
-    gx, gw = np.polynomial.legendre.leggauss(order)
-    edges = np.linspace(0.0, L, panels + 1)
+PANELS, PANEL_ORDER = 256, 10
+
+
+def _panel_rule(L):
+    """Nodes and weights of a composite Gauss rule on [0, L]: PANELS panels
+    of PANEL_ORDER points."""
+    gx, gw = np.polynomial.legendre.leggauss(PANEL_ORDER)
+    edges = np.linspace(0.0, L, PANELS + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1] - edges[0])
     nodes = (mid[:, None] + half * gx[None, :]).ravel()
-    weights = np.tile(half * gw, panels)
+    weights = np.tile(half * gw, PANELS)
     return nodes, weights
 
 
@@ -281,18 +285,22 @@ def figure2_data(p_grid):
 FIGURE2_COLUMNS = ("x", "r", "b", "b_minus_r")
 
 
-def _golden_max(f, a, b, coarse=64, iters=120):
-    """Maximum of a unimodal-ish f on [a, b]: coarse scan, then golden section."""
-    xs = np.linspace(a, b, coarse + 1)
+GOLDEN_SCAN, GOLDEN_ITERS = 64, 120
+
+
+def _golden_max(f, a, b):
+    """Maximum of a unimodal-ish f on [a, b]: a scan of GOLDEN_SCAN intervals,
+    then at most GOLDEN_ITERS golden-section steps around the best point."""
+    xs = np.linspace(a, b, GOLDEN_SCAN + 1)
     vals = np.array([f(x) for x in xs])
     i = int(np.argmax(vals))
     lo = xs[max(i - 1, 0)]
-    hi = xs[min(i + 1, coarse)]
+    hi = xs[min(i + 1, GOLDEN_SCAN)]
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     x1 = hi - invphi * (hi - lo)
     x2 = lo + invphi * (hi - lo)
     f1, f2 = f(x1), f(x2)
-    for _ in range(iters):
+    for _ in range(GOLDEN_ITERS):
         if f1 < f2:
             lo, x1, f1 = x1, x2, f2
             x2 = lo + invphi * (hi - lo)
@@ -359,8 +367,13 @@ def _jacobian_hypothesis(domain):
     return HypothesisCheck("positive area factor", jmin > 0.0, jmin)
 
 
-def lower_bound_constant_width(domain, p, concavity_tol=1e-9, width_tol=1e-9):
-    """Lower bound A_p (pi_p / L)^p for constant width and concave curvature."""
+WIDTH_TOL = 1e-9
+
+
+def lower_bound_constant_width(domain, p, concavity_tol=1e-9):
+    """Lower bound A_p (pi_p / L)^p for constant width and concave curvature.
+
+    The width is constant when (max - min) / max <= WIDTH_TOL = 1e-9."""
     _require_p(p)
     delta = domain.width.delta_samples
     k = domain.curve.k_samples
@@ -369,7 +382,7 @@ def lower_bound_constant_width(domain, p, concavity_tol=1e-9, width_tol=1e-9):
     spread = float((np.max(delta) - np.min(delta)) / np.max(delta))
     conc = concavity_check(k, concavity_tol)
     checks = [
-        HypothesisCheck("constant width", spread <= width_tol, spread),
+        HypothesisCheck("constant width", spread <= WIDTH_TOL, spread),
         HypothesisCheck("concave curvature", conc.passed, conc.worst_residual),
         _jacobian_hypothesis(domain),
     ]
@@ -385,11 +398,14 @@ def lower_bound_constant_width(domain, p, concavity_tol=1e-9, width_tol=1e-9):
     )
 
 
-def lower_bound_variable_width(domain, p, concavity_tol=1e-9, slope_tol=1e-9):
+SLOPE_TOL = 1e-9
+
+
+def lower_bound_variable_width(domain, p, concavity_tol=1e-9):
     """Lower bound B_p (pi_p / L)^p for concave width with moderate slope.
 
     Hypotheses: delta concave; delta * k or delta^2 * k concave (either
-    suffices); |delta'| <= 1; positive area factor.
+    suffices); |delta'| <= 1 up to SLOPE_TOL = 1e-9; positive area factor.
     """
     _require_p(p)
     delta = domain.width.delta_samples
@@ -407,7 +423,7 @@ def lower_bound_variable_width(domain, p, concavity_tol=1e-9, slope_tol=1e-9):
             conc_dk.passed or conc_d2k.passed,
             min(conc_dk.worst_residual, conc_d2k.worst_residual),
         ),
-        HypothesisCheck("width slope at most one", slope <= 1.0 + slope_tol, slope - 1.0),
+        HypothesisCheck("width slope at most one", slope <= 1.0 + SLOPE_TOL, slope - 1.0),
         _jacobian_hypothesis(domain),
     ]
 

@@ -26,7 +26,6 @@ from .geometry import scale_width
 class MeshPolicy:
     ns: int = 256
     nt: int = 16
-    refine_check: bool = True
 
     def __post_init__(self):
         if self.nt < 16:
@@ -52,10 +51,9 @@ class SweepResult:
 
 
 def limit_problem(domain, p):
-    """The thin-limit one-dimensional problem: weight equal to the width."""
-    return OneDimProblem(
-        L=domain.L, p=p, w_samples=np.asarray(domain.width.delta_samples, dtype=float)
-    )
+    """The thin-limit one-dimensional problem: weight and evenness tolerance of the width."""
+    w = np.asarray(domain.width.delta_samples, dtype=float)
+    return OneDimProblem(L=domain.L, p=p, w_samples=w, evenness_tol=domain.width.evenness_tol)
 
 
 def upper_bound_epsilon(domain, p, eps, limit_result=None):
@@ -84,13 +82,17 @@ def epsilon_sweep(domain, p, epsilons, policy=None):
 
     Each width factor gets its own validated domain and solve; failures
     (a folded strip, a stalled solver) are recorded per entry instead of
-    aborting the sweep.  With refine_check the mesh is doubled once per
-    entry, the difference between the two solves becomes the
-    discretization estimate, and the reported value is the h^2
-    extrapolation of the pair; without it the transplant upper bound can
-    fall inside the discretization error of a thin entry, which would make
-    a valid inequality look violated.  The convergence rate is fitted on
-    the last three successful entries in log-log coordinates.
+    aborting the sweep.  Every entry is solved on the policy's mesh and
+    on the mesh doubled in both directions; the difference between the two
+    solves becomes the discretization estimate, and the reported value is
+    the h^2 extrapolation of the pair.  Without the second solve the
+    transplant upper bound can fall inside the discretization error of a
+    thin entry, which would make a valid inequality look violated.  The
+    stopping rules are fixed: the strip solves stop at eig2d.INVERSE_TOL =
+    1e-12 (p = 2) or STALL_TOL = 1e-9 over STALL_WINDOW = 50 steps, and
+    the limit value at solve_shooting's default tol = 1e-10.  The
+    convergence rate is fitted on the last three successful entries in
+    log-log coordinates.
     """
     domain.require_valid()
     policy = policy or MeshPolicy()
@@ -115,15 +117,10 @@ def epsilon_sweep(domain, p, epsilons, policy=None):
         try:
             d_eps = scale_width(domain, float(eps))
             res = solve_mu1_nonlinear(d_eps, p, policy.ns, policy.nt)
-            mu = res.mu
-            ok = res.converged
-            if policy.refine_check:
-                fine = solve_mu1_nonlinear(d_eps, p, 2 * policy.ns, 2 * policy.nt)
-                refine_estimates[i] = abs(fine.mu - mu)
-                mu = fine.mu + (fine.mu - mu) / 3.0
-                ok = ok and fine.converged
-            mu_values[i] = mu
-            converged[i] = ok
+            fine = solve_mu1_nonlinear(d_eps, p, 2 * policy.ns, 2 * policy.nt)
+            refine_estimates[i] = abs(fine.mu - res.mu)
+            mu_values[i] = fine.mu + (fine.mu - res.mu) / 3.0
+            converged[i] = res.converged and fine.converged
             ub = upper_bound_epsilon(domain, p, float(eps), limit_result)
             upper_bounds[i] = ub
             ub_quad = ub if p == 2.0 else upper_bound_epsilon(

@@ -34,11 +34,11 @@ from .analysis import (
     lyapunov_bound_report,
 )
 from .asymptotics import MeshPolicy, epsilon_sweep, limit_problem
-from .config import COMMANDS, expression_callable, load_config
+from .config import COMMANDS, load_config
 from .eig1d import solve_discretized, solve_shooting
 from .eig2d import solve_mu1_nonlinear
 from .errors import FermiSpectraError, ParseError, SchemaError
-from .expressions import pretty
+from .expressions import as_function, pretty
 from .geometry import (
     curvature_from_parametric,
     make_domain,
@@ -52,20 +52,20 @@ def build_domain(cfg):
     if cfg.curve_mode == "curvature":
         k = cfg.k
         if not isinstance(k, np.ndarray):
-            k = expression_callable(k, "s", L=cfg.L)
+            k = as_function(k, "s", L=cfg.L)
         curve = reconstruct_from_curvature(
             cfg.L, k, n_samples=cfg.n_samples, symmetry_tol=cfg.tolerances["symmetry"]
         )
     else:
-        x = expression_callable(cfg.x, "t")
-        y = expression_callable(cfg.y, "t")
+        x = as_function(cfg.x, "t")
+        y = as_function(cfg.y, "t")
         curve = curvature_from_parametric(
             x, y, cfg.t_range, n_samples=cfg.n_samples,
             symmetry_tol=cfg.tolerances["symmetry"],
         )
     w = cfg.width
     if not isinstance(w, np.ndarray):
-        w = expression_callable(w, "s", L=curve.L)
+        w = as_function(w, "s", L=curve.L)
     width = width_profile(
         w, curve.L, cfg.n_samples, evenness_tol=cfg.tolerances["evenness"]
     )

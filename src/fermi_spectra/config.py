@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParseError, SchemaError
-from .expressions import evaluate, parse_expression
+from .expressions import parse_expression
 
 COMMANDS = ("bounds", "certify", "solve1d", "solve2d", "sweep", "figure2")
 
@@ -264,14 +264,3 @@ def load_config(path, command=None, overrides=None):
         figure2_n=figure2_n,
     )
 
-
-def expression_callable(node, variable, L=None):
-    """Bind an AST to a numeric function of one variable with L substituted."""
-
-    def f(value):
-        env = {variable: value}
-        if L is not None:
-            env["L"] = L
-        return evaluate(node, env)
-
-    return f

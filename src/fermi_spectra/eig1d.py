@@ -253,7 +253,10 @@ def _cumtrap(f, h):
     return out
 
 
-def solve_discretized(problem, n=512, max_iter=400, tol=1e-8):
+DISCRETIZED_MAX_ITER, DISCRETIZED_TOL = 400, 1e-8
+
+
+def solve_discretized(problem, n=512):
     """Independent discrete route on a uniform grid.
 
     For p = 2 this is the generalized eigenproblem of the assembled
@@ -263,7 +266,10 @@ def solve_discretized(problem, n=512, max_iter=400, tol=1e-8):
     integrating the flux from the left Neumann end, inverting phi_p, and
     integrating again, then restores the weighted p-mean-zero constraint
     with a scalar shift.  The solve is exact up to trapezoid quadrature
-    because the flux has an explicit antiderivative in one dimension.
+    because the flux has an explicit antiderivative in one dimension.  It
+    stops once an update moves u by at most 1e-8 or the last five quotients
+    agree to DISCRETIZED_TOL = 1e-8 (relative), and stops unconverged
+    after DISCRETIZED_MAX_ITER = 400 updates.
     """
     if n < 32:
         raise ValueError("n must be at least 32")
@@ -324,7 +330,7 @@ def solve_discretized(problem, n=512, max_iter=400, tol=1e-8):
     iterations = 0
     shift = 0.0
     window = []
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, DISCRETIZED_MAX_ITER + 1):
         f = value * w * np.abs(u) ** pm1 * np.sign(u)
         flux = -_cumtrap(f, h)
         # The weighted p-mean of u vanishes, so the total load does too up
@@ -342,7 +348,7 @@ def solve_discretized(problem, n=512, max_iter=400, tol=1e-8):
         if len(window) > 5:
             window.pop(0)
         spread = max(window) - min(window)
-        if shift <= 1e-8 or (len(window) == 5 and spread <= tol * value):
+        if shift <= 1e-8 or (len(window) == 5 and spread <= DISCRETIZED_TOL * value):
             value = float(np.mean(window))
             converged = True
             break

@@ -216,22 +216,32 @@ def assemble(mesh):
     return K, M
 
 
-def _inverse_iterate(A_lu, K, M, u0, deflate=None, tol=1e-12, max_iter=200):
+# Inverse iteration stops when mu changes by at most INVERSE_TOL (relative),
+# or by at most INVERSE_FLOOR_TOL and no less than the step before: on thin
+# strips mu settles at a rounding floor above INVERSE_TOL.
+INVERSE_TOL = 1e-12
+INVERSE_FLOOR_TOL = 1e-9
+INVERSE_MAX_ITER = 200
+
+
+def _inverse_iterate(A_lu, K, M, u0, deflate=None):
     u = u0 / np.sqrt(u0 @ (M @ u0))
     if deflate is not None:
         u = u - deflate * (deflate @ (M @ u))
-    mu_prev = np.inf
     mu = float(u @ (K @ u))
+    change_prev = np.inf
     it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, INVERSE_MAX_ITER + 1):
         v = A_lu.solve(M @ u)
         if deflate is not None:
             v = v - deflate * (deflate @ (M @ v))
         v = v / np.sqrt(v @ (M @ v))
         mu_prev, mu = mu, float(v @ (K @ v))
         u = v
-        if abs(mu - mu_prev) <= tol * abs(mu):
+        change = abs(mu - mu_prev)
+        if change <= INVERSE_TOL * abs(mu) or change_prev <= change <= INVERSE_FLOOR_TOL * abs(mu):
             break
+        change_prev = change
     else:
         raise SolveFailure(f"inverse iteration stalled at mu={mu:.9g}")
     r = K @ u - mu * (M @ u)
@@ -239,16 +249,16 @@ def _inverse_iterate(A_lu, K, M, u0, deflate=None, tol=1e-12, max_iter=200):
     return mu, u, residual, it
 
 
-def solve_mu1_linear(domain, ns=256, nt=16, tol=1e-12, max_iter=200):
+def solve_mu1_linear(domain, ns=256, nt=16):
     """First nonzero Neumann eigenvalue for p = 2 on the full strip.
 
     Shifted inverse iteration with the constant mode deflated in the mass
     inner product; deterministic cosine start.
     """
-    return _full_linear(domain, ns, nt, tol, max_iter)[0]
+    return _full_linear(domain, ns, nt)[0]
 
 
-def _full_linear(domain, ns, nt, tol=1e-12, max_iter=200):
+def _full_linear(domain, ns, nt):
     """solve_mu1_linear's result together with the K and M it assembled."""
     domain.require_valid()
     mesh = build_mesh(domain, ns, nt)
@@ -259,9 +269,7 @@ def _full_linear(domain, ns, nt, tol=1e-12, max_iter=200):
     u0 = u0 - ones * (ones @ (M @ u0))
     sigma = 0.5 * float(u0 @ (K @ u0)) / float(u0 @ (M @ u0))
     A_lu = scipy.sparse.linalg.splu((K + sigma * M).tocsc())
-    mu, u, residual, it = _inverse_iterate(
-        A_lu, K, M, u0, deflate=ones, tol=tol, max_iter=max_iter
-    )
+    mu, u, residual, it = _inverse_iterate(A_lu, K, M, u0, deflate=ones)
     result = Eigen2DResult(
         mu=mu, u=u, residual=residual, method="linear", iterations=it,
         converged=True, mesh=mesh,
@@ -269,16 +277,16 @@ def _full_linear(domain, ns, nt, tol=1e-12, max_iter=200):
     return result, K, M
 
 
-def solve_mu1_odd_linear(domain, ns=256, nt=16, tol=1e-12, max_iter=200):
+def solve_mu1_odd_linear(domain, ns=256, nt=16):
     """Smallest eigenvalue among modes odd about the midline, p = 2.
 
     Solved on the half strip with the midline held at zero; for even
     curvature and width data this is the odd-reflection eigenvalue.
     """
-    return _odd_linear(domain, ns, nt, tol, max_iter)[0]
+    return _odd_linear(domain, ns, nt)[0]
 
 
-def _odd_linear(domain, ns, nt, tol=1e-12, max_iter=200):
+def _odd_linear(domain, ns, nt):
     """solve_mu1_odd_linear's result with its stiffness factor and free nodes."""
     domain.require_valid()
     if ns % 2 != 0:
@@ -291,9 +299,7 @@ def _odd_linear(domain, ns, nt, tol=1e-12, max_iter=200):
     M_red = M[keep][:, keep].tocsr()
     A_lu = scipy.sparse.linalg.splu(K_red.tocsc())
     u0 = np.cos(np.pi * mesh.node_s[keep] / domain.L)
-    mu, u_red, residual, it = _inverse_iterate(
-        A_lu, K_red, M_red, u0, deflate=None, tol=tol, max_iter=max_iter
-    )
+    mu, u_red, residual, it = _inverse_iterate(A_lu, K_red, M_red, u0)
     u = np.zeros(mesh.n_nodes)
     u[keep] = u_red
     result = Eigen2DResult(
@@ -303,7 +309,10 @@ def _odd_linear(domain, ns, nt, tol=1e-12, max_iter=200):
     return result, A_lu, keep
 
 
-def _p_rayleigh(mesh, u, p, floor=1e-60):
+ENERGY_FLOOR = 1e-60  # keeps energy^(p/2 - 1) finite for p < 2
+
+
+def _p_rayleigh(mesh, u, p):
     q = mesh.quadrature
     gs = q.D_s @ u
     gt = q.D_t @ u
@@ -311,7 +320,7 @@ def _p_rayleigh(mesh, u, p, floor=1e-60):
     # the per-cell contraction; G is symmetric, so g_st serves both
     # off-diagonal entries.
     energy = gs * q.g_ss * gs + gs * q.g_st * gt + gt * q.g_st * gs + gt * q.g_tt * gt
-    energy = np.maximum(energy, floor)
+    energy = np.maximum(energy, ENERGY_FLOOR)
     ug = q.N @ u
     num = float(np.sum(q.weight * energy ** (0.5 * p)))
     den = float(np.sum(q.weight * np.abs(ug) ** p))
@@ -330,16 +339,12 @@ def _p_rayleigh_grad(mesh, p, num, den, grad, energy, ug):
     return (gnum - (num / den) * gden) / den
 
 
-def solve_mu1_nonlinear(
-    domain,
-    p,
-    ns=256,
-    nt=16,
-    odd=False,
-    max_iter=20000,
-    stall_window=50,
-    stall_tol=1e-9,
-):
+DESCENT_MAX_ITER = 20000
+STALL_WINDOW = 50
+STALL_TOL = 1e-9
+
+
+def solve_mu1_nonlinear(domain, p, ns=256, nt=16, odd=False):
     """First nonzero eigenvalue for general p > 1 by Rayleigh descent.
 
     Minimizes the discrete p-quotient along directions preconditioned by
@@ -348,10 +353,13 @@ def solve_mu1_nonlinear(
     from the p = 2 eigenvector.  The full-strip variant enforces the zero
     weighted p-mean constraint with a scalar shift; the odd variant works
     on the half strip with the midline pinned, where no constraint is
-    needed.  converged reports stagnation of the quotient, which for a
-    descent method is the attainable notion of success; mu is then an
-    upper estimate of the discrete minimum.  At p = 2 it returns the
-    result of solve_mu1_linear, or of solve_mu1_odd_linear when odd.
+    needed.  It stops converged when 40 step halvings fail to lower the
+    quotient or the quotient drops by at most STALL_TOL = 1e-9 (relative)
+    over STALL_WINDOW = 50 accepted steps, and unconverged after
+    DESCENT_MAX_ITER = 20000 steps: converged reports stagnation, the
+    attainable notion of success for a descent method, and mu is an upper
+    estimate of the discrete minimum.  At p = 2 it returns the result of
+    solve_mu1_linear, or of solve_mu1_odd_linear when odd.
     """
     if not p > 1.0:
         raise BadExponent(f"p must exceed 1 (got {p})")
@@ -398,7 +406,7 @@ def solve_mu1_nonlinear(
     history = [value]
     converged = False
     iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, DESCENT_MAX_ITER + 1):
         trial = step
         accepted = False
         for _ in range(40):
@@ -417,9 +425,9 @@ def solve_mu1_nonlinear(
         step = float(du @ du) / bb if bb > 0 else trial * 2.0
         u, d, value = cand, cd, cval
         history.append(value)
-        if len(history) > stall_window:
-            drop = history[-stall_window - 1] - value
-            if drop <= stall_tol * value:
+        if len(history) > STALL_WINDOW:
+            drop = history[-STALL_WINDOW - 1] - value
+            if drop <= STALL_TOL * value:
                 converged = True
                 break
 

@@ -302,10 +302,12 @@ def pretty(node):
     return f"{ls}^{rs}"
 
 
-def as_function(node, variable):
-    """Wrap a tree as f(values) for one free variable."""
+def as_function(node, variable, L=None):
+    """Wrap a tree as f(values) for one free variable, with L bound when given."""
+    bound = {} if L is None else {"L": L}
 
     def f(values):
-        return np.asarray(evaluate(node, {variable: np.asarray(values, dtype=float)}), dtype=float)
+        env = {**bound, variable: np.asarray(values, dtype=float)}
+        return np.asarray(evaluate(node, env), dtype=float)
 
     return f

@@ -11,7 +11,7 @@ embedded.  All sampled quantities interpolate linearly between nodes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
@@ -64,9 +64,6 @@ class WidthProfile:
 class ValidationReport:
     jacobian_min: float
     collision_count: int
-    point_symmetry_residual: float
-    curvature_evenness_residual: float
-    width_evenness_residual: float
     injectivity_checked: bool
     grid: tuple
     valid: bool
@@ -81,7 +78,6 @@ class FermiDomain:
     jacobian_min: float
     offset_curve: np.ndarray
     valid: bool
-    injectivity_checked: bool
     validation: ValidationReport = None
 
     @property
@@ -125,6 +121,18 @@ def _vectorized(f):
         return out.reshape(t.shape)
 
     return g
+
+
+def _profile(f, L):
+    """A callable of arc length, a constant, or samples on a uniform grid
+    over [0, L] (interpolated linearly), as a vectorized function on [0, L]."""
+    if callable(f):
+        return _vectorized(f)
+    arr = np.asarray(f, dtype=float)
+    if arr.ndim == 0:
+        return lambda s: np.full(np.shape(s), float(arr))
+    own = np.linspace(0.0, L, len(arr))
+    return lambda s: np.interp(s, own, arr)
 
 
 def _fd_derivatives(f, h):
@@ -244,6 +252,9 @@ def curvature_from_parametric(x, y, t_range, n_samples=1024, derivatives=None, s
     return spec
 
 
+# User profiles may evaluate to NaN or inf; the checks that follow reject
+# them, so numpy's floating-point warnings would only add noise.
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def reconstruct_from_curvature(L, k, n_samples=1024, symmetry_tol=1e-6):
     """Integrate an even curvature description into curve samples.
 
@@ -257,18 +268,8 @@ def reconstruct_from_curvature(L, k, n_samples=1024, symmetry_tol=1e-6):
     if L <= 0:
         raise ValueError("L must be positive")
     s_grid = np.linspace(0.0, L, n_samples)
-    if callable(k):
-        k_eval = _vectorized(k)
-        k_samples = k_eval(s_grid)
-    else:
-        arr = np.asarray(k, dtype=float)
-        if arr.ndim == 0:
-            k_samples = np.full(n_samples, float(arr))
-            k_eval = _vectorized(lambda s: np.full_like(np.asarray(s, dtype=float), float(arr)))
-        else:
-            own = np.linspace(0.0, L, len(arr))
-            k_samples = np.interp(s_grid, own, arr)
-            k_eval = _vectorized(lambda s: np.interp(s, own, arr))
+    k_eval = _profile(k, L)
+    k_samples = k_eval(s_grid)
 
     # One RK4 step of (theta, x, y)' = (k, cos theta, sin theta).
     def rk4_step(state, s, h):
@@ -313,19 +314,11 @@ def reconstruct_from_curvature(L, k, n_samples=1024, symmetry_tol=1e-6):
     return spec
 
 
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def width_profile(width, L, n_samples=1024, evenness_tol=1e-8):
     """Sample a width description (callable, constant, or samples) on [0, L]."""
     s_grid = np.linspace(0.0, float(L), n_samples)
-    if callable(width):
-        delta = _vectorized(width)(s_grid)
-    else:
-        arr = np.asarray(width, dtype=float)
-        if arr.ndim == 0:
-            delta = np.full(n_samples, float(arr))
-        else:
-            own = np.linspace(0.0, float(L), len(arr))
-            delta = np.interp(s_grid, own, arr)
-
+    delta = _profile(width, float(L))(s_grid)
     _check_weight(delta, evenness_tol, "width")
     ddelta = np.gradient(delta, s_grid[1] - s_grid[0])
     return WidthProfile(delta_samples=delta, ddelta_samples=ddelta, evenness_tol=evenness_tol)
@@ -409,32 +402,18 @@ def _collision_count(curve, width, grid):
 
 
 def _validate(curve, width, grid, check_injectivity):
-    k = curve.k_samples
-    delta = width.delta_samples
     s_vals = np.linspace(0.0, curve.L, grid[0])
-    kg = np.interp(s_vals, curve.s_samples, k)
-    dg = np.interp(s_vals, curve.s_samples, delta)
+    kg = np.interp(s_vals, curve.s_samples, curve.k_samples)
+    dg = np.interp(s_vals, curve.s_samples, width.delta_samples)
     # 1 + r k is linear in r, so the grid minimum sits at r = 0 or r = delta.
     jac_min = float(min(1.0, np.min(1.0 + dg * kg)))
-
-    pts = curve.points
-    point_res = float(
-        max(np.max(np.abs(pts[:, 0] + pts[::-1, 0])), np.max(np.abs(pts[:, 1] - pts[::-1, 1])))
-    )
-    k_res = float(np.max(np.abs(k - k[::-1])))
-    w_res = float(np.max(np.abs(delta - delta[::-1])))
-
-    collisions = 0
-    if check_injectivity and jac_min > 0.0:
-        collisions = _collision_count(curve, width, grid)
+    checked = bool(check_injectivity and jac_min > 0.0)
+    collisions = _collision_count(curve, width, grid) if checked else 0
 
     return ValidationReport(
         jacobian_min=jac_min,
         collision_count=collisions,
-        point_symmetry_residual=point_res,
-        curvature_evenness_residual=k_res,
-        width_evenness_residual=w_res,
-        injectivity_checked=bool(check_injectivity and jac_min > 0.0),
+        injectivity_checked=checked,
         grid=tuple(grid),
         valid=bool(jac_min > 0.0 and collisions == 0),
     )
@@ -456,7 +435,6 @@ def make_domain(curve, width, grid=DEFAULT_VALIDATION_GRID, check_injectivity=Tr
         jacobian_min=report.jacobian_min,
         offset_curve=offset,
         valid=report.valid,
-        injectivity_checked=report.injectivity_checked,
         validation=report,
     )
 

@@ -109,7 +109,7 @@ class TestFailureHandling:
             unit_width_curved,
             2.0,
             [2.5, 0.2],
-            policy=MeshPolicy(ns=64, nt=16, refine_check=False),
+            policy=MeshPolicy(ns=64, nt=16),
         )
         assert result.failures[0] is not None
         assert "InvalidDomain" in result.failures[0]

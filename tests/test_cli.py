@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -178,20 +179,44 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "key, value",
-        [("width", "sqrt(0.5 - abs(s - L/2))"), ("k", "sqrt(0.5 - abs(s - L/2))")],
+        [
+            ("width", "sqrt(0.5 - abs(s - L/2))"),
+            ("k", "sqrt(0.5 - abs(s - L/2))"),
+            ("width", "1/(s*(L-s))"),
+            ("k", "1/(s*(L-s))"),
+        ],
     )
     def test_nan_samples_are_config_error(self, tmp_path, capsys, key, value):
-        # The expression is NaN where |s - L/2| > 1/2.
+        # The sqrt expression is NaN where |s - L/2| > 1/2, the quotient is
+        # infinite at both ends.  The rejection prints no numpy warning:
+        # any warning raised here fails the test.
         if key == "width":
             payload = dict(RECT, width=value)
         else:
             payload = dict(RECT, curve={"mode": "curvature", "L": math.pi, "k": value})
-        code, _, report = run(tmp_path, "bounds", payload)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, report = run(tmp_path, "bounds", payload)
         err = capsys.readouterr().err
         assert code == 1
         assert report is None
         assert "config error" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["solve1d", "sweep"])
+    def test_limit_problem_uses_config_evenness(self, tmp_path, capsys, command):
+        # The width is even to 3e-7, inside tolerances.evenness = 1e-5 but
+        # not inside the 1e-8 default; the limit problem must use the former.
+        payload = {
+            "curve": {"mode": "curvature", "L": 3.0, "k": "0.2"},
+            "width": "0.3 + 1e-7*s",
+            "tolerances": {"evenness": 1e-5},
+            "mesh": {"ns": 32, "nt": 16, "n_steps": 512, "n_grid": 64},
+            "epsilons": [0.5, 0.25],
+        }
+        code, _, report = run(tmp_path, command, payload)
+        assert code == 0, capsys.readouterr().err
+        assert report["command"] == command
 
     def test_solver_error_is_two(self, tmp_path, capsys):
         payload = dict(RECT, curve={"mode": "curvature", "L": math.pi, "k": "4"})

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
+from scipy.sparse.linalg import eigsh
 
 from fermi_spectra import (
     build_mesh,
@@ -144,6 +145,30 @@ class TestLinearSolver:
         a = solve_mu1_linear(annulus, ns=96, nt=8)
         b = solve_mu1_linear(dilated, ns=96, nt=8)
         assert b.mu == pytest.approx(a.mu / c**2, rel=1e-9)
+
+    @pytest.mark.parametrize("L, k, odd", [(3.3, 0.3, False), (3.3, -0.4, True)])
+    def test_thin_strip_rounding_floor(self, L, k, odd):
+        # Width 0.0075: mu settles at a rounding floor where successive
+        # values differ by more than 1e-12 relative, so a 1e-12 change test
+        # alone never stops.  The shift-inverted Ritz value itself moves by
+        # about 5e-10 with the shift here, so the reference is the Rayleigh
+        # quotient of eigsh's eigenvector, evaluated like the solver's own.
+        domain = make_domain(reconstruct_from_curvature(L, k), width_profile(0.0075, L))
+        ns, nt = 256, 16
+        if odd:
+            result = solve_mu1_odd_linear(domain, ns, nt)
+            mesh = build_mesh(domain, ns // 2, nt, s_range=(0.0, 0.5 * L))
+            K, M = assemble(mesh)
+            keep = np.flatnonzero(mesh.node_s < 0.5 * L - 1e-12 * L)
+            K, M = K[keep][:, keep], M[keep][:, keep]
+        else:
+            result = solve_mu1_linear(domain, ns, nt)
+            K, M = assemble(build_mesh(domain, ns, nt))
+        vals, vecs = eigsh(K.tocsc(), k=1 if odd else 2, M=M.tocsc(), sigma=-1e-3)
+        v = vecs[:, np.argmax(vals)]
+        reference = float(v @ (K @ v)) / float(v @ (M @ v))
+        assert result.converged
+        assert result.mu == pytest.approx(reference, rel=1e-10)
 
 
 class TestNonlinearSolver:
