@@ -12,6 +12,13 @@ and the area element (1 + r k) delta ds dt.  Bilinear quadrilaterals with
 band with a homogeneous essential condition on the midline, which is
 equivalent to odd reflection when the weight data is even.
 
+The p = 2 systems (K + sigma M on the full strip, K on the odd half, and
+the descent's preconditioner K + mu M) are symmetric positive definite.
+build_mesh numbers the nodes t-fastest, so every entry lies within
+nt + 2 of the diagonal, and they are factored by banded Cholesky
+(LAPACK pbtrf through scipy.linalg.cholesky_banded) at O(ns nt^3) cost.
+The band is narrow because every mesh in use has ns >= nt.
+
 The Rayleigh descent for p != 2 evaluates the p-quotient through sparse
 quadrature operators D_s, D_t and N, which map nodal values to the s- and
 t-gradients and to the values at the Gauss points.  A mesh builds them,
@@ -26,8 +33,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse
-import scipy.sparse.linalg
 
 from .eig1d import pmean_shift
 from .errors import BadExponent, DegenerateCell, SolveFailure
@@ -216,6 +223,33 @@ def assemble(mesh):
     return K, M
 
 
+class _BandCholesky:
+    """Banded Cholesky factor of a sparse symmetric positive definite matrix.
+
+    The half-bandwidth is read from the stored entries (nt + 2 on a strip
+    mesh) and the upper band is packed in LAPACK band storage.  Raises
+    SolveFailure when the matrix is not positive definite.
+    """
+
+    def __init__(self, A):
+        A = A.tocoo()
+        A.sum_duplicates()
+        upper = A.col >= A.row
+        rows, cols = A.row[upper], A.col[upper]
+        self.bandwidth = int(np.max(cols - rows))
+        band = np.zeros((self.bandwidth + 1, A.shape[0]))
+        band[self.bandwidth + rows - cols, cols] = A.data[upper]
+        try:
+            self._factor = scipy.linalg.cholesky_banded(
+                band, overwrite_ab=True, check_finite=False
+            )
+        except np.linalg.LinAlgError as exc:
+            raise SolveFailure(f"band Cholesky failed: {exc}") from exc
+
+    def solve(self, b):
+        return scipy.linalg.cho_solve_banded((self._factor, False), b, check_finite=False)
+
+
 # Inverse iteration stops when mu changes by at most INVERSE_TOL (relative),
 # or by at most INVERSE_FLOOR_TOL and no less than the step before: on thin
 # strips mu settles at a rounding floor above INVERSE_TOL.
@@ -224,7 +258,7 @@ INVERSE_FLOOR_TOL = 1e-9
 INVERSE_MAX_ITER = 200
 
 
-def _inverse_iterate(A_lu, K, M, u0, deflate=None):
+def _inverse_iterate(A_chol, K, M, u0, deflate=None):
     u = u0 / np.sqrt(u0 @ (M @ u0))
     if deflate is not None:
         u = u - deflate * (deflate @ (M @ u))
@@ -232,7 +266,7 @@ def _inverse_iterate(A_lu, K, M, u0, deflate=None):
     change_prev = np.inf
     it = 0
     for it in range(1, INVERSE_MAX_ITER + 1):
-        v = A_lu.solve(M @ u)
+        v = A_chol.solve(M @ u)
         if deflate is not None:
             v = v - deflate * (deflate @ (M @ v))
         v = v / np.sqrt(v @ (M @ v))
@@ -253,7 +287,8 @@ def solve_mu1_linear(domain, ns=256, nt=16):
     """First nonzero Neumann eigenvalue for p = 2 on the full strip.
 
     Shifted inverse iteration with the constant mode deflated in the mass
-    inner product; deterministic cosine start.
+    inner product; deterministic cosine start.  The shifted matrix
+    K + sigma M is factored once by banded Cholesky, half-bandwidth nt + 2.
     """
     return _full_linear(domain, ns, nt)[0]
 
@@ -268,8 +303,8 @@ def _full_linear(domain, ns, nt):
     u0 = np.cos(np.pi * mesh.node_s / domain.L)
     u0 = u0 - ones * (ones @ (M @ u0))
     sigma = 0.5 * float(u0 @ (K @ u0)) / float(u0 @ (M @ u0))
-    A_lu = scipy.sparse.linalg.splu((K + sigma * M).tocsc())
-    mu, u, residual, it = _inverse_iterate(A_lu, K, M, u0, deflate=ones)
+    A_chol = _BandCholesky(K + sigma * M)
+    mu, u, residual, it = _inverse_iterate(A_chol, K, M, u0, deflate=ones)
     result = Eigen2DResult(
         mu=mu, u=u, residual=residual, method="linear", iterations=it,
         converged=True, mesh=mesh,
@@ -297,16 +332,16 @@ def _odd_linear(domain, ns, nt):
     keep = np.flatnonzero(~essential)
     K_red = K[keep][:, keep].tocsr()
     M_red = M[keep][:, keep].tocsr()
-    A_lu = scipy.sparse.linalg.splu(K_red.tocsc())
+    A_chol = _BandCholesky(K_red)
     u0 = np.cos(np.pi * mesh.node_s[keep] / domain.L)
-    mu, u_red, residual, it = _inverse_iterate(A_lu, K_red, M_red, u0)
+    mu, u_red, residual, it = _inverse_iterate(A_chol, K_red, M_red, u0)
     u = np.zeros(mesh.n_nodes)
     u[keep] = u_red
     result = Eigen2DResult(
         mu=mu, u=u, residual=residual, method="linear-odd", iterations=it,
         converged=True, mesh=mesh,
     )
-    return result, A_lu, keep
+    return result, A_chol, keep
 
 
 ENERGY_FLOOR = 1e-60  # keeps energy^(p/2 - 1) finite for p < 2
@@ -348,7 +383,8 @@ def solve_mu1_nonlinear(domain, p, ns=256, nt=16, odd=False):
     """First nonzero eigenvalue for general p > 1 by Rayleigh descent.
 
     Minimizes the discrete p-quotient along directions preconditioned by
-    the factored quadratic operator (a Sobolev gradient), with
+    the quadratic operator (a Sobolev gradient: K + mu M, or K on the odd
+    half, factored by banded Cholesky with half-bandwidth nt + 2), with
     Barzilai-Borwein steps and a backtracking safeguard, warm-started
     from the p = 2 eigenvector.  The full-strip variant enforces the zero
     weighted p-mean constraint with a scalar shift; the odd variant works
@@ -368,13 +404,13 @@ def solve_mu1_nonlinear(domain, p, ns=256, nt=16, odd=False):
         return solve_mu1_odd_linear(domain, ns, nt) if odd else solve_mu1_linear(domain, ns, nt)
 
     if odd:
-        lin, A_lu, free = _odd_linear(domain, ns, nt)
+        lin, A_chol, free = _odd_linear(domain, ns, nt)
         mesh = lin.mesh
         u = lin.u
 
         def precondition(vec):
             out = np.zeros(mesh.n_nodes)
-            out[free] = A_lu.solve(vec[free])
+            out[free] = A_chol.solve(vec[free])
             return out
 
     else:
@@ -383,8 +419,7 @@ def solve_mu1_nonlinear(domain, p, ns=256, nt=16, odd=False):
         u = lin.u
         free = None
         m_lump = np.asarray(M.sum(axis=1)).ravel()
-        P_lu = scipy.sparse.linalg.splu((K2 + lin.mu * M).tocsc())
-        precondition = P_lu.solve
+        precondition = _BandCholesky(K2 + lin.mu * M).solve
 
     def project(vec):
         if free is None:

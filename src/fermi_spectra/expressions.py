@@ -250,7 +250,8 @@ def evaluate(node, env):
     if node.op == "*":
         return left * right
     if node.op == "/":
-        return left / right
+        # numpy semantics: x/0 is inf or nan, which the callers' checks reject.
+        return np.divide(left, right)
     return np.power(left, right)
 
 

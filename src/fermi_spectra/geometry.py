@@ -197,8 +197,9 @@ def curvature_from_parametric(x, y, t_range, n_samples=1024, derivatives=None, s
     tuple (dx, dy, ddx, ddy) of exact derivative callables; otherwise
     derivatives come from fourth-order central differences.  Returns a
     CurveSpec with n_samples uniform arc-length nodes.  Raises ZeroSpeed
-    when the parametrization stalls, SymmetryViolation when the traced
-    curve is not mirror symmetric about the vertical axis.
+    when the parametrization stalls or its speed is not finite,
+    SymmetryViolation when the traced curve is not mirror symmetric about
+    the vertical axis.
     """
     t0, t1 = float(t_range[0]), float(t_range[1])
     if not t1 > t0:
@@ -216,9 +217,13 @@ def curvature_from_parametric(x, y, t_range, n_samples=1024, derivatives=None, s
 
     dense_n = max(4096, 4 * n_samples)
     t_dense = np.linspace(t0, t1, dense_n + 1)
-    sp_dense = speed(t_dense)
-    if np.min(sp_dense) < 1e-9 * np.max(sp_dense):
-        raise ZeroSpeed(f"speed vanishes near t={t_dense[np.argmin(sp_dense)]:.6g}")
+    # User curves may evaluate to NaN or inf; the negated test rejects them.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        sp_dense = speed(t_dense)
+        if not np.min(sp_dense) >= 1e-9 * np.max(sp_dense):
+            finite = np.isfinite(sp_dense)
+            at = t_dense[np.argmin(sp_dense) if finite.all() else np.argmin(finite)]
+            raise ZeroSpeed(f"speed vanishes or is not finite near t={at:.6g}")
 
     L = quad(lambda t: float(speed(t)), t0, t1, limit=200, epsabs=1e-13, epsrel=1e-13)[0]
 

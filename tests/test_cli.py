@@ -203,6 +203,28 @@ class TestExitCodes:
         assert "config error" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "update",
+        [
+            {"width": "1/0"},
+            {"curve": {"mode": "curvature", "L": math.pi, "k": "1/0"}},
+            {"curve": {"mode": "parametric", "x": "t", "y": "sqrt(t)", "t_range": [-1, 1]}},
+        ],
+    )
+    def test_infinite_or_undefined_profile_is_config_error(self, tmp_path, capsys, update):
+        # 1/0 is inf, and sqrt(t) is NaN for t < 0, so the parametric speed
+        # is not finite there.  As above, any warning fails the test.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, report = run(tmp_path, "bounds", {**RECT, **update})
+        err = capsys.readouterr().err
+        assert code == 1
+        assert report is None
+        assert "config error" in err
+        assert "Traceback" not in err
+        if "t_range" in update.get("curve", {}):
+            assert "ZeroSpeed" in err and "not finite" in err
+
     @pytest.mark.parametrize("command", ["solve1d", "sweep"])
     def test_limit_problem_uses_config_evenness(self, tmp_path, capsys, command):
         # The width is even to 3e-7, inside tolerances.evenness = 1e-5 but

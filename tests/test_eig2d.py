@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
-from scipy.sparse.linalg import eigsh
+from scipy.sparse.linalg import eigsh, spsolve
 
 from fermi_spectra import (
     build_mesh,
@@ -27,8 +27,8 @@ from fermi_spectra import (
     solve_mu1_odd_linear,
     width_profile,
 )
-from fermi_spectra.eig2d import _p_rayleigh, _p_rayleigh_grad, assemble
-from fermi_spectra.errors import DegenerateCell
+from fermi_spectra.eig2d import _BandCholesky, _p_rayleigh, _p_rayleigh_grad, assemble
+from fermi_spectra.errors import DegenerateCell, SolveFailure
 
 ANNULUS_MU1_RADIAL = 1.3139311581  # frozen output of radial_oracle(nu=2)
 
@@ -45,6 +45,22 @@ def radial_oracle(nu, lo=1.0, hi=1.6):
         return sol.y[1, -1]
 
     return brentq(end_slope, lo, hi, xtol=1e-10)
+
+
+def half_system(domain, ns, nt):
+    """K and M of the odd half strip, midline nodes removed, as the odd solver builds them."""
+    L = domain.L
+    mesh = build_mesh(domain, ns // 2, nt, s_range=(0.0, 0.5 * L))
+    K, M = assemble(mesh)
+    keep = np.flatnonzero(mesh.node_s < 0.5 * L - 1e-12 * L)
+    return K[keep][:, keep].tocsr(), M[keep][:, keep].tocsr()
+
+
+def eigsh_quotient(K, M, k):
+    """Rayleigh quotient of the eigenvector of shift-invert eigsh's largest of k values."""
+    vals, vecs = eigsh(K.tocsc(), k=k, M=M.tocsc(), sigma=-1e-3)
+    v = vecs[:, np.argmax(vals)]
+    return float(v @ (K @ v)) / float(v @ (M @ v))
 
 
 class TestMesh:
@@ -157,18 +173,51 @@ class TestLinearSolver:
         ns, nt = 256, 16
         if odd:
             result = solve_mu1_odd_linear(domain, ns, nt)
-            mesh = build_mesh(domain, ns // 2, nt, s_range=(0.0, 0.5 * L))
-            K, M = assemble(mesh)
-            keep = np.flatnonzero(mesh.node_s < 0.5 * L - 1e-12 * L)
-            K, M = K[keep][:, keep], M[keep][:, keep]
+            K, M = half_system(domain, ns, nt)
         else:
             result = solve_mu1_linear(domain, ns, nt)
             K, M = assemble(build_mesh(domain, ns, nt))
-        vals, vecs = eigsh(K.tocsc(), k=1 if odd else 2, M=M.tocsc(), sigma=-1e-3)
-        v = vecs[:, np.argmax(vals)]
-        reference = float(v @ (K @ v)) / float(v @ (M @ v))
         assert result.converged
-        assert result.mu == pytest.approx(reference, rel=1e-10)
+        assert result.mu == pytest.approx(eigsh_quotient(K, M, 1 if odd else 2), rel=1e-10)
+
+    def test_annulus_matches_eigsh(self, annulus):
+        # The band Cholesky factor behind both solves, checked against an
+        # independent shift-invert Lanczos on the same matrices.
+        ns, nt = 512, 32
+        full = solve_mu1_linear(annulus, ns, nt)
+        odd = solve_mu1_odd_linear(annulus, ns, nt)
+        K, M = assemble(build_mesh(annulus, ns, nt))
+        assert full.mu == pytest.approx(eigsh_quotient(K, M, 2), rel=1e-10)
+        K, M = half_system(annulus, ns, nt)
+        assert odd.mu == pytest.approx(eigsh_quotient(K, M, 1), rel=1e-10)
+
+
+class TestBandCholesky:
+    NS, NT = 256, 16
+
+    @pytest.fixture(scope="class")
+    def systems(self, annulus):
+        K, M = assemble(build_mesh(annulus, self.NS, self.NT))
+        K_red, _ = half_system(annulus, self.NS, self.NT)
+        return {"full": (K + 0.5 * M).tocsr(), "odd": K_red}
+
+    @pytest.mark.parametrize("which", ["full", "odd"])
+    def test_solve_matches_spsolve(self, systems, which):
+        A = systems[which]
+        b = np.cos(0.37 * np.arange(A.shape[0]))
+        x = _BandCholesky(A).solve(b)
+        reference = spsolve(A.tocsc(), b)
+        assert np.max(np.abs(x - reference)) <= 1e-12 * np.max(np.abs(reference))
+
+    @pytest.mark.parametrize("which", ["full", "odd"])
+    def test_bandwidth_read_from_matrix(self, systems, which):
+        assert _BandCholesky(systems[which]).bandwidth == self.NT + 2
+
+    def test_indefinite_matrix_is_solve_failure(self, annulus):
+        K, M = assemble(build_mesh(annulus, 64, 16))
+        mu1 = solve_mu1_linear(annulus, 64, 16).mu
+        with pytest.raises(SolveFailure):
+            _BandCholesky(K - 2.0 * mu1 * M)
 
 
 class TestNonlinearSolver:
