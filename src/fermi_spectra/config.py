@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -87,7 +88,12 @@ def _expect_map(data, key):
 def _number(data, key, minimum=None):
     if isinstance(data, bool) or not isinstance(data, (int, float)):
         _fail(key, f"expected a number, got {type(data).__name__}")
-    value = float(data)
+    try:
+        value = float(data)
+    except OverflowError:  # an integer beyond the float range
+        value = math.inf
+    if not math.isfinite(value):
+        _fail(key, f"must be finite (got {value})")
     if minimum is not None and not value > minimum:
         _fail(key, f"must exceed {minimum} (got {data})")
     return value

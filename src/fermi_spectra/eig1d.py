@@ -19,7 +19,7 @@ import scipy.linalg
 import scipy.optimize
 
 from .analysis import lyapunov_bound
-from .errors import BadExponent, NoCrossing, StiffFailure
+from .errors import BadExponent, NoCrossing, SolveFailure, StiffFailure
 from .geometry import _check_weight
 
 PHI_FLOOR = 1e-14
@@ -33,8 +33,8 @@ class OneDimProblem:
     evenness_tol: float = 1e-8
 
     def __post_init__(self):
-        if not self.p > 1.0:
-            raise BadExponent(f"p must exceed 1 (got {self.p})")
+        if not 1.0 < self.p < np.inf:
+            raise BadExponent(f"p must exceed 1 and be finite (got {self.p})")
         if not self.L > 0.0:
             raise ValueError("L must be positive")
         w = np.asarray(self.w_samples, dtype=float)
@@ -142,7 +142,10 @@ def solve_shooting(problem, tol=1e-10, n_steps=4096):
     def shoot(mu):
         """(crossed, u(L/2)) at mu; each mu is integrated once."""
         if mu not in shots:
-            shots[mu] = _shoot(mu, p, q, w_stage, h, n_steps)[:2]
+            try:
+                shots[mu] = _shoot(mu, p, q, w_stage, h, n_steps)[:2]
+            except OverflowError as exc:  # a float power in _phi overflowed
+                raise StiffFailure(f"integration overflowed at mu={mu:.6g}") from exc
         return shots[mu]
 
     lo = lyapunov_bound(problem.w_samples, L, p, evenness_tol=problem.evenness_tol)
@@ -224,6 +227,7 @@ def pmean_shift(values, weights, p):
 
     The sum falls monotonically in c from its value at min v to its value
     at max v, so Brent's method on that bracket finds the unique root.
+    Raises SolveFailure when values holds an infinity or a NaN.
     """
     v = np.asarray(values, dtype=float)
     w = np.asarray(weights, dtype=float)
@@ -234,6 +238,9 @@ def pmean_shift(values, weights, p):
         return float(np.sum(w * np.abs(d) ** pm1 * np.sign(d)))
 
     lo, hi = float(np.min(v)), float(np.max(v))
+    # min and max propagate NaN, which fails every comparison.
+    if not -np.inf < lo <= hi < np.inf:
+        raise SolveFailure(f"iterate is not finite (values range over [{lo}, {hi}])")
     if hi - lo == 0.0:
         return lo
     return scipy.optimize.brentq(g, lo, hi, xtol=1e-15 * max(1.0, abs(hi) + abs(lo)))

@@ -19,11 +19,13 @@ nt + 2 of the diagonal, and they are factored by banded Cholesky
 (LAPACK pbtrf through scipy.linalg.cholesky_banded) at O(ns nt^3) cost.
 The band is narrow because every mesh in use has ns >= nt.
 
-The Rayleigh descent for p != 2 evaluates the p-quotient through sparse
-quadrature operators D_s, D_t and N, which map nodal values to the s- and
-t-gradients and to the values at the Gauss points.  A mesh builds them,
-with their transposes, the first time the descent asks for them and keeps
-them (Mesh2D.quadrature); the p = 2 solvers never build them.
+The Rayleigh descent for p != 2 evaluates the p-quotient through one
+sparse forward operator that stacks D_s, D_t and N, which map nodal
+values to the s- and t-gradients and to the values at the Gauss points,
+so a quotient value costs one mat-vec.  The gradient uses the three
+transposes separately.  A mesh builds these operators the first time the
+descent asks for them and keeps them (Mesh2D.quadrature); the p = 2
+solvers never build them.
 """
 
 from __future__ import annotations
@@ -43,12 +45,12 @@ _GPTS = np.array([-1.0, 1.0]) / np.sqrt(3.0)
 
 
 class QuadratureOperators(NamedTuple):
-    """Nodal values to Gauss-point data; rows are ordered cell by cell,
-    Gauss point within cell, like Mesh2D.gauss_weight.ravel()."""
+    """Nodal values to Gauss-point data.  The forward operator stacks the
+    s-gradient, t-gradient and value rows in three blocks of n_gauss rows
+    each; within a block rows are ordered cell by cell, Gauss point within
+    cell, like Mesh2D.gauss_weight.ravel()."""
 
-    D_s: scipy.sparse.csr_matrix
-    D_t: scipy.sparse.csr_matrix
-    N: scipy.sparse.csr_matrix
+    forward: scipy.sparse.csr_matrix
     D_sT: scipy.sparse.csr_matrix
     D_tT: scipy.sparse.csr_matrix
     NT: scipy.sparse.csr_matrix
@@ -100,9 +102,7 @@ class Mesh2D:
         N = operator(self.shape)
         metric = self.metric.reshape(-1, 2, 2)
         return QuadratureOperators(
-            D_s=D_s,
-            D_t=D_t,
-            N=N,
+            forward=scipy.sparse.vstack([D_s, D_t, N], format="csr"),
             D_sT=D_s.T.tocsr(),
             D_tT=D_t.T.tocsr(),
             NT=N.T.tocsr(),
@@ -349,14 +349,12 @@ ENERGY_FLOOR = 1e-60  # keeps energy^(p/2 - 1) finite for p < 2
 
 def _p_rayleigh(mesh, u, p):
     q = mesh.quadrature
-    gs = q.D_s @ u
-    gt = q.D_t @ u
+    gs, gt, ug = np.split(q.forward @ u, 3)
     # grad . G grad as four terms in row-major order of G, which rounds like
     # the per-cell contraction; G is symmetric, so g_st serves both
     # off-diagonal entries.
     energy = gs * q.g_ss * gs + gs * q.g_st * gt + gt * q.g_st * gs + gt * q.g_tt * gt
     energy = np.maximum(energy, ENERGY_FLOOR)
-    ug = q.N @ u
     num = float(np.sum(q.weight * energy ** (0.5 * p)))
     den = float(np.sum(q.weight * np.abs(ug) ** p))
     return num, den, (gs, gt), energy, ug
@@ -386,19 +384,22 @@ def solve_mu1_nonlinear(domain, p, ns=256, nt=16, odd=False):
     the quadratic operator (a Sobolev gradient: K + mu M, or K on the odd
     half, factored by banded Cholesky with half-bandwidth nt + 2), with
     Barzilai-Borwein steps and a backtracking safeguard, warm-started
-    from the p = 2 eigenvector.  The full-strip variant enforces the zero
-    weighted p-mean constraint with a scalar shift; the odd variant works
-    on the half strip with the midline pinned, where no constraint is
-    needed.  It stops converged when 40 step halvings fail to lower the
-    quotient or the quotient drops by at most STALL_TOL = 1e-9 (relative)
-    over STALL_WINDOW = 50 accepted steps, and unconverged after
-    DESCENT_MAX_ITER = 20000 steps: converged reports stagnation, the
-    attainable notion of success for a descent method, and mu is an upper
-    estimate of the discrete minimum.  At p = 2 it returns the result of
-    solve_mu1_linear, or of solve_mu1_odd_linear when odd.
+    from the p = 2 eigenvector.  The gradient and its preconditioned
+    direction are computed only at accepted iterates: a rejected
+    backtracking candidate costs one projection and one quotient value.
+    The full-strip variant enforces the zero weighted p-mean constraint
+    with a scalar shift; the odd variant works on the half strip with the
+    midline pinned, where no constraint is needed.  It stops converged
+    when 40 step halvings fail to lower the quotient or the quotient drops
+    by at most STALL_TOL = 1e-9 (relative) over STALL_WINDOW = 50 accepted
+    steps, and unconverged after DESCENT_MAX_ITER = 20000 steps: converged
+    reports stagnation, the attainable notion of success for a descent
+    method, and mu is an upper estimate of the discrete minimum.  At p = 2
+    it returns the result of solve_mu1_linear, or of solve_mu1_odd_linear
+    when odd.
     """
-    if not p > 1.0:
-        raise BadExponent(f"p must exceed 1 (got {p})")
+    if not 1.0 < p < np.inf:
+        raise BadExponent(f"p must exceed 1 and be finite (got {p})")
     domain.require_valid()
     if p == 2.0:
         return solve_mu1_odd_linear(domain, ns, nt) if odd else solve_mu1_linear(domain, ns, nt)
@@ -431,12 +432,18 @@ def solve_mu1_nonlinear(domain, p, ns=256, nt=16, odd=False):
         return vec / np.max(np.abs(vec))
 
     def evaluate(vec):
+        """The quotient at vec and a function computing its preconditioned
+        gradient: a rejected candidate never pays for the gradient."""
         num, den, grad, energy, ug = _p_rayleigh(mesh, vec, p)
-        g = _p_rayleigh_grad(mesh, p, num, den, grad, energy, ug)
-        return num / den, precondition(g)
+
+        def direction():
+            return precondition(_p_rayleigh_grad(mesh, p, num, den, grad, energy, ug))
+
+        return num / den, direction
 
     u = project(u)
-    value, d = evaluate(u)
+    value, direction = evaluate(u)
+    d = direction()
     step = 1.0
     history = [value]
     converged = False
@@ -446,7 +453,7 @@ def solve_mu1_nonlinear(domain, p, ns=256, nt=16, odd=False):
         accepted = False
         for _ in range(40):
             cand = project(u - trial * d)
-            cval, cd = evaluate(cand)
+            cval, cdirection = evaluate(cand)
             if cval < value:
                 accepted = True
                 break
@@ -454,6 +461,7 @@ def solve_mu1_nonlinear(domain, p, ns=256, nt=16, odd=False):
         if not accepted:
             converged = True
             break
+        cd = cdirection()
         du = cand - u
         dd = cd - d
         bb = float(du @ dd)

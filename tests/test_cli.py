@@ -225,6 +225,46 @@ class TestExitCodes:
         if "t_range" in update.get("curve", {}):
             assert "ZeroSpeed" in err and "not finite" in err
 
+    @pytest.mark.parametrize(
+        "command, update, extra, key",
+        [
+            ("bounds", {}, ["--p", "inf"], "--p"),
+            ("solve1d", {}, ["--p", "inf"], "--p"),
+            ("solve2d", {}, ["--p", "inf"], "--p"),
+            ("bounds", {"p": math.inf}, [], "p"),
+            ("bounds", {"curve": {"mode": "curvature", "L": math.inf, "k": "0"}}, [], "curve.L"),
+            ("bounds", {"curve": {"mode": "curvature", "L": 10**400, "k": "0"}}, [], "curve.L"),
+            ("bounds", {"tolerances": {"symmetry": math.nan}}, [], "tolerances.symmetry"),
+            ("bounds", {"epsilons": [0.4, -math.inf]}, [], "epsilons[1]"),
+        ],
+    )
+    def test_non_finite_number_is_config_error(self, tmp_path, capsys, command, update, extra, key):
+        # json writes these as Infinity, NaN and a 401-digit integer; the
+        # parser reads the first two as floats and the last as an int.
+        code, _, report = run(tmp_path, command, {**RECT, **update}, extra=extra)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert report is None
+        assert f"{key}: must be finite" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("mesh", [{}, {"n_steps": 512, "n_grid": 64}])
+    def test_p_near_one_is_solver_error(self, tmp_path, capsys, mesh):
+        # At p = 1 + 1e-7 the inverse power iteration of the discrete route
+        # overflows to an infinite iterate; with 512 steps the shooting
+        # integrator overflows first.
+        payload = {
+            "curve": {"mode": "curvature", "L": math.pi, "k": "-0.5"},
+            "width": "0.3",
+            "mesh": {"ns": 32, "nt": 16, **mesh},
+        }
+        code, _, report = run(tmp_path, "solve1d", payload, extra=["--p", "1.0000001"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert report is None
+        assert "solver error" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("command", ["solve1d", "sweep"])
     def test_limit_problem_uses_config_evenness(self, tmp_path, capsys, command):
         # The width is even to 3e-7, inside tolerances.evenness = 1e-5 but

@@ -16,7 +16,7 @@ from fermi_spectra import (
 )
 from fermi_spectra import eig1d
 from fermi_spectra.eig1d import pmean_shift
-from fermi_spectra.errors import AsymmetricWeight, BadExponent, NonpositiveWeight
+from fermi_spectra.errors import AsymmetricWeight, BadExponent, NonpositiveWeight, SolveFailure
 
 
 def constant_problem(p, L, n=257):
@@ -33,6 +33,11 @@ class TestValidation:
     def test_rejects_small_exponent(self):
         with pytest.raises(BadExponent):
             OneDimProblem(L=1.0, p=1.0, w_samples=np.ones(16))
+
+    @pytest.mark.parametrize("p", [np.inf, np.nan])
+    def test_rejects_non_finite_exponent(self, p):
+        with pytest.raises(BadExponent):
+            OneDimProblem(L=1.0, p=p, w_samples=np.ones(16))
 
     def test_rejects_nonpositive_weight(self):
         w = np.ones(16)
@@ -264,6 +269,13 @@ class TestPMeanShift:
         d = v - pmean_shift(v, w, p)
         terms = w * np.abs(d) ** (p - 1.0)
         assert abs(np.sum(terms * np.sign(d))) <= 1e-12 * np.sum(terms)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_value_is_solve_failure(self, bad):
+        v = np.linspace(-1.0, 1.0, 20)
+        v[5] = bad
+        with pytest.raises(SolveFailure, match="not finite"):
+            pmean_shift(v, np.ones(20), 3.0)
 
     @pytest.mark.parametrize("p", [1.5, 4.0])
     def test_stays_inside_range_with_outlier(self, p):

@@ -27,8 +27,9 @@ from fermi_spectra import (
     solve_mu1_odd_linear,
     width_profile,
 )
+from fermi_spectra import eig2d
 from fermi_spectra.eig2d import _BandCholesky, _p_rayleigh, _p_rayleigh_grad, assemble
-from fermi_spectra.errors import DegenerateCell, SolveFailure
+from fermi_spectra.errors import BadExponent, DegenerateCell, SolveFailure
 
 ANNULUS_MU1_RADIAL = 1.3139311581  # frozen output of radial_oracle(nu=2)
 
@@ -302,6 +303,28 @@ class TestPQuotient:
             e[i] = h
             fd[i] = (quotient(u + e) - quotient(u - e)) / (2.0 * h)
         assert np.max(np.abs(grad - fd)) <= 1e-6 * np.max(np.abs(fd))
+
+    @pytest.mark.parametrize("p", [1.0, np.inf, np.nan])
+    def test_rejects_exponent_outside_one_to_infinity(self, wavy, p):
+        with pytest.raises(BadExponent):
+            solve_mu1_nonlinear(wavy, p, ns=32, nt=8)
+
+    def test_gradient_only_at_accepted_iterates(self, wavy, monkeypatch):
+        # A backtracking candidate the line search rejects needs only its
+        # quotient value: the gradient runs once at the start and once per
+        # accepted step.
+        calls = {"_p_rayleigh": 0, "_p_rayleigh_grad": 0}
+        for name in calls:
+            original = getattr(eig2d, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(eig2d, name, counted)
+        result = solve_mu1_nonlinear(wavy, 1.5, ns=32, nt=8)
+        assert calls["_p_rayleigh_grad"] <= result.iterations + 1
+        assert calls["_p_rayleigh_grad"] < calls["_p_rayleigh"]
 
     @pytest.mark.parametrize("p", [1.5, 3.0, 4.0])
     def test_full_strip_not_above_odd(self, wavy, p):
