@@ -337,28 +337,31 @@ def solve_discretized(problem, n=512):
     iterations = 0
     shift = 0.0
     window = []
-    for iterations in range(1, DISCRETIZED_MAX_ITER + 1):
-        f = value * w * np.abs(u) ** pm1 * np.sign(u)
-        flux = -_cumtrap(f, h)
-        # The weighted p-mean of u vanishes, so the total load does too up
-        # to quadrature; recenter the flux so both ends are exact Neumann.
-        flux -= flux[-1] * np.linspace(0.0, 1.0, n + 1)
-        dv = np.abs(flux / w) ** (1.0 / pm1) * np.sign(flux)
-        v = project(_cumtrap(dv, h))
-        shift = float(np.max(np.abs(v - u)))
-        num, den = _discrete_quotient(v, h, w_mid, m_lumped, p)
-        u = v
-        value = num / den
-        # Near p = 1 the iterate can keep moving in directions the quotient
-        # barely sees, so convergence is judged on the eigenvalue itself.
-        window.append(value)
-        if len(window) > 5:
-            window.pop(0)
-        spread = max(window) - min(window)
-        if shift <= 1e-8 or (len(window) == 5 and spread <= DISCRETIZED_TOL * value):
-            value = float(np.mean(window))
-            converged = True
-            break
+    # Near p = 1 an update can overflow; project's pmean_shift turns the
+    # non-finite iterate into SolveFailure, so numpy need not warn first.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for iterations in range(1, DISCRETIZED_MAX_ITER + 1):
+            f = value * w * np.abs(u) ** pm1 * np.sign(u)
+            flux = -_cumtrap(f, h)
+            # The weighted p-mean of u vanishes, so the total load does too up
+            # to quadrature; recenter the flux so both ends are exact Neumann.
+            flux -= flux[-1] * np.linspace(0.0, 1.0, n + 1)
+            dv = np.abs(flux / w) ** (1.0 / pm1) * np.sign(flux)
+            v = project(_cumtrap(dv, h))
+            shift = float(np.max(np.abs(v - u)))
+            num, den = _discrete_quotient(v, h, w_mid, m_lumped, p)
+            u = v
+            value = num / den
+            # Near p = 1 the iterate can keep moving in directions the quotient
+            # barely sees, so convergence is judged on the eigenvalue itself.
+            window.append(value)
+            if len(window) > 5:
+                window.pop(0)
+            spread = max(window) - min(window)
+            if shift <= 1e-8 or (len(window) == 5 and spread <= DISCRETIZED_TOL * value):
+                value = float(np.mean(window))
+                converged = True
+                break
 
     u_out = np.interp(problem.s_samples, s, u)
     return EigenResult(

@@ -19,20 +19,17 @@ nt + 2 of the diagonal, and they are factored by banded Cholesky
 (LAPACK pbtrf through scipy.linalg.cholesky_banded) at O(ns nt^3) cost.
 The band is narrow because every mesh in use has ns >= nt.
 
-The Rayleigh descent for p != 2 evaluates the p-quotient through one
-sparse forward operator that stacks D_s, D_t and N, which map nodal
-values to the s- and t-gradients and to the values at the Gauss points,
-so a quotient value costs one mat-vec.  The gradient uses the three
-transposes separately.  A mesh builds these operators the first time the
-descent asks for them and keeps them (Mesh2D.quadrature); the p = 2
-solvers never build them.
+The mesh's cell tables (conn, shape, shape_grad, metric, gauss_weight)
+are the one discrete representation of the strip.  assemble contracts
+them into the p = 2 matrices.  The descent's p-quotient (p != 2) gathers
+each cell's nodal values through conn and contracts them with the shape
+tables at the Gauss points; its gradient scatters the per-cell terms
+back to the nodes with one bincount.  No matrix is built for it.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -44,29 +41,11 @@ from .errors import BadExponent, DegenerateCell, SolveFailure
 _GPTS = np.array([-1.0, 1.0]) / np.sqrt(3.0)
 
 
-class QuadratureOperators(NamedTuple):
-    """Nodal values to Gauss-point data.  The forward operator stacks the
-    s-gradient, t-gradient and value rows in three blocks of n_gauss rows
-    each; within a block rows are ordered cell by cell, Gauss point within
-    cell, like Mesh2D.gauss_weight.ravel()."""
-
-    forward: scipy.sparse.csr_matrix
-    D_sT: scipy.sparse.csr_matrix
-    D_tT: scipy.sparse.csr_matrix
-    NT: scipy.sparse.csr_matrix
-    weight: np.ndarray
-    g_ss: np.ndarray
-    g_st: np.ndarray
-    g_tt: np.ndarray
-
-
 @dataclass
 class Mesh2D:
     L: float
     ns: int
     nt: int
-    s_nodes: np.ndarray
-    t_nodes: np.ndarray
     conn: np.ndarray
     node_s: np.ndarray
     node_t: np.ndarray
@@ -81,36 +60,6 @@ class Mesh2D:
 
     def total_mass(self):
         return float(np.sum(self.gauss_weight))
-
-    @functools.cached_property
-    def quadrature(self):
-        """The QuadratureOperators of this mesh, built on first access."""
-        n_cells, n_local = self.conn.shape
-        n_gauss = len(self.shape)
-        # Row c * n_gauss + g holds the cell's nodes in connectivity order,
-        # so each mat-vec row sums in the order of the per-cell contraction.
-        cols = np.repeat(self.conn, n_gauss, axis=0).ravel()
-        indptr = np.arange(0, len(cols) + 1, n_local)
-        size = (n_cells * n_gauss, self.n_nodes)
-
-        def operator(local):
-            data = np.tile(local.ravel(), n_cells)
-            return scipy.sparse.csr_matrix((data, cols, indptr), shape=size)
-
-        D_s = operator(self.shape_grad[:, :, 0])
-        D_t = operator(self.shape_grad[:, :, 1])
-        N = operator(self.shape)
-        metric = self.metric.reshape(-1, 2, 2)
-        return QuadratureOperators(
-            forward=scipy.sparse.vstack([D_s, D_t, N], format="csr"),
-            D_sT=D_s.T.tocsr(),
-            D_tT=D_t.T.tocsr(),
-            NT=N.T.tocsr(),
-            weight=self.gauss_weight.ravel(),
-            g_ss=np.ascontiguousarray(metric[:, 0, 0]),
-            g_st=np.ascontiguousarray(metric[:, 0, 1]),
-            g_tt=np.ascontiguousarray(metric[:, 1, 1]),
-        )
 
 
 @dataclass
@@ -196,8 +145,6 @@ def build_mesh(domain, ns, nt, s_range=None):
         L=domain.L,
         ns=ns,
         nt=nt,
-        s_nodes=s_nodes,
-        t_nodes=t_nodes,
         conn=conn,
         node_s=node_s,
         node_t=node_t,
@@ -348,28 +295,31 @@ ENERGY_FLOOR = 1e-60  # keeps energy^(p/2 - 1) finite for p < 2
 
 
 def _p_rayleigh(mesh, u, p):
-    q = mesh.quadrature
-    gs, gt, ug = np.split(q.forward @ u, 3)
+    U = u[mesh.conn]
+    gs, gt = U @ mesh.shape_grad[:, :, 0].T, U @ mesh.shape_grad[:, :, 1].T
+    ug = U @ mesh.shape.T
+    G = mesh.metric
+    g_ss, g_st, g_ts, g_tt = G[..., 0, 0], G[..., 0, 1], G[..., 1, 0], G[..., 1, 1]
     # grad . G grad as four terms in row-major order of G, which rounds like
-    # the per-cell contraction; G is symmetric, so g_st serves both
-    # off-diagonal entries.
-    energy = gs * q.g_ss * gs + gs * q.g_st * gt + gt * q.g_st * gs + gt * q.g_tt * gt
+    # the per-cell contraction.
+    energy = gs * g_ss * gs + gs * g_st * gt + gt * g_ts * gs + gt * g_tt * gt
     energy = np.maximum(energy, ENERGY_FLOOR)
-    num = float(np.sum(q.weight * energy ** (0.5 * p)))
-    den = float(np.sum(q.weight * np.abs(ug) ** p))
+    num = float(np.sum(mesh.gauss_weight * energy ** (0.5 * p)))
+    den = float(np.sum(mesh.gauss_weight * np.abs(ug) ** p))
     return num, den, (gs, gt), energy, ug
 
 
 def _p_rayleigh_grad(mesh, p, num, den, grad, energy, ug):
-    q = mesh.quadrature
     gs, gt = grad
-    s1 = q.weight * energy ** (0.5 * p - 1.0)
-    flux_s = s1 * (q.g_ss * gs + q.g_st * gt)
-    flux_t = s1 * (q.g_st * gs + q.g_tt * gt)
-    gnum = p * (q.D_sT @ flux_s + q.D_tT @ flux_t)
-    s2 = q.weight * np.abs(ug) ** (p - 1.0) * np.sign(ug)
-    gden = p * (q.NT @ s2)
-    return (gnum - (num / den) * gden) / den
+    G = mesh.metric
+    g_ss, g_st, g_ts, g_tt = G[..., 0, 0], G[..., 0, 1], G[..., 1, 0], G[..., 1, 1]
+    s1 = mesh.gauss_weight * energy ** (0.5 * p - 1.0)
+    s2 = mesh.gauss_weight * np.abs(ug) ** (p - 1.0) * np.sign(ug)
+    flux_s = s1 * (g_ss * gs + g_st * gt)
+    flux_t = s1 * (g_ts * gs + g_tt * gt)
+    dN = mesh.shape_grad
+    cells = flux_s @ dN[:, :, 0] + flux_t @ dN[:, :, 1] - (num / den) * (s2 @ mesh.shape)
+    return p * np.bincount(mesh.conn.ravel(), cells.ravel(), minlength=mesh.n_nodes) / den
 
 
 DESCENT_MAX_ITER = 20000

@@ -12,8 +12,7 @@ Grammar (no implicit multiplication):
 -2^2 evaluates to -4 and 2^3^2 to 512.  Allowed names are the free
 variables declared by the caller, the constants pi and e, and the
 function set sin, cos, tan, exp, log, sqrt, abs.  Anything else is
-rejected at parse time.  Every node keeps its source span so errors
-can point back into the original text.
+rejected at parse time.
 """
 
 from __future__ import annotations
@@ -43,25 +42,21 @@ CONSTANTS = {
 @dataclass(frozen=True)
 class Num:
     value: float
-    span: tuple = (0, 0)
 
 
 @dataclass(frozen=True)
 class Var:
     name: str
-    span: tuple = (0, 0)
 
 
 @dataclass(frozen=True)
 class Const:
     name: str
-    span: tuple = (0, 0)
 
 
 @dataclass(frozen=True)
 class Neg:
     child: object
-    span: tuple = (0, 0)
 
 
 @dataclass(frozen=True)
@@ -69,17 +64,13 @@ class BinOp:
     op: str
     left: object
     right: object
-    span: tuple = (0, 0)
 
 
 @dataclass(frozen=True)
 class Call:
     fn: str
     arg: object
-    span: tuple = (0, 0)
 
-
-ExprAst = (Num, Var, Const, Neg, BinOp, Call)
 
 _SYMBOLS = set("+-*/^()")
 
@@ -162,8 +153,7 @@ class _Parser:
             kind, value, start = self.peek()
             if kind == "sym" and value in "+-":
                 self.advance()
-                right = self.term()
-                node = BinOp(value, node, right, (node.span[0], right.span[1]))
+                node = BinOp(value, node, self.term())
             else:
                 return node
 
@@ -173,8 +163,7 @@ class _Parser:
             kind, value, start = self.peek()
             if kind == "sym" and value in "*/":
                 self.advance()
-                right = self.factor()
-                node = BinOp(value, node, right, (node.span[0], right.span[1]))
+                node = BinOp(value, node, self.factor())
             else:
                 return node
 
@@ -182,8 +171,7 @@ class _Parser:
         kind, value, start = self.peek()
         if kind == "sym" and value == "-":
             self.advance()
-            child = self.factor()
-            return Neg(child, (start, child.span[1]))
+            return Neg(self.factor())
         return self.power()
 
     def power(self):
@@ -191,24 +179,23 @@ class _Parser:
         kind, value, start = self.peek()
         if kind == "sym" and value == "^":
             self.advance()
-            exponent = self.factor()
-            return BinOp("^", base, exponent, (base.span[0], exponent.span[1]))
+            return BinOp("^", base, self.factor())
         return base
 
     def atom(self):
         kind, value, start = self.advance()
         if kind == "num":
-            return Num(float(value), (start, start + len(value)))
+            return Num(float(value))
         if kind == "name":
             if value in FUNCTIONS:
                 self.expect_sym("(")
                 arg = self.expr()
-                _, _, close = self.expect_sym(")")
-                return Call(value, arg, (start, close + 1))
+                self.expect_sym(")")
+                return Call(value, arg)
             if value in self.variables:
-                return Var(value, (start, start + len(value)))
+                return Var(value)
             if value in CONSTANTS:
-                return Const(value, (start, start + len(value)))
+                return Const(value)
             raise ParseError(f"unknown identifier {value!r}", start, self.text)
         if kind == "sym" and value == "(":
             node = self.expr()

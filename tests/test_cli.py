@@ -252,13 +252,16 @@ class TestExitCodes:
     def test_p_near_one_is_solver_error(self, tmp_path, capsys, mesh):
         # At p = 1 + 1e-7 the inverse power iteration of the discrete route
         # overflows to an infinite iterate; with 512 steps the shooting
-        # integrator overflows first.
+        # integrator overflows first.  Either failure prints no numpy
+        # warning: any warning raised here fails the test.
         payload = {
             "curve": {"mode": "curvature", "L": math.pi, "k": "-0.5"},
             "width": "0.3",
             "mesh": {"ns": 32, "nt": 16, **mesh},
         }
-        code, _, report = run(tmp_path, "solve1d", payload, extra=["--p", "1.0000001"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, report = run(tmp_path, "solve1d", payload, extra=["--p", "1.0000001"])
         err = capsys.readouterr().err
         assert code == 2
         assert report is None
@@ -307,14 +310,19 @@ class TestOverridesAndDeterminism:
         assert report["mesh"]["nt"] == 8
 
     def test_reruns_are_byte_identical(self, tmp_path):
+        # solve2d at p = 3 covers the Rayleigh descent.
         cfg = write_cfg(tmp_path, RECT)
-        outs = []
-        for name in ("a", "b"):
-            out = tmp_path / name
-            assert main(["solve1d", "--config", str(cfg), "--out", str(out)]) == 0
-            outs.append(out)
-        for fname in ("report.json", "solve1d.csv"):
-            assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
+        for command, extra in [
+            ("solve1d", []),
+            ("solve2d", ["--p", "3", "--ns", "32", "--nt", "16"]),
+        ]:
+            outs = []
+            for name in ("a", "b"):
+                out = tmp_path / f"{command}-{name}"
+                assert main([command, "--config", str(cfg), "--out", str(out), *extra]) == 0
+                outs.append(out)
+            for fname in ("report.json", f"{command}.csv"):
+                assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
 
     def test_report_uses_lf_and_sorted_keys(self, tmp_path):
         cfg = write_cfg(tmp_path, RECT)

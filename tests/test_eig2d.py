@@ -269,17 +269,30 @@ def loop_quotient(mesh, u, p):
     return num, den
 
 
+# (mesh, p) pairs for the quotient checks; full-mesh cases keep the bare p
+# as their id.
+QUOTIENT_CASES = [
+    pytest.param(kind, p, id=str(p) if kind == "full" else f"{kind}-{p}")
+    for kind in ("full", "odd-half")
+    for p in (1.5, 3.0, 4.0)
+]
+
+
 class TestPQuotient:
-    """The sparse-operator p-quotient on a curved, variable-width strip."""
+    """The p-quotient on a curved, variable-width strip, on the full mesh
+    and on the odd half mesh."""
 
     @pytest.fixture(scope="class")
-    def mesh_and_u(self, wavy):
-        mesh = build_mesh(wavy, 16, 8)
+    def mesh_and_u(self, wavy, request):
+        if request.param == "full":
+            mesh = build_mesh(wavy, 16, 8)
+        else:
+            mesh = build_mesh(wavy, 8, 8, s_range=(0.0, 0.5 * wavy.L))
         rng = np.random.default_rng(7)
         u = np.cos(np.pi * mesh.node_s / wavy.L) + 0.2 * rng.normal(size=mesh.n_nodes)
         return mesh, u
 
-    @pytest.mark.parametrize("p", [1.5, 3.0, 4.0])
+    @pytest.mark.parametrize("mesh_and_u, p", QUOTIENT_CASES, indirect=["mesh_and_u"])
     def test_value_matches_cell_loop(self, mesh_and_u, p):
         mesh, u = mesh_and_u
         num, den, *_ = _p_rayleigh(mesh, u, p)
@@ -287,7 +300,7 @@ class TestPQuotient:
         assert num == pytest.approx(ref_num, rel=1e-12)
         assert den == pytest.approx(ref_den, rel=1e-12)
 
-    @pytest.mark.parametrize("p", [1.5, 3.0, 4.0])
+    @pytest.mark.parametrize("mesh_and_u, p", QUOTIENT_CASES, indirect=["mesh_and_u"])
     def test_gradient_matches_central_differences(self, mesh_and_u, p):
         mesh, u = mesh_and_u
 
