@@ -56,7 +56,6 @@ from .geometry import (
     make_domain,
     reconstruct_from_curvature,
     scale_width,
-    validate_domain,
     width_profile,
 )
 

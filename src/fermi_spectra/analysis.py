@@ -438,9 +438,11 @@ def lower_bound_variable_width(domain, p, concavity_tol=1e-9):
     )
 
 
-def lyapunov_bound_report(domain, p, evenness_tol=1e-8):
-    """The one-dimensional Lyapunov bound packaged for the width weight."""
+def lyapunov_bound_report(domain, p):
+    """The one-dimensional Lyapunov bound packaged for the width weight,
+    checked against the width profile's own evenness tolerance."""
     w = domain.width.delta_samples
+    evenness_tol = domain.width.evenness_tol
     value = lyapunov_bound(w, domain.L, p, evenness_tol=evenness_tol)
     # lyapunov_bound raised unless both hypotheses hold; this only reads
     # their residuals.

@@ -143,7 +143,7 @@ def run_command(cfg, domain=None):
         reports = [
             lower_bound_constant_width(domain, cfg.p, concavity_tol=cfg.tolerances["concavity"]),
             lower_bound_variable_width(domain, cfg.p, concavity_tol=cfg.tolerances["concavity"]),
-            lyapunov_bound_report(domain, cfg.p, evenness_tol=cfg.tolerances["evenness"]),
+            lyapunov_bound_report(domain, cfg.p),
         ]
         doc["results"] = {"bounds": [_bound_dict(r) for r in reports]}
         return doc, tables

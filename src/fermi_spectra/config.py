@@ -16,7 +16,8 @@ Schema (keys exactly as below; all tolerances optional):
       "output": {"dir": "out"}
     }
 
-Mesh sizes are at least 8.  solve2d and sweep also need an even mesh.ns
+Mesh sizes are at least 8, and mesh.n_grid (the cells of solve1d's
+discrete route) at least 32.  solve2d and sweep also need an even mesh.ns
 (the odd-mode solve halves the strip at its midline), and sweep needs
 mesh.nt of at least 16.
 
@@ -213,7 +214,7 @@ def load_config(path, command=None, overrides=None):
     for key, value in _expect_map(data.get("mesh", {}), "mesh").items():
         if key not in DEFAULT_MESH:
             _fail(f"mesh.{key}", "unknown key")
-        mesh[key] = _integer(value, f"mesh.{key}", minimum=8)
+        mesh[key] = _integer(value, f"mesh.{key}", minimum=32 if key == "n_grid" else 8)
     for flag in ("ns", "nt"):
         if flag in overrides and overrides[flag] is not None:
             mesh[flag] = _integer(overrides[flag], f"--{flag}", minimum=8)

@@ -43,9 +43,6 @@ _GPTS = np.array([-1.0, 1.0]) / np.sqrt(3.0)
 
 @dataclass
 class Mesh2D:
-    L: float
-    ns: int
-    nt: int
     conn: np.ndarray
     node_s: np.ndarray
     node_t: np.ndarray
@@ -57,9 +54,6 @@ class Mesh2D:
     @property
     def n_nodes(self):
         return len(self.node_s)
-
-    def total_mass(self):
-        return float(np.sum(self.gauss_weight))
 
 
 @dataclass
@@ -78,7 +72,8 @@ def build_mesh(domain, ns, nt, s_range=None):
 
     Cells where the area factor 1 + r k is not strictly positive at a
     quadrature point are reported as degenerate rather than silently
-    flipping orientation.
+    flipping orientation, and so are cells whose metric overflows (a
+    width so small that 1 / delta^2 is not a finite double).
     """
     if ns < 2 or nt < 1:
         raise ValueError("mesh needs at least 2 x 1 cells")
@@ -133,18 +128,21 @@ def build_mesh(domain, ns, nt, s_range=None):
             f"area factor reaches {np.min(jac):.6g}; the strip folds over itself"
         )
     alpha = 1.0 / jac
-    beta = -t_g * ddelta / (jac * delta)
     metric = np.empty(jac.shape + (2, 2))
-    metric[..., 0, 0] = alpha**2
-    metric[..., 0, 1] = alpha * beta
-    metric[..., 1, 0] = alpha * beta
-    metric[..., 1, 1] = beta**2 + 1.0 / delta**2
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        beta = -t_g * ddelta / (jac * delta)
+        metric[..., 0, 0] = alpha**2
+        metric[..., 0, 1] = alpha * beta
+        metric[..., 1, 0] = alpha * beta
+        metric[..., 1, 1] = beta**2 + 1.0 / delta**2
+    if not np.all(np.isfinite(metric)):
+        raise DegenerateCell(
+            f"frame metric is not finite (width down to {np.min(delta):.6g}); "
+            "the strip is too thin for double precision"
+        )
     gauss_weight = jac * delta * (hs * ht * 0.25)
 
     return Mesh2D(
-        L=domain.L,
-        ns=ns,
-        nt=nt,
         conn=conn,
         node_s=node_s,
         node_t=node_t,

@@ -5,8 +5,11 @@ signed curvature on [0, L], mirror symmetric about the vertical axis: the
 midpoint sits at the origin with horizontal tangent, x is odd and y even
 about s = L/2, so curvature is even.  A strip (domain) attaches a width
 profile delta(s) > 0 along the clockwise normal (y', -x'); the area factor
-of that map is 1 + r k(s), which must stay positive for the strip to be
-embedded.  All sampled quantities interpolate linearly between nodes.
+of that map is 1 + r k(s).  The strip is embedded when that factor stays
+positive and its boundary polygon is simple: a locally one-to-one map of
+a closed disk that is one-to-one on its boundary is one-to-one (Meisters
+and Olech, Duke Math. J. 30, 1963).  All sampled quantities interpolate
+linearly between nodes.
 """
 
 from __future__ import annotations
@@ -28,8 +31,6 @@ from .errors import (
     SymmetryViolation,
     ZeroSpeed,
 )
-
-DEFAULT_VALIDATION_GRID = (1024, 128)
 
 
 @dataclass
@@ -61,24 +62,15 @@ class WidthProfile:
 
 
 @dataclass
-class ValidationReport:
-    jacobian_min: float
-    collision_count: int
-    injectivity_checked: bool
-    grid: tuple
-    valid: bool
-
-
-@dataclass
 class FermiDomain:
-    """A validated strip: curve, width, and the outcome of validation."""
+    """A strip: curve, width, and the outcome of validation (see make_domain)."""
 
     curve: CurveSpec
     width: WidthProfile
     jacobian_min: float
     offset_curve: np.ndarray
+    collision_count: int
     valid: bool
-    validation: ValidationReport = None
 
     @property
     def L(self):
@@ -101,7 +93,7 @@ class FermiDomain:
         if not self.valid:
             raise InvalidDomain(
                 f"domain failed validation (jacobian_min={self.jacobian_min:.6g}, "
-                f"collisions={self.validation.collision_count if self.validation else 'unknown'})"
+                f"collisions={self.collision_count})"
             )
 
 
@@ -356,100 +348,68 @@ def fermi_map(domain, s, r):
     return out
 
 
-def _collision_count(curve, width, grid):
-    """Count grid-cell pairs mapped closer than half their local spacing."""
-    ns_g, nr_g = grid
-    s_vals = np.linspace(0.0, curve.L, ns_g)
-    own = curve.s_samples
-    delta = np.interp(s_vals, own, width.delta_samples)
-    px = np.interp(s_vals, own, curve.points[:, 0])
-    py = np.interp(s_vals, own, curve.points[:, 1])
-    tx = np.interp(s_vals, own, curve.tangents[:, 0])
-    ty = np.interp(s_vals, own, curve.tangents[:, 1])
+def _boundary_crossings(points, offset):
+    """Count pairs of non-adjacent edges of the strip's boundary polygon that meet.
 
-    t_vals = np.linspace(0.0, 1.0, nr_g)
-    r = delta[:, None] * t_vals[None, :]
-    X = px[:, None] + r * ty[:, None]
-    Y = py[:, None] - r * tx[:, None]
-    P = np.stack([X.ravel(), Y.ravel()], axis=1)
+    The closed polygon runs along the curve samples, up the end normal at
+    s = L, back along the offset curve and down the end normal at s = 0.
+    Edges that touch count as meeting; disjoint collinear edges do not.
+    """
+    poly = np.concatenate([points, offset[::-1]])
+    m, n = len(poly), len(points)
+    head, tail = poly, np.roll(poly, -1, axis=0)
+    ends = np.array([n - 1, m - 1])
+    sides = np.setdiff1d(np.arange(m), ends)
 
-    # Local spacing per grid direction (nearest structured neighbor).
-    ds = np.hypot(np.diff(X, axis=0), np.diff(Y, axis=0))
-    dr = np.hypot(np.diff(X, axis=1), np.diff(Y, axis=1))
-    ds_local = np.full((ns_g, nr_g), np.inf)
-    ds_local[:-1, :] = np.minimum(ds_local[:-1, :], ds)
-    ds_local[1:, :] = np.minimum(ds_local[1:, :], ds)
-    dr_local = np.full((ns_g, nr_g), np.inf)
-    dr_local[:, :-1] = np.minimum(dr_local[:, :-1], dr)
-    dr_local[:, 1:] = np.minimum(dr_local[:, 1:], dr)
-    ds_local, dr_local = ds_local.ravel(), dr_local.ravel()
-    diag = np.hypot(ds_local, dr_local)
+    # Side edges that meet have midpoints at most one longest side edge
+    # apart; the max-norm search (a superset, free of squared distances
+    # that underflow) finds them.  The end normals face every edge.
+    reach = float(np.max(np.hypot(*(tail[sides] - head[sides]).T)))
+    tree = cKDTree(0.5 * (head[sides] + tail[sides]))
+    near = sides[tree.query_pairs(reach, p=np.inf, output_type="ndarray")]
+    i = np.concatenate([near[:, 0], np.repeat(ends, m)])
+    j = np.concatenate([near[:, 1], np.tile(np.arange(m), 2)])
+    gap = np.abs(i - j)
+    # Cyclically adjacent edges share a vertex; the end normals pair once.
+    keep = (np.minimum(gap, m - gap) > 1) & ~((i == m - 1) & (j == n - 1))
+    i, j = i[keep], j[keep]
 
-    # Two cells collide when their mapped points sit closer than half the
-    # local cell size AND far closer than their grid offset predicts; the
-    # second clause keeps non-adjacent cells of one healthy sheet (whose
-    # distance simply is their grid offset) from being flagged.
-    tree = cKDTree(P)
-    pairs = tree.query_pairs(0.5 * float(np.max(diag)), output_type="ndarray")
-    if len(pairs) == 0:
-        return 0
-    a, b = pairs[:, 0], pairs[:, 1]
-    ia, ja = a // nr_g, a % nr_g
-    ib, jb = b // nr_g, b % nr_g
-    di, dj = np.abs(ia - ib), np.abs(ja - jb)
-    adjacent = (di <= 1) & (dj <= 1)
-    dist = np.hypot(P[a, 0] - P[b, 0], P[a, 1] - P[b, 1])
-    expected_a = np.hypot(di * ds_local[a], dj * dr_local[a])
-    expected_b = np.hypot(di * ds_local[b], dj * dr_local[b])
-    threshold = 0.5 * np.minimum.reduce([diag[a], diag[b], expected_a, expected_b])
-    hit = (~adjacent) & (dist < threshold)
-    return int(np.count_nonzero(hit))
+    def turn(p, q, r):  # signs, as a product of two small crosses can underflow
+        u, v = q - p, r - p
+        return np.sign(u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0])
+
+    a, b, c, d = head[i], tail[i], head[j], tail[j]
+    straddle = (turn(a, b, c) * turn(a, b, d) <= 0) & (turn(c, d, a) * turn(c, d, b) <= 0)
+    lo_ab, hi_ab = np.minimum(a, b), np.maximum(a, b)
+    lo_cd, hi_cd = np.minimum(c, d), np.maximum(c, d)
+    boxes = np.all((lo_ab <= hi_cd) & (lo_cd <= hi_ab), axis=1)
+    return int(np.count_nonzero(straddle & boxes))
 
 
-def _validate(curve, width, grid, check_injectivity):
-    s_vals = np.linspace(0.0, curve.L, grid[0])
-    kg = np.interp(s_vals, curve.s_samples, curve.k_samples)
-    dg = np.interp(s_vals, curve.s_samples, width.delta_samples)
-    # 1 + r k is linear in r, so the grid minimum sits at r = 0 or r = delta.
-    jac_min = float(min(1.0, np.min(1.0 + dg * kg)))
-    checked = bool(check_injectivity and jac_min > 0.0)
-    collisions = _collision_count(curve, width, grid) if checked else 0
-
-    return ValidationReport(
-        jacobian_min=jac_min,
-        collision_count=collisions,
-        injectivity_checked=checked,
-        grid=tuple(grid),
-        valid=bool(jac_min > 0.0 and collisions == 0),
-    )
-
-
-def make_domain(curve, width, grid=DEFAULT_VALIDATION_GRID, check_injectivity=True):
-    """Attach a width profile to a curve and validate the resulting strip."""
+def make_domain(curve, width):
+    """Attach a width profile to a curve and validate the resulting strip:
+    valid when jacobian_min > 0 and the boundary has no crossings."""
     if len(width.delta_samples) != curve.n:
         raise ValueError(
             f"width samples ({len(width.delta_samples)}) must match curve samples ({curve.n})"
         )
-    report = _validate(curve, width, grid, check_injectivity)
+    # 1 + r k is linear in r, so its minimum sits at r = 0 or r = delta.
+    jacobian_min = float(min(1.0, np.min(1.0 + width.delta_samples * curve.k_samples)))
     tangents = curve.tangents
     normal = np.column_stack([tangents[:, 1], -tangents[:, 0]])
     offset = curve.points + width.delta_samples[:, None] * normal
+    collisions = _boundary_crossings(curve.points, offset)
     return FermiDomain(
         curve=curve,
         width=width,
-        jacobian_min=report.jacobian_min,
+        jacobian_min=jacobian_min,
         offset_curve=offset,
-        valid=report.valid,
-        validation=report,
+        collision_count=collisions,
+        valid=bool(jacobian_min > 0.0 and collisions == 0),
     )
 
 
-def validate_domain(domain, grid=DEFAULT_VALIDATION_GRID, check_injectivity=True):
-    """Re-run validation of an existing domain on a chosen grid."""
-    return _validate(domain.curve, domain.width, grid, check_injectivity)
-
-
-def scale_width(domain, factor, grid=None, check_injectivity=True):
+def scale_width(domain, factor):
     """A new domain over the same curve with the width scaled by factor > 0."""
     if factor <= 0:
         raise ValueError("factor must be positive")
@@ -458,6 +418,4 @@ def scale_width(domain, factor, grid=None, check_injectivity=True):
         ddelta_samples=domain.width.ddelta_samples * factor,
         evenness_tol=domain.width.evenness_tol,
     )
-    if grid is None:
-        grid = domain.validation.grid if domain.validation else DEFAULT_VALIDATION_GRID
-    return make_domain(domain.curve, scaled, grid=grid, check_injectivity=check_injectivity)
+    return make_domain(domain.curve, scaled)

@@ -46,7 +46,7 @@ def verdict(n, label, ok, detail, elapsed, budget):
 def constant_domain(k0, delta, L=math.pi):
     curve = reconstruct_from_curvature(L, lambda s: k0)
     width = width_profile(delta, L)
-    return make_domain(curve, width, check_injectivity=False)
+    return make_domain(curve, width)
 
 
 @pytest.fixture(scope="module")

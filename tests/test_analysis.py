@@ -49,7 +49,7 @@ PI_P_FROZEN = {
 def curved(k0, delta, L=math.pi, n=1025):
     curve = reconstruct_from_curvature(L, lambda s: k0, n_samples=n)
     width = width_profile(delta, L, n_samples=n)
-    return make_domain(curve, width, check_injectivity=False)
+    return make_domain(curve, width)
 
 
 class TestPiP:
@@ -104,7 +104,7 @@ class TestOddnessThreshold:
             math.pi, lambda s: 0.5 * np.cos(2.0 * np.pi * s / math.pi)
         )
         width = width_profile(0.5, math.pi)
-        domain = make_domain(curve, width, check_injectivity=False)
+        domain = make_domain(curve, width)
         case, threshold = oddness_threshold(domain)
         assert case == "c"
         pos = 1.0 / np.max(2.0 * 0.5 + 0.25 * np.maximum(domain.curve.k_samples, 0.0)) ** 2
@@ -210,7 +210,7 @@ class TestBounds:
             math.pi, lambda s: 0.3 * np.cos(2.0 * np.pi * s / math.pi)
         )
         width = width_profile(0.2, math.pi)
-        domain = make_domain(curve, width, check_injectivity=False)
+        domain = make_domain(curve, width)
         report = lower_bound_constant_width(domain, 2.0)
         assert not report.applicable
         failed = [c.name for c in report.hypothesis_results if not c.passed]

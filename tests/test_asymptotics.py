@@ -21,14 +21,14 @@ from fermi_spectra import (
 def unit_width_curved():
     curve = reconstruct_from_curvature(math.pi, lambda s: -0.5)
     width = width_profile(1.0, math.pi)
-    return make_domain(curve, width, check_injectivity=False)
+    return make_domain(curve, width)
 
 
 @pytest.fixture(scope="module")
 def straight_strip():
     curve = reconstruct_from_curvature(math.pi, lambda s: 0.0)
     width = width_profile(1.0, math.pi)
-    return make_domain(curve, width, check_injectivity=False)
+    return make_domain(curve, width)
 
 
 class TestLimitProblem:

@@ -166,6 +166,7 @@ class TestExitCodes:
             ("solve2d", {"ns": 64, "nt": 16}, ["--ns", "9"], "--ns"),
             ("sweep", {"ns": 64, "nt": 8}, [], "mesh.nt"),
             ("sweep", {"ns": 64, "nt": 16}, ["--nt", "8"], "--nt"),
+            ("solve1d", {"ns": 64, "nt": 16, "n_grid": 16}, [], "mesh.n_grid"),
         ],
     )
     def test_mesh_solver_cannot_take_is_one(self, tmp_path, capsys, command, mesh, extra, key):
@@ -288,6 +289,19 @@ class TestExitCodes:
         code, _, _ = run(tmp_path, "solve2d", payload)
         assert code == 2
         assert "solver error" in capsys.readouterr().err
+
+    def test_width_below_double_precision_is_degenerate_cell(self, tmp_path, capsys):
+        # 1 / delta^2 overflows at delta = 1e-200.  The mesh reports the
+        # degenerate metric without a numpy warning: any warning raised
+        # here fails the test.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, report = run(tmp_path, "solve2d", dict(RECT, width="1e-200"))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert report is None
+        assert "solver error: DegenerateCell" in err
+        assert "Traceback" not in err
 
     def test_invalid_domain_message_names_collisions(self, tmp_path, capsys):
         payload = dict(RECT, curve={"mode": "curvature", "L": math.pi, "k": "4"})

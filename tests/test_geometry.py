@@ -14,7 +14,6 @@ from fermi_spectra import (
     make_domain,
     reconstruct_from_curvature,
     scale_width,
-    validate_domain,
     width_profile,
 )
 from fermi_spectra.errors import (
@@ -26,6 +25,12 @@ from fermi_spectra.errors import (
     SymmetryViolation,
     ZeroSpeed,
 )
+from fermi_spectra.geometry import _boundary_crossings
+
+
+def _steep(s):
+    """A width that swings from 0.31 to 1.63 over an arc of length 0.797."""
+    return 0.969 + 0.661 * np.cos(2.0 * np.pi * s / 0.797)
 
 
 class TestParametricCurvature:
@@ -228,13 +233,20 @@ class TestDomain:
         domain = make_domain(curve, width)
         assert domain.jacobian_min > 0.0
         assert not domain.valid
-        assert domain.validation.collision_count > 0
+        assert domain.collision_count > 0
 
     def test_validate_domain_report(self, annulus):
-        report = validate_domain(annulus)
-        assert report.jacobian_min == pytest.approx(0.75, abs=1e-9)
-        assert report.collision_count == 0
-        assert report.grid == (1024, 128)
+        assert annulus.jacobian_min == pytest.approx(0.75, abs=1e-9)
+        assert annulus.collision_count == 0
+        assert annulus.valid
+
+    def test_steep_width_strip_valid(self):
+        # 1 + delta k >= 1 and a simple boundary
+        curve = reconstruct_from_curvature(0.797, lambda s: 1.757)
+        domain = make_domain(curve, width_profile(_steep, 0.797))
+        assert domain.jacobian_min == 1.0
+        assert domain.valid
+        assert domain.collision_count == 0
 
     def test_scale_width(self, annulus):
         half = scale_width(annulus, 0.5)
@@ -257,6 +269,67 @@ def test_constant_curvature_jacobian(k0, delta):
     """jacobian_min equals 1 + delta*min(k, 0) for constant data."""
     curve = reconstruct_from_curvature(math.pi, lambda s: k0, n_samples=257)
     width = width_profile(delta, math.pi, n_samples=257)
-    domain = make_domain(curve, width, grid=(256, 32), check_injectivity=False)
+    domain = make_domain(curve, width)
     expected = 1.0 + delta * min(k0, 0.0)
     assert domain.jacobian_min == pytest.approx(expected, abs=1e-9)
+
+
+def _brute_crossings(points, offset):
+    """Meeting pairs of non-adjacent boundary edges, by the textbook
+    orientation and on-segment test over all O(m^2) pairs."""
+    poly = np.concatenate([points, offset[::-1]])
+    m = len(poly)
+    head, tail = poly, np.roll(poly, -1, axis=0)
+
+    def direction(p, q, r):
+        cross = (r[..., 0] - p[..., 0]) * (q[..., 1] - p[..., 1]) - (
+            q[..., 0] - p[..., 0]
+        ) * (r[..., 1] - p[..., 1])
+        return np.sign(cross)
+
+    def on_segment(p, q, r):
+        return np.all((np.minimum(p, q) <= r) & (r <= np.maximum(p, q)), axis=-1)
+
+    count = 0
+    for i in range(m):
+        # edges i + 2 .. m - 1, minus edge m - 1 when it closes onto edge 0
+        j = np.arange(i + 2, m if i > 0 else m - 1)
+        p1, p2, p3, p4 = head[i], tail[i], head[j], tail[j]
+        d1, d2 = direction(p3, p4, p1), direction(p3, p4, p2)
+        d3, d4 = direction(p1, p2, p3), direction(p1, p2, p4)
+        hit = (d1 * d2 < 0) & (d3 * d4 < 0)
+        hit |= (d1 == 0) & on_segment(p3, p4, p1)
+        hit |= (d2 == 0) & on_segment(p3, p4, p2)
+        hit |= (d3 == 0) & on_segment(p1, p2, p3)
+        hit |= (d4 == 0) & on_segment(p1, p2, p4)
+        count += int(np.count_nonzero(hit))
+    return count
+
+
+@pytest.mark.parametrize(
+    "L, k, delta, simple",
+    [
+        (math.pi, -0.5, 0.5, True),  # annulus
+        # straight spine whose offset edges outreach the collinear spine
+        # edges, which are disjoint and do not meet
+        (0.797, 0.0, _steep, True),
+        (math.pi, 4.0, 0.4, False),  # offset band wraps onto itself
+        (1.942, 3.231, 0.587, True),  # ring one cell short of closing
+        (math.pi, -2.0, 1.0, False),  # folded: 1 + r k < 0
+    ],
+    ids=["annulus", "straight-steep", "overlap", "open-ring", "folded"],
+)
+def test_boundary_crossings_match_brute_force(L, k, delta, simple):
+    curve = reconstruct_from_curvature(L, lambda s: k)
+    domain = make_domain(curve, width_profile(delta, L))
+    count = _boundary_crossings(curve.points, domain.offset_curve)
+    assert count == _brute_crossings(curve.points, domain.offset_curve)
+    assert (count == 0) == simple
+
+
+def test_touching_edges_count_as_meeting():
+    # The offset vertex (1.5, 0) lies inside the spine edge (1, 0)-(2, 0),
+    # so both offset edges at that vertex touch it.
+    points = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
+    offset = np.array([[0.0, -1.0], [1.5, 0.0], [2.0, -1.0], [3.0, -1.0]])
+    assert _boundary_crossings(points, offset) == _brute_crossings(points, offset) == 2
