@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import quad, simpson
 
-from .errors import BadExponent
+from .errors import BadExponent, SolveFailure
 from .geometry import _check_weight
 
 # Curvature magnitudes below this count as zero when classifying signs.
@@ -23,6 +23,22 @@ K_ZERO = 1e-12
 def _require_p(p):
     if not p > 1.0:
         raise BadExponent(f"p must exceed 1 (got {p})")
+
+
+def _power(base, p):
+    """base ** p for floats, inf where Python raises OverflowError instead."""
+    try:
+        return base ** p
+    except OverflowError:
+        return math.inf
+
+
+def _finite(value, what, L):
+    """value, or SolveFailure when it is not a finite double: on a strip
+    this short, (pi / L)^p or its reciprocal leaves double range."""
+    if not math.isfinite(value):
+        raise SolveFailure(f"{what} is not a finite double on a strip of length L = {L:.6g}")
+    return value
 
 
 def pi_p(p):
@@ -222,7 +238,7 @@ def test_function_upper_bound(domain, p):
     phase = math.pi * nodes / L
     num = float(np.dot(weights, np.abs(np.sin(phase)) ** p * layer_grad))
     den = float(np.dot(weights, np.abs(np.cos(phase)) ** p * layer_mass))
-    return (math.pi / L) ** p * num / den
+    return _finite(_power(math.pi / L, p) * num / den, "the test-function quotient", L)
 
 
 def certify_odd(domain, mu1_upper=None):
@@ -263,7 +279,8 @@ def lyapunov_bound(w_samples, L, p, evenness_tol=1e-8):
         w_left = np.append(w_left, np.interp(half, s, w))
     integrand = (half - left) ** (p - 1.0) * w_left
     integral = float(simpson(integrand, x=left))
-    return float(np.min(w)) / integral
+    bound = float(np.min(w)) / integral if integral > 0.0 else math.inf
+    return _finite(bound, "the Lyapunov bound", L)
 
 
 def figure2_data(p_grid):
@@ -388,7 +405,7 @@ def lower_bound_constant_width(domain, p, concavity_tol=1e-9):
     ]
 
     A_p = _bound_constants(domain, p)[0]
-    value = A_p * (pi_p(p) / L) ** p
+    value = _finite(A_p * _power(pi_p(p) / L, p), "the constant-width bound", L)
     return BoundReport(
         label="constant-width",
         value=float(value),
@@ -428,7 +445,7 @@ def lower_bound_variable_width(domain, p, concavity_tol=1e-9):
     ]
 
     B_p = _bound_constants(domain, p)[1]
-    value = B_p * (pi_p(p) / L) ** p
+    value = _finite(B_p * _power(pi_p(p) / L, p), "the variable-width bound", L)
     return BoundReport(
         label="variable-width",
         value=float(value),

@@ -9,8 +9,13 @@ Commands
     figure2  comparison table of the two bound profiles over 1/p
 
 Exit codes: 0 on success (a failed hypothesis or an uncertified domain is
-still a success), 1 for usage or config problems (including domain data
-that fails validation), 2 for solver failures.
+still a success), 1 for usage or config problems (including errors raised
+while the strip is built, such as a width that is not positive or a curve
+that is not mirror symmetric), 2 for solver failures.  A strip that is
+built but fails validation (a boundary that crosses itself, say) exits 2
+from certify, solve2d and sweep, whose solvers raise InvalidDomain;
+bounds and solve1d read only the curvature and width profiles, so they
+still run and report "valid": false.
 
 Reports are deterministic: the same config file and flags produce
 byte-identical report.json and CSV files.  No timestamps, no randomness.

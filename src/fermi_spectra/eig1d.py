@@ -302,6 +302,9 @@ def solve_discretized(problem, n=512):
     K = np.diag(main) + np.diag(upper, 1) + np.diag(upper, -1)
     M = np.diag(m_main) + np.diag(m_upper, 1) + np.diag(m_upper, -1)
     vals, vecs = scipy.linalg.eigh(K, M, subset_by_index=(0, 2))
+    if len(vals) < 3 or not np.all(np.isfinite(vals)):
+        # on an interval this short the eigenvalues leave double range
+        raise SolveFailure(f"discrete eigenvalues are not finite doubles (L = {L:.6g})")
     u2 = vecs[:, 1]
     if abs(u2[0]) > 1e-12 * np.max(np.abs(u2)):
         u2 = u2 / u2[0]

@@ -25,6 +25,12 @@ them into the p = 2 matrices.  The descent's p-quotient (p != 2) gathers
 each cell's nodal values through conn and contracts them with the shape
 tables at the Gauss points; its gradient scatters the per-cell terms
 back to the nodes with one bincount.  No matrix is built for it.
+
+The descent preconditions its direction by the p = 2 operator P and
+measures its Barzilai-Borwein step in P's inner product, the metric the
+direction lives in: with y the change of gradient between accepted
+iterates and du the change of iterate, the step is (du . y) / (P^-1 y . y),
+and P^-1 y is the change of direction, already at hand.
 """
 
 from __future__ import annotations
@@ -331,7 +337,10 @@ def solve_mu1_nonlinear(domain, p, ns=256, nt=16, odd=False):
     Minimizes the discrete p-quotient along directions preconditioned by
     the quadratic operator (a Sobolev gradient: K + mu M, or K on the odd
     half, factored by banded Cholesky with half-bandwidth nt + 2), with
-    Barzilai-Borwein steps and a backtracking safeguard, warm-started
+    Barzilai-Borwein (BB2) steps in the preconditioner's inner product,
+    (du . y) / (P^-1 y . y) for the changes du of iterate and y of
+    gradient, doubled from the last accepted trial step when either
+    product is not positive, and a backtracking safeguard, warm-started
     from the p = 2 eigenvector.  The gradient and its preconditioned
     direction are computed only at accepted iterates: a rejected
     backtracking candidate costs one projection and one quotient value.
@@ -380,18 +389,20 @@ def solve_mu1_nonlinear(domain, p, ns=256, nt=16, odd=False):
         return vec / np.max(np.abs(vec))
 
     def evaluate(vec):
-        """The quotient at vec and a function computing its preconditioned
-        gradient: a rejected candidate never pays for the gradient."""
+        """The quotient at vec and a function computing its gradient g and
+        preconditioned direction P^-1 g: a rejected candidate never pays
+        for them."""
         num, den, grad, energy, ug = _p_rayleigh(mesh, vec, p)
 
         def direction():
-            return precondition(_p_rayleigh_grad(mesh, p, num, den, grad, energy, ug))
+            g = _p_rayleigh_grad(mesh, p, num, den, grad, energy, ug)
+            return g, precondition(g)
 
         return num / den, direction
 
     u = project(u)
     value, direction = evaluate(u)
-    d = direction()
+    g, d = direction()
     step = 1.0
     history = [value]
     converged = False
@@ -409,12 +420,15 @@ def solve_mu1_nonlinear(domain, p, ns=256, nt=16, odd=False):
         if not accepted:
             converged = True
             break
-        cd = cdirection()
+        cg, cd = cdirection()
+        # Barzilai-Borwein (BB2) step in the P inner product: with
+        # y = g_new - g_old, P^-1 y is the change of direction.
         du = cand - u
-        dd = cd - d
-        bb = float(du @ dd)
-        step = float(du @ du) / bb if bb > 0 else trial * 2.0
-        u, d, value = cand, cd, cval
+        y = cg - g
+        sy = float(du @ y)
+        yy = float((cd - d) @ y)
+        step = sy / yy if sy > 0 and yy > 0 else trial * 2.0
+        u, g, d, value = cand, cg, cd, cval
         history.append(value)
         if len(history) > STALL_WINDOW:
             drop = history[-STALL_WINDOW - 1] - value

@@ -303,6 +303,25 @@ class TestExitCodes:
         assert "solver error: DegenerateCell" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "command, p",
+        [("bounds", "2"), ("certify", "2"), ("solve1d", "2"), ("solve1d", "1.5")],
+    )
+    def test_length_below_double_precision_is_solver_error(self, tmp_path, capsys, command, p):
+        # On L = 1e-200, (pi / L)^p and the discrete 1D eigenvalues leave
+        # double range, and the Lyapunov integral underflows to 0.  Each is
+        # a solver error, with no report (which would carry an Infinity)
+        # and no numpy warning: any warning raised here fails the test.
+        payload = dict(RECT, curve={"mode": "curvature", "L": 1e-200, "k": "0"})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, report = run(tmp_path, command, payload, extra=["--p", p])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert report is None
+        assert "solver error: SolveFailure" in err
+        assert "Traceback" not in err
+
     def test_invalid_domain_message_names_collisions(self, tmp_path, capsys):
         payload = dict(RECT, curve={"mode": "curvature", "L": math.pi, "k": "4"})
         run(tmp_path, "solve2d", payload)

@@ -339,6 +339,27 @@ class TestPQuotient:
         assert calls["_p_rayleigh_grad"] <= result.iterations + 1
         assert calls["_p_rayleigh_grad"] < calls["_p_rayleigh"]
 
+    @pytest.mark.parametrize("odd", [False, True], ids=["full", "odd"])
+    def test_preconditioned_step_is_mostly_accepted(self, wavy, monkeypatch, odd):
+        # The Barzilai-Borwein step is taken in the preconditioner's inner
+        # product, so the line search rarely backtracks: at most two
+        # quotient values per accepted step, where a step in the Euclidean
+        # inner product needs 5.4 (full) and 5.6 (odd) on this strip.
+        calls = 0
+        original = eig2d._p_rayleigh
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return original(*args)
+
+        monkeypatch.setattr(eig2d, "_p_rayleigh", counted)
+        result = solve_mu1_nonlinear(wavy, 1.5, ns=32, nt=8, odd=odd)
+        assert result.converged
+        assert calls <= 2 * result.iterations
+        if not odd:
+            assert result.mu == pytest.approx(0.735501923927, rel=1e-9)
+
     @pytest.mark.parametrize("p", [1.5, 3.0, 4.0])
     def test_full_strip_not_above_odd(self, wavy, p):
         # the odd space is part of the full one
