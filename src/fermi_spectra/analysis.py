@@ -384,6 +384,12 @@ def _jacobian_hypothesis(domain):
     return HypothesisCheck("positive area factor", jmin > 0.0, jmin)
 
 
+def _embedded_hypothesis(domain):
+    """The strip is embedded (domain.valid); the residual is the number of
+    boundary crossings."""
+    return HypothesisCheck("embedded strip", domain.valid, float(domain.collision_count))
+
+
 WIDTH_TOL = 1e-9
 
 
@@ -402,6 +408,7 @@ def lower_bound_constant_width(domain, p, concavity_tol=1e-9):
         HypothesisCheck("constant width", spread <= WIDTH_TOL, spread),
         HypothesisCheck("concave curvature", conc.passed, conc.worst_residual),
         _jacobian_hypothesis(domain),
+        _embedded_hypothesis(domain),
     ]
 
     A_p = _bound_constants(domain, p)[0]
@@ -422,7 +429,8 @@ def lower_bound_variable_width(domain, p, concavity_tol=1e-9):
     """Lower bound B_p (pi_p / L)^p for concave width with moderate slope.
 
     Hypotheses: delta concave; delta * k or delta^2 * k concave (either
-    suffices); |delta'| <= 1 up to SLOPE_TOL = 1e-9; positive area factor.
+    suffices); |delta'| <= 1 up to SLOPE_TOL = 1e-9; positive area factor;
+    embedded strip.
     """
     _require_p(p)
     delta = domain.width.delta_samples
@@ -442,6 +450,7 @@ def lower_bound_variable_width(domain, p, concavity_tol=1e-9):
         ),
         HypothesisCheck("width slope at most one", slope <= 1.0 + SLOPE_TOL, slope - 1.0),
         _jacobian_hypothesis(domain),
+        _embedded_hypothesis(domain),
     ]
 
     B_p = _bound_constants(domain, p)[1]

@@ -13,9 +13,12 @@ still a success), 1 for usage or config problems (including errors raised
 while the strip is built, such as a width that is not positive or a curve
 that is not mirror symmetric), 2 for solver failures.  A strip that is
 built but fails validation (a boundary that crosses itself, say) exits 2
-from certify, solve2d and sweep, whose solvers raise InvalidDomain;
-bounds and solve1d read only the curvature and width profiles, so they
-still run and report "valid": false.
+from certify, solve2d and sweep, whose solvers raise InvalidDomain.
+bounds still exits 0 there: it reports "valid": false, and its
+constant-width and variable-width bounds fail their "embedded strip"
+hypothesis and are marked not applicable (the Lyapunov bound is one of
+the 1D problem and stays applicable).  solve1d reads only the width
+profile, so it still runs and reports "valid": false.
 
 Reports are deterministic: the same config file and flags produce
 byte-identical report.json and CSV files.  No timestamps, no randomness.

@@ -6,8 +6,9 @@ The problem on (0, L) with positive even weight w reads
 
 Evenness of w makes the first nonzero eigenfunction odd about L/2 and
 strictly monotone, so shooting only needs the half interval with a zero
-target at L/2.  A discretized Rayleigh quotient minimizer provides the
-independent cross-check.
+target at L/2.  A discretized route provides the independent cross-check:
+a sparse shift-invert eigensolve of the tridiagonal finite-element pencil
+at p = 2, inverse power iteration from its eigenvector otherwise.
 """
 
 from __future__ import annotations
@@ -15,8 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 import scipy.optimize
+import scipy.sparse
+import scipy.sparse.linalg
 
 from .analysis import lyapunov_bound
 from .errors import BadExponent, NoCrossing, SolveFailure, StiffFailure
@@ -260,6 +262,31 @@ def _cumtrap(f, h):
     return out
 
 
+def _lowest_pairs(K, M):
+    """The three lowest eigenpairs of the tridiagonal pencil (K, M), ascending.
+
+    K and M are the stiffness and mass matrices on the unit interval (see
+    solve_discretized).  Shift-invert Lanczos (ARPACK through
+    scipy.sparse.linalg.eigsh) runs about sigma = -1e-3 times the Rayleigh
+    quotient of cos(pi t): with sigma < 0, K - sigma M is positive definite
+    though K holds the constant mode in its null space, so nothing is
+    deflated, and each Lanczos step is one solve with the tridiagonal
+    factor, linear in n.  The start vector cos(pi t) + 0.5 is fixed, so
+    reruns repeat every digit.  Raises SolveFailure when the factorization
+    or ARPACK fails or an eigenvalue is not a finite double.
+    """
+    c = np.cos(np.pi * np.linspace(0.0, 1.0, K.shape[0]))
+    sigma = -1e-3 * (c @ (K @ c)) / (c @ (M @ c))
+    try:
+        vals, vecs = scipy.sparse.linalg.eigsh(K, k=3, M=M, sigma=sigma, v0=c + 0.5)
+    except RuntimeError as exc:  # SuperLU's singular factor, ARPACK's own errors
+        raise SolveFailure(f"discrete eigensolve failed: {exc}") from exc
+    if not np.all(np.isfinite(vals)):
+        raise SolveFailure("discrete eigenvalues are not finite doubles")
+    order = np.argsort(vals)
+    return vals[order], vecs[:, order]
+
+
 DISCRETIZED_MAX_ITER, DISCRETIZED_TOL = 400, 1e-8
 
 
@@ -268,11 +295,13 @@ def solve_discretized(problem, n=512):
 
     For p = 2 this is the generalized eigenproblem of the assembled
     piecewise-linear stiffness and mass matrices (second eigenvalue; the
-    first is the constant mode at zero).  For p != 2 it runs inverse power
-    iteration: each step solves -(w phi_p(v'))' = mu w phi_p(u) by
-    integrating the flux from the left Neumann end, inverting phi_p, and
-    integrating again, then restores the weighted p-mean-zero constraint
-    with a scalar shift.  The solve is exact up to trapezoid quadrature
+    first is the constant mode at zero).  Both matrices stay tridiagonal
+    and the pencil is solved by shift-invert Lanczos, so time and memory
+    are linear in n.  For p != 2 it runs inverse power iteration from that
+    p = 2 eigenvector: each step solves -(w phi_p(v'))' = mu w phi_p(u)
+    by integrating the flux from the left Neumann end, inverting phi_p,
+    and integrating again, then restores the weighted p-mean-zero
+    constraint with a scalar shift.  The solve is exact up to trapezoid quadrature
     because the flux has an explicit antiderivative in one dimension.  It
     stops once an update moves u by at most 1e-8 or the last five quotients
     agree to DISCRETIZED_TOL = 1e-8 (relative), and stops unconverged
@@ -287,22 +316,26 @@ def solve_discretized(problem, n=512):
     w = np.interp(s, problem.s_samples, problem.w_samples)
     w_mid = 0.5 * (w[:-1] + w[1:])
 
-    # Exact element integrals for linear w: stiffness w_mid/h, mass by rows.
+    # The pencil is assembled on the unit interval with the weight over its
+    # maximum, so its entries are finite and its eigenvalues stay near
+    # pi^2 whatever L and the weight's scale; those on (0, L) are the
+    # same over L^2.
+    # Exact element integrals for linear v: stiffness n v_mid, mass by rows.
+    v = w / np.max(w)
+    v_mid = 0.5 * (v[:-1] + v[1:])
     main = np.zeros(n + 1)
-    upper = np.zeros(n)
     m_main = np.zeros(n + 1)
-    m_upper = np.zeros(n)
-    main[:-1] += w_mid / h
-    main[1:] += w_mid / h
-    upper -= w_mid / h
-    m_main[:-1] += h * (3.0 * w[:-1] + w[1:]) / 12.0
-    m_main[1:] += h * (w[:-1] + 3.0 * w[1:]) / 12.0
-    m_upper += h * (w[:-1] + w[1:]) / 12.0
-
-    K = np.diag(main) + np.diag(upper, 1) + np.diag(upper, -1)
-    M = np.diag(m_main) + np.diag(m_upper, 1) + np.diag(m_upper, -1)
-    vals, vecs = scipy.linalg.eigh(K, M, subset_by_index=(0, 2))
-    if len(vals) < 3 or not np.all(np.isfinite(vals)):
+    main[:-1] += n * v_mid
+    main[1:] += n * v_mid
+    m_main[:-1] += (3.0 * v[:-1] + v[1:]) / (12.0 * n)
+    m_main[1:] += (v[:-1] + 3.0 * v[1:]) / (12.0 * n)
+    m_upper = (v[:-1] + v[1:]) / (12.0 * n)
+    K = scipy.sparse.diags([-n * v_mid, main, -n * v_mid], [-1, 0, 1], format="csc")
+    M = scipy.sparse.diags([m_upper, m_main, m_upper], [-1, 0, 1], format="csc")
+    vals, vecs = _lowest_pairs(K, M)
+    with np.errstate(over="ignore", under="ignore"):
+        mu = vals[1] / L / L
+    if not np.isfinite(mu):
         # on an interval this short the eigenvalues leave double range
         raise SolveFailure(f"discrete eigenvalues are not finite doubles (L = {L:.6g})")
     u2 = vecs[:, 1]
@@ -310,12 +343,13 @@ def solve_discretized(problem, n=512):
         u2 = u2 / u2[0]
 
     if p == 2.0:
-        mu = float(vals[1])
-        r = K @ u2 - mu * (M @ u2)
+        if mu == 0.0:
+            raise SolveFailure(f"discrete eigenvalue underflows to zero (L = {L:.6g})")
+        r = K @ u2 - vals[1] * (M @ u2)
         residual = float(np.linalg.norm(r) / np.linalg.norm(K @ u2))
         u_out = np.interp(problem.s_samples, s, u2)
         return EigenResult(
-            mu=mu,
+            mu=float(mu),
             u_samples=u_out,
             residual=residual,
             method="discretized",

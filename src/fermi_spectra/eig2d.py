@@ -160,12 +160,24 @@ def build_mesh(domain, ns, nt, s_range=None):
 
 
 def assemble(mesh):
-    """Sparse stiffness and mass matrices for the quadratic (p = 2) forms."""
+    """Sparse stiffness and mass matrices for the quadratic (p = 2) forms.
+
+    Raises DegenerateCell when a cell matrix overflows, as on a strip so
+    short that the squared shape gradients (of order 1 / hs^2) leave
+    double range.
+    """
     w = mesh.gauss_weight
     dN = mesh.shape_grad
     N = mesh.shape
-    k_cells = np.einsum("cg,gax,cgxy,gby->cab", w, dN, mesh.metric, dN, optimize=True)
-    m_cells = np.einsum("cg,ga,gb->cab", w, N, N, optimize=True)
+    with np.errstate(over="ignore", invalid="ignore"):
+        k_cells = np.einsum("cg,gax,cgxy,gby->cab", w, dN, mesh.metric, dN, optimize=True)
+        m_cells = np.einsum("cg,ga,gb->cab", w, N, N, optimize=True)
+    if not (np.isfinite(k_cells).all() and np.isfinite(m_cells).all()):
+        span = mesh.node_s[-1] - mesh.node_s[0]
+        raise DegenerateCell(
+            f"cell matrices overflow in the stiffness contraction (mesh length {span:.6g}); "
+            "the strip is too short for double precision"
+        )
     rows = np.broadcast_to(mesh.conn[:, :, None], k_cells.shape).ravel()
     cols = np.broadcast_to(mesh.conn[:, None, :], k_cells.shape).ravel()
     n = mesh.n_nodes

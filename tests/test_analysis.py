@@ -217,6 +217,19 @@ class TestBounds:
         assert failed == ["concave curvature"]
         assert report.value > 0.0
 
+    @pytest.mark.parametrize("bound", [lower_bound_constant_width, lower_bound_variable_width])
+    def test_folded_strip_not_applicable(self, bound):
+        # constant k = 4, width 0.4: positive area factor, but the boundary
+        # crosses itself, so the strip is not embedded
+        curve = reconstruct_from_curvature(math.pi, lambda s: 4.0)
+        domain = make_domain(curve, width_profile(0.4, math.pi))
+        assert domain.jacobian_min > 0.0 and not domain.valid
+        report = bound(domain, 2.0)
+        assert not report.applicable
+        failed = [c for c in report.hypothesis_results if not c.passed]
+        assert [c.name for c in failed] == ["embedded strip"]
+        assert failed[0].residual == domain.collision_count
+
     def test_nonconstant_width_not_applicable(self, wavy):
         report = lower_bound_constant_width(wavy, 2.0)
         assert not report.applicable

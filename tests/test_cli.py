@@ -269,6 +269,15 @@ class TestExitCodes:
         assert "solver error" in err
         assert "Traceback" not in err
 
+    def test_fine_discrete_grid_succeeds(self, tmp_path, capsys):
+        # The discrete route solves a tridiagonal pencil, so n_grid = 4096
+        # costs milliseconds, not a pair of dense 4097 x 4097 matrices.
+        payload = dict(RECT, mesh={"ns": 64, "nt": 16, "n_grid": 4096})
+        code, _, report = run(tmp_path, "solve1d", payload)
+        assert code == 0, capsys.readouterr().err
+        res = report["results"]
+        assert res["discretized"]["mu"] == pytest.approx(res["shooting"]["mu"], rel=1e-6)
+
     @pytest.mark.parametrize("command", ["solve1d", "sweep"])
     def test_limit_problem_uses_config_evenness(self, tmp_path, capsys, command):
         # The width is even to 3e-7, inside tolerances.evenness = 1e-5 but
@@ -321,6 +330,39 @@ class TestExitCodes:
         assert report is None
         assert "solver error: SolveFailure" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("p", ["2", "1.5"])
+    def test_length_below_double_precision_solve2d_is_degenerate_cell(self, tmp_path, capsys, p):
+        # On L = 1e-200 the squared shape gradients (about 1 / hs^2) leave
+        # double range in the stiffness contraction.  assemble reports the
+        # overflow without a numpy warning: any warning raised here fails
+        # the test.
+        payload = dict(RECT, curve={"mode": "curvature", "L": 1e-200, "k": "0"})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, report = run(tmp_path, "solve2d", payload, extra=["--p", p])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert report is None
+        assert "solver error: DegenerateCell" in err
+        assert "overflow" in err
+        assert "Traceback" not in err
+
+    def test_bounds_on_folded_strip_are_not_applicable(self, tmp_path, capsys):
+        # k = 4 with width 0.4 keeps the area factor positive but the
+        # boundary crosses itself; the strip bounds need an embedded strip,
+        # the Lyapunov bound of the 1D problem does not.
+        payload = dict(RECT, curve={"mode": "curvature", "L": math.pi, "k": "4"})
+        code, _, report = run(tmp_path, "bounds", payload)
+        assert code == 0, capsys.readouterr().err
+        assert report["domain"]["valid"] is False
+        bounds = {b["label"]: b for b in report["results"]["bounds"]}
+        for label in ("constant-width", "variable-width"):
+            assert bounds[label]["applicable"] is False
+            failed = [h for h in bounds[label]["hypotheses"] if not h["passed"]]
+            assert [h["name"] for h in failed] == ["embedded strip"]
+            assert failed[0]["residual"] > 0
+        assert bounds["lyapunov"]["applicable"] is True
 
     def test_invalid_domain_message_names_collisions(self, tmp_path, capsys):
         payload = dict(RECT, curve={"mode": "curvature", "L": math.pi, "k": "4"})

@@ -1,9 +1,12 @@
 """Weighted one dimensional eigenvalue solvers, shooting and discretized."""
 
 import math
+import time
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -160,6 +163,71 @@ class TestWeightedProperties:
         disc = solve_discretized(problem, n=512)
         assert disc.converged
         assert shot.mu == pytest.approx(disc.mu, rel=1e-3)
+
+
+def wavy_problem(p, L=3.0, n=1025):
+    s = np.linspace(0.0, L, n)
+    return OneDimProblem(L=L, p=p, w_samples=1.0 + 0.3 * np.cos(2.0 * np.pi * s / L))
+
+
+class TestDiscretizedPencil:
+    """The p = 2 step of solve_discretized: a sparse solve of the tridiagonal pencil."""
+
+    @pytest.mark.parametrize("n", [64, 512])
+    def test_matches_dense_pencil(self, n):
+        problem = wavy_problem(2.0)
+        L = problem.L
+        s = np.linspace(0.0, L, n + 1)
+        h = L / n
+        w = np.interp(s, problem.s_samples, problem.w_samples)
+        w_mid = 0.5 * (w[:-1] + w[1:])
+        K = np.zeros((n + 1, n + 1))
+        M = np.zeros((n + 1, n + 1))
+        for e in range(n):
+            K[e : e + 2, e : e + 2] += w_mid[e] / h * np.array([[1.0, -1.0], [-1.0, 1.0]])
+            M[e : e + 2, e : e + 2] += h / 12.0 * np.array(
+                [[3.0 * w[e] + w[e + 1], w[e] + w[e + 1]], [w[e] + w[e + 1], w[e] + 3.0 * w[e + 1]]]
+            )
+        dense = scipy.linalg.eigh(K, M, subset_by_index=(0, 2), eigvals_only=True)
+        assert solve_discretized(problem, n=n).mu == pytest.approx(dense[1], rel=1e-10)
+
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    def test_fine_grid_is_fast(self, p):
+        # A dense pencil at n = 4096 holds two 128 MiB matrices and takes
+        # seconds to solve; the tridiagonal route is linear in n.
+        start = time.perf_counter()
+        result = solve_discretized(wavy_problem(p), n=4096)
+        assert time.perf_counter() - start < 1.0
+        assert np.isfinite(result.mu) and np.isfinite(result.residual)
+        assert result.converged
+
+    def test_eigenvalue_scales_as_inverse_square_length(self):
+        # The pencil is solved on the unit interval, so mu L^2 keeps its
+        # digits from L = 1e-100 to L = 1e100.
+        scaled = [
+            solve_discretized(OneDimProblem(L, 2.0, np.full(65, 0.4))).mu * L * L
+            for L in (1e-100, 1.0, 1e100)
+        ]
+        assert scaled == pytest.approx([scaled[1]] * 3, rel=1e-12)
+
+    def test_failed_factorization_is_solve_failure(self, monkeypatch):
+        def singular(*args, **kwargs):
+            raise RuntimeError("Factor is exactly singular")
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", singular)
+        with pytest.raises(SolveFailure, match="exactly singular"):
+            solve_discretized(wavy_problem(2.0), n=64)
+
+    @pytest.mark.parametrize(
+        "L, p, match",
+        [(1e-200, 1.5, "not finite doubles"), (1e-200, 2.0, "not finite doubles"),
+         (1e200, 2.0, "underflows to zero")],
+    )
+    def test_eigenvalue_outside_double_range_is_solve_failure(self, L, p, match):
+        # (pi / L)^2 overflows at L = 1e-200 and underflows at L = 1e200
+        problem = OneDimProblem(L, p, np.full(65, 0.4))
+        with pytest.raises(SolveFailure, match=match):
+            solve_discretized(problem)
 
 
 def criterion4_problems():
