@@ -46,6 +46,8 @@ class SweepResult:
     certified: np.ndarray
     refine_estimates: np.ndarray
     converged: np.ndarray
+    parities: list = field(default_factory=list)
+    gaps: np.ndarray = None
     failures: list = field(default_factory=list)
     fitted_rate: float = None
 
@@ -104,6 +106,8 @@ def epsilon_sweep(domain, p, epsilons, policy=None):
     certified = np.zeros(n, dtype=bool)
     refine_estimates = np.full(n, np.nan)
     converged = np.zeros(n, dtype=bool)
+    parities = [None] * n
+    gaps = np.full(n, np.nan)
     failures = [None] * n
 
     limit_result = solve_shooting(limit_problem(domain, p))
@@ -121,6 +125,8 @@ def epsilon_sweep(domain, p, epsilons, policy=None):
             refine_estimates[i] = abs(fine.mu - res.mu)
             mu_values[i] = fine.mu + (fine.mu - res.mu) / 3.0
             converged[i] = res.converged and fine.converged
+            parities[i] = fine.parity
+            gaps[i] = np.nan if fine.gap is None else fine.gap
             ub = upper_bound_epsilon(domain, p, float(eps), limit_result)
             upper_bounds[i] = ub
             ub_quad = ub if p == 2.0 else upper_bound_epsilon(
@@ -151,6 +157,8 @@ def epsilon_sweep(domain, p, epsilons, policy=None):
         certified=certified,
         refine_estimates=refine_estimates,
         converged=converged,
+        parities=parities,
+        gaps=gaps,
         failures=failures,
         fitted_rate=fitted_rate,
     )

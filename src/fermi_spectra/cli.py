@@ -4,7 +4,7 @@ Commands
     bounds   lower bounds for the odd eigenvalue with hypothesis checks
     certify  oddness certificate (threshold vs computable upper bound)
     solve1d  thin-limit eigenvalue by shooting and by the discrete route
-    solve2d  strip eigenvalue, full and odd variants
+    solve2d  strip eigenvalue, full and odd variants, with mirror parity and gap
     sweep    width-scaling study against the thin-limit value
     figure2  comparison table of the two bound profiles over 1/p
 
@@ -88,6 +88,11 @@ def _result_dict(res):
         "converged": res.converged,
         "method": res.method,
     }
+
+
+def _strip_dict(res):
+    """A strip result: the common fields plus the mode's mirror parity and gap."""
+    return {**_result_dict(res), "parity": res.parity, "gap": res.gap}
 
 
 def _bound_dict(report):
@@ -188,9 +193,11 @@ def run_command(cfg, domain=None):
         ns, nt = cfg.mesh["ns"], cfg.mesh["nt"]
         full = solve_mu1_nonlinear(domain, cfg.p, ns, nt)
         odd = solve_mu1_nonlinear(domain, cfg.p, ns, nt, odd=True)
-        doc["results"] = {"full": _result_dict(full), "odd": _result_dict(odd)}
-        mesh = full.mesh
-        rows = np.column_stack([mesh.node_s, mesh.node_t, full.u])
+        doc["results"] = {"full": _strip_dict(full), "odd": _strip_dict(odd)}
+        # full.u holds the whole strip's nodes, t fastest, as build_mesh numbers them.
+        s = np.linspace(0.0, domain.L, ns + 1)
+        t = np.linspace(0.0, 1.0, nt + 1)
+        rows = np.column_stack([np.repeat(s, nt + 1), np.tile(t, ns + 1), full.u])
         tables["solve2d.csv"] = ("s,t,u", rows.tolist())
         return doc, tables
 
@@ -210,6 +217,8 @@ def run_command(cfg, domain=None):
                     "certified": bool(sw.certified[i]),
                     "refine_estimate": float(sw.refine_estimates[i]),
                     "converged": bool(sw.converged[i]),
+                    "parity": sw.parities[i],
+                    "gap": float(sw.gaps[i]),
                     "failure": sw.failures[i],
                 }
             )
@@ -336,7 +345,8 @@ def _summary_lines(doc):
         ]
     if cmd == "solve2d":
         return [
-            f"full: mu={res['full']['mu']:.9g} converged={res['full']['converged']}",
+            f"full: mu={res['full']['mu']:.9g} parity={res['full']['parity']} "
+            f"converged={res['full']['converged']}",
             f"odd:  mu={res['odd']['mu']:.9g} converged={res['odd']['converged']}",
         ]
     if cmd == "sweep":

@@ -8,16 +8,26 @@ reference band, where the Dirichlet integrand becomes grad^T G grad with
     a = 1/(1 + r k),  b = -t delta' / ((1 + r k) delta),  r = t delta,
 
 and the area element (1 + r k) delta ds dt.  Bilinear quadrilaterals with
-2 x 2 Gauss quadrature discretize the band.  Odd eigenvalues use the half
-band with a homogeneous essential condition on the midline, which is
-equivalent to odd reflection when the weight data is even.
+2 x 2 Gauss quadrature discretize the band.
 
-The p = 2 systems (K + sigma M on the full strip, K on the odd half, and
-the descent's preconditioner K + mu M) are symmetric positive definite.
-build_mesh numbers the nodes t-fastest, so every entry lies within
-nt + 2 of the diagonal, and they are factored by banded Cholesky
-(LAPACK pbtrf through scipy.linalg.cholesky_banded) at O(ns nt^3) cost.
-The band is narrow because every mesh in use has ns >= nt.
+Every strip is mirror symmetric about the midline s = L/2, so every p = 2
+mode is even or odd, and both classes live on the half band s in
+[0, L/2]: the even class with the midline free (its natural condition),
+the odd class with the midline held at zero, which is equivalent to odd
+reflection when the weight data is even.  The half band's K + sigma M
+(sigma > 0 and small) is assembled and factored once.  build_mesh
+numbers the nodes t-fastest, so the midline column is the last nt + 1
+unknowns, the odd class's matrix is the leading principal block of
+K + sigma M, and its Cholesky factor is the leading columns of the
+band factor.  The full p = 2 solve is the lower of the two classes; its
+eigenvector is mirrored onto the whole strip, u(L - s) = +-u(s).
+
+The p = 2 systems (the half band's K + sigma M, and the descent's
+preconditioner K + mu M on the whole strip) are symmetric positive
+definite.  Every entry lies within nt + 2 of the diagonal, and they are
+factored by banded Cholesky (LAPACK pbtrf, called through
+scipy.linalg.lapack) at O(ns nt^3) cost.  The band is narrow
+because every mesh in use has ns >= nt.
 
 The mesh's cell tables (conn, shape, shape_grad, metric, gauss_weight)
 are the one discrete representation of the strip.  assemble contracts
@@ -35,6 +45,7 @@ and P^-1 y is the change of direction, already at hand.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,6 +75,18 @@ class Mesh2D:
 
 @dataclass
 class Eigen2DResult:
+    """One strip eigenvalue.
+
+    parity is the mirror parity about the midline s = L/2 ("even" or
+    "odd") of the returned mode.  gap is the relative distance
+    (mu_next - mu) / mu to the next eigenvalue, for p = 2 only (None
+    otherwise).  mesh is the mesh the problem was discretized on: the
+    whole strip for the full descent, the half strip otherwise.  u holds
+    the mode at the nodes of the whole strip for the full solves (the
+    p = 2 one mirrored from the half strip) and of the half mesh for the
+    odd ones.
+    """
+
     mu: float
     u: np.ndarray
     residual: float
@@ -71,6 +94,8 @@ class Eigen2DResult:
     iterations: int
     converged: bool
     mesh: Mesh2D
+    parity: str
+    gap: float | None
 
 
 def build_mesh(domain, ns, nt, s_range=None):
@@ -159,6 +184,13 @@ def build_mesh(domain, ns, nt, s_range=None):
     )
 
 
+# Contraction orders of assemble's einsums: the ones einsum_path picks on
+# every mesh of 16 cells or more.  Fixing them skips the path search on
+# each call, which costs more than the contraction on small meshes.
+_K_PATH = ["einsum_path", (0, 2), (0, 1), (0, 1)]
+_M_PATH = ["einsum_path", (1, 2), (0, 1)]
+
+
 def assemble(mesh):
     """Sparse stiffness and mass matrices for the quadratic (p = 2) forms.
 
@@ -170,8 +202,8 @@ def assemble(mesh):
     dN = mesh.shape_grad
     N = mesh.shape
     with np.errstate(over="ignore", invalid="ignore"):
-        k_cells = np.einsum("cg,gax,cgxy,gby->cab", w, dN, mesh.metric, dN, optimize=True)
-        m_cells = np.einsum("cg,ga,gb->cab", w, N, N, optimize=True)
+        k_cells = np.einsum("cg,gax,cgxy,gby->cab", w, dN, mesh.metric, dN, optimize=_K_PATH)
+        m_cells = np.einsum("cg,ga,gb->cab", w, N, N, optimize=_M_PATH)
     if not (np.isfinite(k_cells).all() and np.isfinite(m_cells).all()):
         span = mesh.node_s[-1] - mesh.node_s[0]
         raise DegenerateCell(
@@ -190,8 +222,10 @@ class _BandCholesky:
     """Banded Cholesky factor of a sparse symmetric positive definite matrix.
 
     The half-bandwidth is read from the stored entries (nt + 2 on a strip
-    mesh) and the upper band is packed in LAPACK band storage.  Raises
-    SolveFailure when the matrix is not positive definite.
+    mesh) and the upper band is packed in LAPACK band storage, column by
+    column, so the factor of a leading block is a contiguous slice of it
+    (leading).  Raises SolveFailure when the matrix is not positive
+    definite.
     """
 
     def __init__(self, A):
@@ -200,17 +234,26 @@ class _BandCholesky:
         upper = A.col >= A.row
         rows, cols = A.row[upper], A.col[upper]
         self.bandwidth = int(np.max(cols - rows))
-        band = np.zeros((self.bandwidth + 1, A.shape[0]))
+        band = np.zeros((self.bandwidth + 1, A.shape[0]), order="F")
         band[self.bandwidth + rows - cols, cols] = A.data[upper]
-        try:
-            self._factor = scipy.linalg.cholesky_banded(
-                band, overwrite_ab=True, check_finite=False
+        self._factor, info = scipy.linalg.lapack.dpbtrf(band, overwrite_ab=1)
+        if info != 0:
+            raise SolveFailure(
+                f"band Cholesky failed: the leading minor of order {info} is not positive definite"
             )
-        except np.linalg.LinAlgError as exc:
-            raise SolveFailure(f"band Cholesky failed: {exc}") from exc
+
+    def leading(self, m):
+        """Factor of the leading m x m block of the matrix, with no new factorization.
+
+        A = U^T U with U upper triangular gives A[:m, :m] = U[:m, :m]^T U[:m, :m],
+        and U[:m, :m] is stored in the first m columns of the band.
+        """
+        block = copy.copy(self)
+        block._factor = self._factor[:, :m]
+        return block
 
     def solve(self, b):
-        return scipy.linalg.cho_solve_banded((self._factor, False), b, check_finite=False)
+        return scipy.linalg.lapack.dpbtrs(self._factor, b)[0]
 
 
 # Inverse iteration stops when mu changes by at most INVERSE_TOL (relative),
@@ -219,92 +262,185 @@ class _BandCholesky:
 INVERSE_TOL = 1e-12
 INVERSE_FLOOR_TOL = 1e-9
 INVERSE_MAX_ITER = 200
+# A p = 2 solve is converged when its stop rule fired and its residual
+# ||K u - mu M u|| / ||K u|| is at most RESIDUAL_TOL.  Where the stop rule
+# fires the residual is at most 1.5e-7 on 60 solves of the benchmark's
+# strips (256x16 to 1024x64) and on 144 thin-strip solves down to width 0.0075,
+# and 3.6e-7 on the wide rectangle (width 3.5, 1024x64); the tolerance
+# leaves a factor of about 30 above that.
+RESIDUAL_TOL = 1e-5
+# K + sigma M is factored with sigma = SHIFT times the Rayleigh quotient of
+# cos(pi s / L): positive, so the matrix is definite with the constant
+# mode included, and small, so the odd class converges as fast as unshifted.
+SHIFT = 1e-3
 
 
-def _inverse_iterate(A_chol, K, M, u0, deflate=None):
-    u = u0 / np.sqrt(u0 @ (M @ u0))
-    if deflate is not None:
-        u = u - deflate * (deflate @ (M @ u))
-    mu = float(u @ (K @ u))
-    change_prev = np.inf
-    it = 0
-    for it in range(1, INVERSE_MAX_ITER + 1):
-        v = A_chol.solve(M @ u)
-        if deflate is not None:
-            v = v - deflate * (deflate @ (M @ v))
-        v = v / np.sqrt(v @ (M @ v))
-        mu_prev, mu = mu, float(v @ (K @ v))
-        u = v
-        change = abs(mu - mu_prev)
-        if change <= INVERSE_TOL * abs(mu) or change_prev <= change <= INVERSE_FLOOR_TOL * abs(mu):
-            break
-        change_prev = change
-    else:
-        raise SolveFailure(f"inverse iteration stalled at mu={mu:.9g}")
-    r = K @ u - mu * (M @ u)
-    residual = float(np.linalg.norm(r) / max(np.linalg.norm(K @ u), 1e-300))
-    return mu, u, residual, it
+@dataclass
+class _ClassSolve:
+    parity: str
+    mu: float
+    next_mu: float
+    u: np.ndarray
+    residual: float
+    iterations: int
+    converged: bool
+
+
+class _HalfStrip:
+    """The half strip s in [0, L/2], with K + sigma M assembled and factored once.
+
+    Every domain is mirror symmetric about s = L/2 and K, M commute with
+    the reflection, so every mode is even or odd about the midline.  The
+    even class uses every node of the half mesh (a free midline is the
+    natural condition of an even mode); the odd class holds the midline at
+    zero.  build_mesh numbers the nodes t-fastest, so the midline column is
+    the last nt + 1 unknowns: the odd class's matrix is the leading
+    principal block of K + sigma M, and its Cholesky factor is the leading
+    columns of the band factor.  Odd-class vectors keep all nodes, with
+    zeros on the midline.
+    """
+
+    def __init__(self, domain, ns, nt):
+        domain.require_valid()
+        if ns % 2 != 0:
+            raise ValueError("p = 2 solves run on the half strip and need an even ns")
+        self.L = domain.L
+        self.nt = nt
+        self.mesh = build_mesh(domain, ns // 2, nt, s_range=(0.0, 0.5 * domain.L))
+        self.K, self.M = assemble(self.mesh)
+        cos = np.cos(np.pi * self.mesh.node_s / domain.L)
+        sigma = SHIFT * float(cos @ (self.K @ cos)) / float(cos @ (self.M @ cos))
+        chol = _BandCholesky(self.K + sigma * self.M)
+        n_odd = self.mesh.n_nodes - (nt + 1)
+        self.free = {"even": self.mesh.n_nodes, "odd": n_odd}
+        self.chol = {"even": chol, "odd": chol.leading(n_odd)}
+
+    def _start(self, parity):
+        """Deterministic start block with components along the low modes of
+        the class in both directions: a block that varies only in s is
+        M-orthogonal to the rectangle's even mode cos(pi t).  The even
+        block's other columns start M-orthogonal to its constant column:
+        the solve amplifies a constant component by 1 / sigma, and one left
+        in the start would swamp the modes sought."""
+        s = self.mesh.node_s / self.L
+        ramp = (1.0 + s) * (1.0 + np.cos(np.pi * self.mesh.node_t))
+        if parity == "even":
+            V = np.column_stack([np.ones_like(s), np.cos(2.0 * np.pi * s), ramp])
+            mass = self.M @ V[:, 0]
+            V[:, 1:] -= np.outer(V[:, 0], (mass @ V[:, 1:]) / (mass @ V[:, 0]))
+            return V
+        cos = np.cos(np.pi * s)
+        V = np.column_stack([cos, ramp * cos])
+        V[self.free["odd"]:] = 0.0
+        return V
+
+    def solve(self, parity):
+        """Lowest eigenpairs of one mirror class: block inverse iteration
+        with Rayleigh-Ritz, stopped on the class's first nonzero Ritz value.
+        The even block keeps the constant, an exact null vector of K, as
+        its first column without solving for it, so its Ritz values start
+        with 0."""
+        m = self.free[parity]
+        target = 1 if parity == "even" else 0
+        K, M, chol = self.K, self.M, self.chol[parity]
+        W = self._start(parity)
+        MV = M @ W
+        mu = np.inf
+        change_prev = np.inf
+        for it in range(1, INVERSE_MAX_ITER + 1):
+            W = W.copy()
+            # columns before target: the even block's constant, kept as is
+            W[:m, target:] = chol.solve(MV[:m, target:])
+            KW, MW = K @ W, M @ W
+            gram_k, gram_m = W.T @ KW, W.T @ MW
+            # Rayleigh-Ritz with the columns scaled to unit M-norm, so the
+            # small Gram matrices stay well conditioned.
+            d = 1.0 / np.sqrt(np.diag(gram_m))
+            theta, Y = scipy.linalg.eigh(
+                d[:, None] * gram_k * d, d[:, None] * gram_m * d, check_finite=False
+            )
+            Y = d[:, None] * Y
+            MV = MW @ Y
+            mu_prev, mu = mu, float(theta[target])
+            change = abs(mu - mu_prev)
+            if change <= INVERSE_TOL * abs(mu) or change_prev <= change <= INVERSE_FLOOR_TOL * abs(mu):
+                break
+            change_prev = change
+        else:
+            raise SolveFailure(f"inverse iteration stalled at mu={mu:.9g} ({parity} modes)")
+        u = W @ Y[:, target]
+        Ku = (KW @ Y[:, target])[:m]
+        residual = float(np.linalg.norm(Ku - mu * MV[:m, target]) / max(np.linalg.norm(Ku), 1e-300))
+        if u[np.argmax(np.abs(u))] < 0.0:
+            u = -u
+        return _ClassSolve(
+            parity=parity, mu=mu, next_mu=float(theta[target + 1]), u=u,
+            residual=residual, iterations=it, converged=residual <= RESIDUAL_TOL,
+        )
+
+    def mirror(self, u, parity):
+        """The whole-strip field of a half-strip vector: u(L - s) = u(s) for
+        an even mode, -u(s) for an odd one."""
+        rows = u.reshape(-1, self.nt + 1)
+        sign = 1.0 if parity == "even" else -1.0
+        return np.concatenate([rows, sign * rows[-2::-1]]).ravel()
 
 
 def solve_mu1_linear(domain, ns=256, nt=16):
     """First nonzero Neumann eigenvalue for p = 2 on the full strip.
 
-    Shifted inverse iteration with the constant mode deflated in the mass
-    inner product; deterministic cosine start.  The shifted matrix
-    K + sigma M is factored once by banded Cholesky, half-bandwidth nt + 2.
+    Solved by mirror parity on the half strip s in [0, L/2] (ns even):
+    K + sigma M is assembled and factored by banded Cholesky once, and
+    each class (even: free midline; odd: midline held at zero) runs block
+    inverse iteration with Rayleigh-Ritz on the shared factor.  mu is the
+    smaller class eigenvalue, odd on a tie, and parity names its class.
+    gap is (mu_next - mu) / mu, with mu_next the smaller of the other
+    class's eigenvalue and the winning class's second Ritz value (an
+    upper estimate of its second eigenvalue, converged only as far as the
+    first needs).  u is the eigenvector mirrored onto the whole strip,
+    u(L - s) = +-u(s), unit in the whole strip's mass norm and numbered
+    like build_mesh(domain, ns, nt); mesh is the half mesh it was solved
+    on.  iterations counts both classes; converged holds when both
+    classes stopped with residual at most RESIDUAL_TOL.
     """
-    return _full_linear(domain, ns, nt)[0]
-
-
-def _full_linear(domain, ns, nt):
-    """solve_mu1_linear's result together with the K and M it assembled."""
-    domain.require_valid()
-    mesh = build_mesh(domain, ns, nt)
-    K, M = assemble(mesh)
-    ones = np.ones(mesh.n_nodes)
-    ones = ones / np.sqrt(ones @ (M @ ones))
-    u0 = np.cos(np.pi * mesh.node_s / domain.L)
-    u0 = u0 - ones * (ones @ (M @ u0))
-    sigma = 0.5 * float(u0 @ (K @ u0)) / float(u0 @ (M @ u0))
-    A_chol = _BandCholesky(K + sigma * M)
-    mu, u, residual, it = _inverse_iterate(A_chol, K, M, u0, deflate=ones)
-    result = Eigen2DResult(
-        mu=mu, u=u, residual=residual, method="linear", iterations=it,
-        converged=True, mesh=mesh,
+    half = _HalfStrip(domain, ns, nt)
+    even, odd = half.solve("even"), half.solve("odd")
+    first, other = (odd, even) if odd.mu <= even.mu else (even, odd)
+    return Eigen2DResult(
+        mu=first.mu,
+        u=half.mirror(first.u, first.parity) / np.sqrt(2.0),
+        residual=first.residual,
+        method="linear",
+        iterations=even.iterations + odd.iterations,
+        converged=even.converged and odd.converged,
+        mesh=half.mesh,
+        parity=first.parity,
+        gap=min(other.mu, first.next_mu) / first.mu - 1.0,
     )
-    return result, K, M
 
 
 def solve_mu1_odd_linear(domain, ns=256, nt=16):
     """Smallest eigenvalue among modes odd about the midline, p = 2.
 
-    Solved on the half strip with the midline held at zero; for even
-    curvature and width data this is the odd-reflection eigenvalue.
+    The odd class of solve_mu1_linear alone: the half strip with the
+    midline held at zero, solved on the leading block of the half strip's
+    K + sigma M factor.  For even curvature and width data this is the
+    odd-reflection eigenvalue.  u lives on the half mesh (zero on the
+    midline); gap is measured to the class's second Ritz value.
     """
     return _odd_linear(domain, ns, nt)[0]
 
 
 def _odd_linear(domain, ns, nt):
-    """solve_mu1_odd_linear's result with its stiffness factor and free nodes."""
-    domain.require_valid()
-    if ns % 2 != 0:
-        raise ValueError("odd-mode solves need an even ns")
-    mesh = build_mesh(domain, ns // 2, nt, s_range=(0.0, 0.5 * domain.L))
-    K, M = assemble(mesh)
-    essential = mesh.node_s >= 0.5 * domain.L - 1e-12 * domain.L
-    keep = np.flatnonzero(~essential)
-    K_red = K[keep][:, keep].tocsr()
-    M_red = M[keep][:, keep].tocsr()
-    A_chol = _BandCholesky(K_red)
-    u0 = np.cos(np.pi * mesh.node_s[keep] / domain.L)
-    mu, u_red, residual, it = _inverse_iterate(A_chol, K_red, M_red, u0)
-    u = np.zeros(mesh.n_nodes)
-    u[keep] = u_red
+    """solve_mu1_odd_linear's result together with the half strip it factored."""
+    half = _HalfStrip(domain, ns, nt)
+    odd = half.solve("odd")
     result = Eigen2DResult(
-        mu=mu, u=u, residual=residual, method="linear-odd", iterations=it,
-        converged=True, mesh=mesh,
+        mu=odd.mu, u=odd.u, residual=odd.residual, method="linear-odd",
+        iterations=odd.iterations, converged=odd.converged, mesh=half.mesh,
+        parity="odd", gap=odd.next_mu / odd.mu - 1.0,
     )
-    return result, A_chol, keep
+    return result, half
 
 
 ENERGY_FLOOR = 1e-60  # keeps energy^(p/2 - 1) finite for p < 2
@@ -347,13 +483,19 @@ def solve_mu1_nonlinear(domain, p, ns=256, nt=16, odd=False):
     """First nonzero eigenvalue for general p > 1 by Rayleigh descent.
 
     Minimizes the discrete p-quotient along directions preconditioned by
-    the quadratic operator (a Sobolev gradient: K + mu M, or K on the odd
-    half, factored by banded Cholesky with half-bandwidth nt + 2), with
+    the quadratic operator (a Sobolev gradient: K + mu M on the whole
+    strip, or on the odd half the leading block of the half strip's
+    K + sigma M factor, which the p = 2 solve already holds; banded
+    Cholesky with half-bandwidth nt + 2), with
     Barzilai-Borwein (BB2) steps in the preconditioner's inner product,
     (du . y) / (P^-1 y . y) for the changes du of iterate and y of
     gradient, doubled from the last accepted trial step when either
     product is not positive, and a backtracking safeguard, warm-started
-    from the p = 2 eigenvector.  The gradient and its preconditioned
+    from the p = 2 eigenvector (for the full strip, the half-strip solve
+    mirrored onto the whole strip; the descent then assembles its own
+    whole-strip mesh).  The quotient is reflection invariant, so the
+    descent stays in the mirror class of its start and reports that
+    parity; gap is None.  The gradient and its preconditioned
     direction are computed only at accepted iterates: a rejected
     backtracking candidate costs one projection and one quotient value.
     The full-strip variant enforces the zero weighted p-mean constraint
@@ -365,7 +507,7 @@ def solve_mu1_nonlinear(domain, p, ns=256, nt=16, odd=False):
     reports stagnation, the attainable notion of success for a descent
     method, and mu is an upper estimate of the discrete minimum.  At p = 2
     it returns the result of solve_mu1_linear, or of solve_mu1_odd_linear
-    when odd.
+    when odd, whose converged means a residual of at most RESIDUAL_TOL.
     """
     if not 1.0 < p < np.inf:
         raise BadExponent(f"p must exceed 1 and be finite (got {p})")
@@ -374,29 +516,32 @@ def solve_mu1_nonlinear(domain, p, ns=256, nt=16, odd=False):
         return solve_mu1_odd_linear(domain, ns, nt) if odd else solve_mu1_linear(domain, ns, nt)
 
     if odd:
-        lin, A_chol, free = _odd_linear(domain, ns, nt)
+        lin, half = _odd_linear(domain, ns, nt)
         mesh = lin.mesh
         u = lin.u
+        free = half.free["odd"]
+        odd_chol = half.chol["odd"]
 
         def precondition(vec):
             out = np.zeros(mesh.n_nodes)
-            out[free] = A_chol.solve(vec[free])
+            out[:free] = odd_chol.solve(vec[:free])
             return out
 
     else:
-        lin, K2, M = _full_linear(domain, ns, nt)
-        mesh = lin.mesh
+        lin = solve_mu1_linear(domain, ns, nt)
+        mesh = build_mesh(domain, ns, nt)
+        K, M = assemble(mesh)
         u = lin.u
         free = None
         m_lump = np.asarray(M.sum(axis=1)).ravel()
-        precondition = _BandCholesky(K2 + lin.mu * M).solve
+        precondition = _BandCholesky(K + lin.mu * M).solve
 
     def project(vec):
         if free is None:
             vec = vec - pmean_shift(vec, m_lump, p)
         else:
             out = np.zeros(mesh.n_nodes)
-            out[free] = vec[free]
+            out[:free] = vec[:free]
             vec = out
         return vec / np.max(np.abs(vec))
 
@@ -457,4 +602,6 @@ def solve_mu1_nonlinear(domain, p, ns=256, nt=16, odd=False):
         iterations=iterations,
         converged=converged,
         mesh=mesh,
+        parity=lin.parity,
+        gap=None,
     )

@@ -83,6 +83,11 @@ class TestSweep:
         assert np.all(np.diff(sweep.rel_errors) < 0.0)
         assert np.all(sweep.converged)
 
+    def test_entries_state_parity_and_gap(self, sweep):
+        # thin strips: cos(pi s / L) wins, about a factor 4 below the next mode
+        assert sweep.parities == ["odd", "odd", "odd"]
+        assert np.all((sweep.gaps > 2.0) & (sweep.gaps < 4.0))
+
     def test_upper_bounds_dominate(self, sweep):
         assert np.all(sweep.upper_bounds >= sweep.mu_values)
 

@@ -385,19 +385,49 @@ class TestOverridesAndDeterminism:
         assert report["mesh"]["nt"] == 8
 
     def test_reruns_are_byte_identical(self, tmp_path):
-        # solve2d at p = 3 covers the Rayleigh descent.
-        cfg = write_cfg(tmp_path, RECT)
-        for command, extra in [
-            ("solve1d", []),
-            ("solve2d", ["--p", "3", "--ns", "32", "--nt", "16"]),
+        # solve2d at p = 3 covers the Rayleigh descent, at p = 2 the solve
+        # by mirror parity.  Every strip result states its parity and gap
+        # (null for the descent, which has no gap estimate).
+        cfg = write_cfg(tmp_path, dict(RECT, epsilons=[0.4, 0.2]))
+        for label, command, extra in [
+            ("solve1d", "solve1d", []),
+            ("solve2d-p3", "solve2d", ["--p", "3", "--ns", "32", "--nt", "16"]),
+            ("solve2d-p2", "solve2d", ["--ns", "32", "--nt", "16"]),
+            ("sweep", "sweep", ["--ns", "32", "--nt", "16"]),
         ]:
             outs = []
             for name in ("a", "b"):
-                out = tmp_path / f"{command}-{name}"
+                out = tmp_path / f"{label}-{name}"
                 assert main([command, "--config", str(cfg), "--out", str(out), *extra]) == 0
                 outs.append(out)
             for fname in ("report.json", f"{command}.csv"):
                 assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
+            res = json.loads((outs[0] / "report.json").read_text())["results"]
+            strips = [res["full"], res["odd"]] if command == "solve2d" else res.get("entries", [])
+            for entry in strips:
+                assert entry["parity"] == "odd"
+                if label == "solve2d-p3":
+                    assert entry["gap"] is None
+                else:
+                    assert entry["gap"] > 0.0
+
+    def test_wide_sector_first_mode_is_even(self, tmp_path):
+        # The sample config where the radial (even) mode lies below the
+        # first odd one; the CSV holds the whole strip, mirror symmetric.
+        cfg = Path(__file__).resolve().parents[1] / "configs" / "wide_sector.json"
+        out = tmp_path / "out"
+        argv = ["solve2d", "--config", str(cfg), "--out", str(out), "--ns", "64", "--nt", "16"]
+        assert main(argv) == 0
+        res = json.loads((out / "report.json").read_text())["results"]
+        assert res["full"]["parity"] == "even"
+        assert res["full"]["mu"] < res["odd"]["mu"]
+        assert res["full"]["gap"] == pytest.approx(res["odd"]["mu"] / res["full"]["mu"] - 1.0)
+        rows = [line.split(",") for line in (out / "solve2d.csv").read_text().splitlines()[1:]]
+        assert len(rows) == 65 * 17
+        assert [float(v) for v in rows[-1][:2]] == [math.pi, 1.0]
+        u = [float(r[2]) for r in rows]
+        columns = [u[i * 17:(i + 1) * 17] for i in range(65)]
+        assert columns == columns[::-1]
 
     def test_report_uses_lf_and_sorted_keys(self, tmp_path):
         cfg = write_cfg(tmp_path, RECT)

@@ -149,6 +149,18 @@ class TestLinearSolver:
         with pytest.raises(ValueError):
             solve_mu1_odd_linear(annulus, ns=63, nt=8)
 
+    def test_full_solver_rejects_odd_ns(self, annulus):
+        # the full solve runs on the half strip too
+        with pytest.raises(ValueError):
+            solve_mu1_linear(annulus, ns=63, nt=8)
+
+    def test_converged_means_residual_below_tolerance(self, annulus, monkeypatch):
+        result = solve_mu1_linear(annulus, ns=64, nt=8)
+        assert result.converged and result.residual <= eig2d.RESIDUAL_TOL
+        monkeypatch.setattr(eig2d, "RESIDUAL_TOL", 0.1 * result.residual)
+        assert not solve_mu1_linear(annulus, ns=64, nt=8).converged
+        assert not solve_mu1_odd_linear(annulus, ns=64, nt=8).converged
+
     def test_eigenfunction_odd_in_s(self, rectangle):
         result = solve_mu1_linear(rectangle, ns=64, nt=4)
         grid = result.u.reshape(65, 5)
@@ -193,6 +205,60 @@ class TestLinearSolver:
         assert odd.mu == pytest.approx(eigsh_quotient(K, M, 1), rel=1e-10)
 
 
+# Wide strips on L = pi where an even mode lies below the first odd one.
+# The first three are annular sectors or rectangles (k constant); on the
+# sector k = -0.2, width 3 the radial mode wins, 1.1626 against 1.6400 for
+# the first angular (odd) mode.
+WIDE_STRIPS = [
+    pytest.param(lambda s: 0.0, 3.5, id="k0-w3.5"),
+    pytest.param(lambda s: -0.2, 3.0, id="k-0.2-w3"),
+    pytest.param(lambda s: 0.05, 3.5, id="k0.05-w3.5"),
+    pytest.param(lambda s: 0.1 * np.cos(2.0 * s), 3.5, id="k0.1cos2s-w3.5"),
+]
+
+
+class TestMirrorParity:
+    NS, NT = 256, 16
+
+    @pytest.mark.parametrize("k, width", WIDE_STRIPS)
+    def test_wide_strip_matches_full_mesh_eigsh(self, k, width):
+        # The half-strip solve by parity against shift-invert Lanczos on the
+        # whole strip's K and M: the first nonzero eigenvalue is even here,
+        # and the next one (the gap) is the first odd one or the second even.
+        domain = make_domain(reconstruct_from_curvature(math.pi, k), width_profile(width, math.pi))
+        result = solve_mu1_linear(domain, self.NS, self.NT)
+        odd = solve_mu1_odd_linear(domain, self.NS, self.NT)
+        K, M = assemble(build_mesh(domain, self.NS, self.NT))
+        assert result.mu == pytest.approx(eigsh_quotient(K, M, 2), rel=1e-10)
+        assert result.parity == "even"
+        assert result.converged
+        assert result.mu < odd.mu
+        lowest = np.sort(eigsh(K.tocsc(), k=3, M=M.tocsc(), sigma=-1e-3)[0])
+        assert result.gap == pytest.approx(lowest[2] / lowest[1] - 1.0, rel=1e-8)
+
+    def test_even_mode_is_mirror_symmetric(self):
+        domain = make_domain(
+            reconstruct_from_curvature(math.pi, lambda s: -0.2), width_profile(3.0, math.pi)
+        )
+        result = solve_mu1_linear(domain, ns=64, nt=4)
+        grid = result.u.reshape(65, 5)
+        assert result.parity == "even"
+        assert np.max(np.abs(grid - grid[::-1])) == 0.0
+        K, M = assemble(build_mesh(domain, 64, 4))
+        assert result.u @ (M @ result.u) == pytest.approx(1.0, rel=1e-12)
+        assert result.u @ (K @ result.u) == pytest.approx(result.mu, rel=1e-10)
+
+    def test_thin_strip_is_odd_with_gap(self, annulus):
+        # cos(pi s / L) wins, and the next mode is the even cos(2 pi s / L)
+        # at about four times mu
+        result = solve_mu1_linear(annulus, self.NS, self.NT)
+        odd = solve_mu1_odd_linear(annulus, self.NS, self.NT)
+        assert result.parity == "odd" and odd.parity == "odd"
+        assert result.mu == odd.mu
+        assert 2.0 < result.gap < 4.0
+        assert odd.gap > result.gap
+
+
 class TestBandCholesky:
     NS, NT = 256, 16
 
@@ -213,6 +279,16 @@ class TestBandCholesky:
     @pytest.mark.parametrize("which", ["full", "odd"])
     def test_bandwidth_read_from_matrix(self, systems, which):
         assert _BandCholesky(systems[which]).bandwidth == self.NT + 2
+
+    def test_leading_columns_solve_leading_block(self, systems):
+        # Dropping the last column of nodes, as the odd class drops the
+        # midline: the factor's first m columns solve the leading m x m block.
+        A = systems["full"]
+        m = A.shape[0] - (self.NT + 1)
+        b = np.cos(0.37 * np.arange(m))
+        x = _BandCholesky(A).leading(m).solve(b)
+        reference = spsolve(A[:m, :m].tocsc(), b)
+        assert np.max(np.abs(x - reference)) <= 1e-12 * np.max(np.abs(reference))
 
     def test_indefinite_matrix_is_solve_failure(self, annulus):
         K, M = assemble(build_mesh(annulus, 64, 16))
