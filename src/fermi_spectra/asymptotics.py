@@ -13,9 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import simpson
 
-from .analysis import certify_odd, fermi_layer_integral
+from .analysis import _simpson, certify_odd, fermi_layer_integral
 from .eig1d import OneDimProblem, solve_shooting
 from .eig2d import solve_mu1_nonlinear
 from .errors import FermiSpectraError
@@ -74,9 +73,9 @@ def upper_bound_epsilon(domain, p, eps, limit_result=None):
     k = np.asarray(domain.curve.k_samples, dtype=float)
     layer_dirichlet = fermi_layer_integral(delta_eps, k, 1.0 - p)
     layer_mass = fermi_layer_integral(delta_eps, k, 1.0)
-    num = simpson(np.abs(limit_result.du_samples) ** p * layer_dirichlet, x=s)
-    den = simpson(np.abs(limit_result.u_samples) ** p * layer_mass, x=s)
-    return float(num / den)
+    num = _simpson(np.abs(limit_result.du_samples) ** p * layer_dirichlet, s)
+    den = _simpson(np.abs(limit_result.u_samples) ** p * layer_mass, s)
+    return num / den
 
 
 def epsilon_sweep(domain, p, epsilons, policy=None):

@@ -16,9 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
-import scipy.sparse
-import scipy.sparse.linalg
+import scipy
 
 from .analysis import lyapunov_bound
 from .errors import BadExponent, NoCrossing, SolveFailure, StiffFailure

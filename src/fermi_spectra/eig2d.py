@@ -49,8 +49,7 @@ import copy
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse
+import scipy
 
 from .eig1d import pmean_shift
 from .errors import BadExponent, DegenerateCell, SolveFailure

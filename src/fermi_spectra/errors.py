@@ -52,7 +52,8 @@ class OutOfDomain(FermiSpectraError):
 
 
 class InvalidDomain(FermiSpectraError):
-    """An operation needs a validated domain but the domain failed validation."""
+    """An operation needs a validated domain but the domain failed validation,
+    or the strip's boundary cannot be represented in double precision."""
 
 
 class DegenerateCell(FermiSpectraError):

@@ -8,8 +8,12 @@ profile delta(s) > 0 along the clockwise normal (y', -x'); the area factor
 of that map is 1 + r k(s).  The strip is embedded when that factor stays
 positive and its boundary polygon is simple: a locally one-to-one map of
 a closed disk that is one-to-one on its boundary is one-to-one (Meisters
-and Olech, Duke Math. J. 30, 1963).  All sampled quantities interpolate
-linearly between nodes.
+and Olech, Duke Math. J. 30, 1963).  make_domain counts the crossings
+of that polygon.  A grid hash of the side edges' midpoints, in cells as
+wide as the longest side edge, proposes the pairs that can meet; any
+superset of them gives the same count, since an exact straddle test
+decides each pair.  All sampled quantities interpolate linearly between
+nodes.
 """
 
 from __future__ import annotations
@@ -17,10 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.interpolate import CubicSpline
-from scipy.optimize import brentq
-from scipy.spatial import cKDTree
+import scipy
 
 from .errors import (
     AsymmetricCurvature,
@@ -217,7 +218,9 @@ def curvature_from_parametric(x, y, t_range, n_samples=1024, derivatives=None, s
             at = t_dense[np.argmin(sp_dense) if finite.all() else np.argmin(finite)]
             raise ZeroSpeed(f"speed vanishes or is not finite near t={at:.6g}")
 
-    L = quad(lambda t: float(speed(t)), t0, t1, limit=200, epsabs=1e-13, epsrel=1e-13)[0]
+    L = scipy.integrate.quad(
+        lambda t: float(speed(t)), t0, t1, limit=200, epsabs=1e-13, epsrel=1e-13
+    )[0]
 
     # Cumulative arc length by per-interval Gauss panels, then spline inversion.
     gx, gw = np.polynomial.legendre.leggauss(5)
@@ -227,7 +230,7 @@ def curvature_from_parametric(x, y, t_range, n_samples=1024, derivatives=None, s
     panel = half * (speed(t_nodes.ravel()).reshape(-1, 5) @ gw)
     s_dense = np.concatenate(([0.0], np.cumsum(panel)))
     s_dense *= L / s_dense[-1]
-    arc = CubicSpline(t_dense, s_dense)
+    arc = scipy.interpolate.CubicSpline(t_dense, s_dense)
 
     s_targets = np.linspace(0.0, L, n_samples)
     t_of_s = np.empty(n_samples)
@@ -236,7 +239,9 @@ def curvature_from_parametric(x, y, t_range, n_samples=1024, derivatives=None, s
     for j, sj in enumerate(s_targets[1:-1], start=1):
         a = t_dense[max(idx[j - 1] - 1, 0)]
         b = t_dense[min(idx[j - 1] + 1, dense_n)]
-        t_of_s[j] = brentq(lambda t: arc(t) - sj, a, b, xtol=1e-14 * max(1.0, abs(t1)))
+        t_of_s[j] = scipy.optimize.brentq(
+            lambda t: arc(t) - sj, a, b, xtol=1e-14 * max(1.0, abs(t1))
+        )
 
     xd, yd = dx(t_of_s), dy(t_of_s)
     sp = np.hypot(xd, yd)
@@ -348,12 +353,57 @@ def fermi_map(domain, s, r):
     return out
 
 
+# The cell's own offset first; with the four after it, every pair of
+# neighbouring cells is visited from exactly one of its two cells.
+_HALF_STENCIL = ((0, 0), (0, 1), (1, -1), (1, 0), (1, 1))
+
+
+def _near_pairs(centers, reach):
+    """Index pairs (i, j) of rows of centers, each unordered pair once, that
+    include every pair within reach of each other in the max-norm.
+
+    A grid hash: the points are sorted by square cells of side at least
+    reach, so such a pair shares a cell or sits in two neighbouring ones,
+    and each cell is paired with itself and with the half stencil of its
+    neighbours.  Farther pairs in those cells are returned too.  Cell
+    indices are capped at 2^24, which keeps the keys inside int64 however
+    small reach is (capping is monotone, so neighbours stay neighbours);
+    the factor 1 + 2^-20 on the side absorbs the rounding of the scaled
+    coordinates below the cap.
+    """
+    lo = np.min(centers, axis=0)
+    # reach = 0 gives inf or NaN (0 / 0); fmin caps both.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scaled = (centers - lo) / ((1.0 + 2.0**-20) * reach)
+    cell = np.fmin(scaled, 2.0**24).astype(np.int64)  # floor: scaled >= 0
+    # Columns of height ny + 2 keep the row offsets -1 and +1 of the
+    # stencil from wrapping into the next column.
+    height = int(np.max(cell[:, 1])) + 3
+    key = cell[:, 0] * height + cell[:, 1] + 1
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    n = len(key)
+    shifts = np.array([dx * height + dy for dx, dy in _HALF_STENCIL])
+    target = key[None, :] + shifts[:, None]
+    start = np.searchsorted(key, target, side="left")
+    stop = np.searchsorted(key, target, side="right")
+    start[0] = np.arange(1, n + 1)  # own cell: only the points sorted after
+    counts = (stop - start).ravel()
+    first = np.repeat(np.tile(np.arange(n), len(shifts)), counts)
+    run_start = np.repeat(np.cumsum(counts) - counts, counts)
+    second = np.repeat(start.ravel(), counts) + np.arange(len(run_start)) - run_start
+    return np.column_stack([order[first], order[second]])
+
+
 def _boundary_crossings(points, offset):
     """Count pairs of non-adjacent edges of the strip's boundary polygon that meet.
 
     The closed polygon runs along the curve samples, up the end normal at
     s = L, back along the offset curve and down the end normal at s = 0.
     Edges that touch count as meeting; disjoint collinear edges do not.
+    Side edges are paired by a grid hash of their midpoints (_near_pairs).
+    It returns a superset of the pairs that can meet, and that suffices
+    because the exact straddle-and-box test below decides every pair.
     """
     poly = np.concatenate([points, offset[::-1]])
     m, n = len(poly), len(points)
@@ -365,8 +415,7 @@ def _boundary_crossings(points, offset):
     # apart; the max-norm search (a superset, free of squared distances
     # that underflow) finds them.  The end normals face every edge.
     reach = float(np.max(np.hypot(*(tail[sides] - head[sides]).T)))
-    tree = cKDTree(0.5 * (head[sides] + tail[sides]))
-    near = sides[tree.query_pairs(reach, p=np.inf, output_type="ndarray")]
+    near = sides[_near_pairs(0.5 * (head[sides] + tail[sides]), reach)]
     i = np.concatenate([near[:, 0], np.repeat(ends, m)])
     j = np.concatenate([near[:, 1], np.tile(np.arange(m), 2)])
     gap = np.abs(i - j)
@@ -397,7 +446,16 @@ def make_domain(curve, width):
     jacobian_min = float(min(1.0, np.min(1.0 + width.delta_samples * curve.k_samples)))
     tangents = curve.tangents
     normal = np.column_stack([tangents[:, 1], -tangents[:, 0]])
-    offset = curve.points + width.delta_samples[:, None] * normal
+    # A width near the top of double range overflows the offset curve or
+    # the polygon's extent; the negated test below rejects it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        offset = curve.points + width.delta_samples[:, None] * normal
+        extent = np.ptp(np.concatenate([curve.points, offset]), axis=0)
+    if not np.all(extent < np.inf):
+        raise InvalidDomain(
+            "the strip's boundary polygon is not finite in double precision "
+            f"(max width {np.max(width.delta_samples):.6g})"
+        )
     collisions = _boundary_crossings(curve.points, offset)
     return FermiDomain(
         curve=curve,

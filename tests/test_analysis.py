@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -34,6 +35,7 @@ from fermi_spectra import (
     width_profile,
 )
 from fermi_spectra import test_function_upper_bound as cosine_upper_bound
+from fermi_spectra.analysis import _simpson
 from fermi_spectra.errors import BadExponent
 
 # quadrature oracle outputs, frozen to 12 decimal places
@@ -274,6 +276,42 @@ class TestLyapunov:
         assert report.value == pytest.approx(
             lyapunov_bound(w, annulus.L, 2.0), rel=1e-12
         )
+
+
+class TestSimpson:
+    """_simpson reproduces scipy.integrate.simpson(y, x=x) to the bit."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 64, 129, 512, 1025])
+    @pytest.mark.parametrize("grid", ["uniform", "irregular"])
+    def test_matches_scipy(self, n, grid):
+        rng = np.random.default_rng(n)
+        if grid == "uniform":
+            x = np.linspace(-1.0, 2.5, n)
+        else:
+            x = np.cumsum(rng.uniform(0.01, 1.0, n))
+        y = rng.normal(size=n)
+        assert _simpson(y, x) == scipy.integrate.simpson(y, x=x)
+
+    def test_matches_scipy_on_random_grids(self):
+        rng = np.random.default_rng(7)
+        for _ in range(500):
+            n = int(rng.integers(2, 40))
+            x = np.cumsum(rng.uniform(0.01, 1.0, n)) - 5.0
+            y = rng.normal(size=n) * 10.0 ** rng.integers(-3, 4)
+            assert _simpson(y, x) == scipy.integrate.simpson(y, x=x), n
+
+    @pytest.mark.parametrize("n", [257, 1022, 1024, 1025])
+    def test_matches_scipy_on_lyapunov_grid(self, n):
+        # lyapunov_bound's grid: the left half of the samples, plus the
+        # midpoint L/2 when it is not a node (n even); 1022 samples give an
+        # even count with the appended midpoint, 1024 an odd one.
+        L, p = math.pi, 2.5
+        s = np.linspace(0.0, L, n)
+        left = s[s <= 0.5 * L + 1e-12 * L]
+        if left[-1] != 0.5 * L:
+            left = np.append(left, 0.5 * L)
+        y = (0.5 * L - left) ** (p - 1.0) * (1.0 + 0.3 * np.cos(left))
+        assert _simpson(y, left) == scipy.integrate.simpson(y, x=left)
 
 
 class TestFigure2:

@@ -299,6 +299,20 @@ class TestExitCodes:
         assert code == 2
         assert "solver error" in capsys.readouterr().err
 
+    def test_width_beyond_double_range_is_config_error(self, tmp_path, capsys):
+        # A width of 1.5e308 is a finite, positive, even profile, but the
+        # offset curve overflows.  Building the strip rejects it with no
+        # numpy warning: any warning raised here fails the test.
+        payload = {"curve": {"mode": "curvature", "L": 3.0, "k": "-0.5"}, "width": "1.5e308"}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, report = run(tmp_path, "bounds", payload)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert report is None
+        assert "config error: InvalidDomain" in err and "not finite" in err
+        assert "Traceback" not in err
+
     def test_width_below_double_precision_is_degenerate_cell(self, tmp_path, capsys):
         # 1 / delta^2 overflows at delta = 1e-200.  The mesh reports the
         # degenerate metric without a numpy warning: any warning raised

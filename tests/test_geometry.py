@@ -1,12 +1,14 @@
 """Curve handling, strip construction, and validity checking."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import CubicSpline
+from scipy.spatial import cKDTree
 
 from fermi_spectra import (
     curvature_from_parametric,
@@ -25,7 +27,7 @@ from fermi_spectra.errors import (
     SymmetryViolation,
     ZeroSpeed,
 )
-from fermi_spectra.geometry import _boundary_crossings
+from fermi_spectra.geometry import _boundary_crossings, _near_pairs
 
 
 def _steep(s):
@@ -333,3 +335,65 @@ def test_touching_edges_count_as_meeting():
     points = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
     offset = np.array([[0.0, -1.0], [1.5, 0.0], [2.0, -1.0], [3.0, -1.0]])
     assert _boundary_crossings(points, offset) == _brute_crossings(points, offset) == 2
+
+
+def _random_strip(L, k0, k1, delta, amp, n):
+    """An even strip: k = k0 + k1 cos(2 pi s / L), width delta (1 + amp cos)."""
+    curve = reconstruct_from_curvature(
+        L, lambda s: k0 + k1 * np.cos(2.0 * np.pi * s / L), n_samples=n
+    )
+    width = width_profile(
+        lambda s: delta * (1.0 + amp * np.cos(2.0 * np.pi * s / L)), L, n_samples=n
+    )
+    return make_domain(curve, width)
+
+
+# k delta reaches 9, so many of these strips fold or overlap themselves.
+STRIPS = dict(
+    L=st.floats(min_value=1.0, max_value=6.0),
+    k0=st.floats(min_value=-3.0, max_value=3.0),
+    k1=st.floats(min_value=-3.0, max_value=3.0),
+    delta=st.floats(min_value=0.05, max_value=3.0),
+    amp=st.floats(min_value=0.0, max_value=0.5),
+)
+
+
+@given(**STRIPS, n=st.integers(min_value=4, max_value=700))
+@settings(max_examples=60, deadline=None)
+def test_near_pairs_contain_kdtree_pairs(L, k0, k1, delta, amp, n):
+    """The grid hash returns each unordered pair once, and among them every
+    pair of side-edge midpoints that a k-d tree finds within reach."""
+    domain = _random_strip(L, k0, k1, delta, amp, n)
+    poly = np.concatenate([domain.curve.points, domain.offset_curve[::-1]])
+    m = len(poly)
+    head, tail = poly, np.roll(poly, -1, axis=0)
+    sides = np.setdiff1d(np.arange(m), [n - 1, m - 1])
+    centers = 0.5 * (head[sides] + tail[sides])
+    reach = float(np.max(np.hypot(*(tail[sides] - head[sides]).T)))
+
+    pairs = _near_pairs(centers, reach)
+    found = {(min(i, j), max(i, j)) for i, j in pairs.tolist()}
+    assert len(found) == len(pairs)
+    assert all(i != j for i, j in found)
+    tree = cKDTree(centers).query_pairs(reach, p=np.inf)
+    assert tree <= found
+
+
+@given(**STRIPS, n=st.integers(min_value=4, max_value=40))
+@settings(max_examples=60, deadline=None)
+def test_boundary_crossings_match_brute_force_on_random_strips(L, k0, k1, delta, amp, n):
+    domain = _random_strip(L, k0, k1, delta, amp, n)
+    points, offset = domain.curve.points, domain.offset_curve
+    assert _boundary_crossings(points, offset) == _brute_crossings(points, offset)
+
+
+def test_strip_below_double_precision_validates_without_warning():
+    # Side edges of about 1e-203 against an extent of 0.4: uncapped, the
+    # offset curve's cell indices would leave int64.  Any warning fails.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        domain = make_domain(
+            reconstruct_from_curvature(1e-200, 0.0), width_profile(0.4, 1e-200)
+        )
+    assert domain.collision_count == 0
+
