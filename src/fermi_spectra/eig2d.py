@@ -22,12 +22,11 @@ K + sigma M, and its Cholesky factor is the leading columns of the
 band factor.  The full p = 2 solve is the lower of the two classes; its
 eigenvector is mirrored onto the whole strip, u(L - s) = +-u(s).
 
-The p = 2 systems (the half band's K + sigma M, and the descent's
-preconditioner K + mu M on the whole strip) are symmetric positive
-definite.  Every entry lies within nt + 2 of the diagonal, and they are
-factored by banded Cholesky (LAPACK pbtrf, called through
-scipy.linalg.lapack) at O(ns nt^3) cost.  The band is narrow
-because every mesh in use has ns >= nt.
+One system is factored per solve at any p: the half band's K + sigma M,
+symmetric positive definite with every entry within nt + 2 of the
+diagonal, by banded Cholesky (LAPACK pbtrf, called through
+scipy.linalg.lapack) at O(ns nt^3) cost.  The band is narrow because
+every mesh in use has ns >= nt.
 
 The mesh's cell tables (conn, shape, shape_grad, metric, gauss_weight)
 are the one discrete representation of the strip.  assemble contracts
@@ -36,9 +35,10 @@ each cell's nodal values through conn and contracts them with the shape
 tables at the Gauss points; its gradient scatters the per-cell terms
 back to the nodes with one bincount.  No matrix is built for it.
 
-The descent preconditions its direction by the p = 2 operator P and
-measures its Barzilai-Borwein step in P's inner product, the metric the
-direction lives in: with y the change of gradient between accepted
+The descent (p != 2) runs on the same half band, in one mirror class,
+and preconditions its direction by that factor, the p = 2 operator P.
+It measures its Barzilai-Borwein step in P's inner product, the metric
+the direction lives in: with y the change of gradient between accepted
 iterates and du the change of iterate, the step is (du . y) / (P^-1 y . y),
 and P^-1 y is the change of direction, already at hand.
 """
@@ -79,11 +79,10 @@ class Eigen2DResult:
     parity is the mirror parity about the midline s = L/2 ("even" or
     "odd") of the returned mode.  gap is the relative distance
     (mu_next - mu) / mu to the next eigenvalue, for p = 2 only (None
-    otherwise).  mesh is the mesh the problem was discretized on: the
-    whole strip for the full descent, the half strip otherwise.  u holds
-    the mode at the nodes of the whole strip for the full solves (the
-    p = 2 one mirrored from the half strip) and of the half mesh for the
-    odd ones.
+    otherwise).  mesh is the half mesh, s in [0, L/2], that every solve
+    runs on.  u holds the mode at the nodes of the whole strip for the
+    full solves (mirrored from the half strip) and of the half mesh for
+    the odd ones.
     """
 
     mu: float
@@ -385,6 +384,12 @@ class _HalfStrip:
         return np.concatenate([rows, sign * rows[-2::-1]]).ravel()
 
 
+def _lowest(half):
+    """Both mirror classes solved on half: (winner, other), odd on a tie."""
+    even, odd = half.solve("even"), half.solve("odd")
+    return (odd, even) if odd.mu <= even.mu else (even, odd)
+
+
 def solve_mu1_linear(domain, ns=256, nt=16):
     """First nonzero Neumann eigenvalue for p = 2 on the full strip.
 
@@ -403,15 +408,14 @@ def solve_mu1_linear(domain, ns=256, nt=16):
     classes stopped with residual at most RESIDUAL_TOL.
     """
     half = _HalfStrip(domain, ns, nt)
-    even, odd = half.solve("even"), half.solve("odd")
-    first, other = (odd, even) if odd.mu <= even.mu else (even, odd)
+    first, other = _lowest(half)
     return Eigen2DResult(
         mu=first.mu,
         u=half.mirror(first.u, first.parity) / np.sqrt(2.0),
         residual=first.residual,
         method="linear",
-        iterations=even.iterations + odd.iterations,
-        converged=even.converged and odd.converged,
+        iterations=first.iterations + other.iterations,
+        converged=first.converged and other.converged,
         mesh=half.mesh,
         parity=first.parity,
         gap=min(other.mu, first.next_mu) / first.mu - 1.0,
@@ -427,19 +431,13 @@ def solve_mu1_odd_linear(domain, ns=256, nt=16):
     odd-reflection eigenvalue.  u lives on the half mesh (zero on the
     midline); gap is measured to the class's second Ritz value.
     """
-    return _odd_linear(domain, ns, nt)[0]
-
-
-def _odd_linear(domain, ns, nt):
-    """solve_mu1_odd_linear's result together with the half strip it factored."""
     half = _HalfStrip(domain, ns, nt)
     odd = half.solve("odd")
-    result = Eigen2DResult(
+    return Eigen2DResult(
         mu=odd.mu, u=odd.u, residual=odd.residual, method="linear-odd",
         iterations=odd.iterations, converged=odd.converged, mesh=half.mesh,
         parity="odd", gap=odd.next_mu / odd.mu - 1.0,
     )
-    return result, half
 
 
 ENERGY_FLOOR = 1e-60  # keeps energy^(p/2 - 1) finite for p < 2
@@ -481,32 +479,33 @@ STALL_TOL = 1e-9
 def solve_mu1_nonlinear(domain, p, ns=256, nt=16, odd=False):
     """First nonzero eigenvalue for general p > 1 by Rayleigh descent.
 
-    Minimizes the discrete p-quotient along directions preconditioned by
-    the quadratic operator (a Sobolev gradient: K + mu M on the whole
-    strip, or on the odd half the leading block of the half strip's
-    K + sigma M factor, which the p = 2 solve already holds; banded
-    Cholesky with half-bandwidth nt + 2), with
-    Barzilai-Borwein (BB2) steps in the preconditioner's inner product,
-    (du . y) / (P^-1 y . y) for the changes du of iterate and y of
-    gradient, doubled from the last accepted trial step when either
-    product is not positive, and a backtracking safeguard, warm-started
-    from the p = 2 eigenvector (for the full strip, the half-strip solve
-    mirrored onto the whole strip; the descent then assembles its own
-    whole-strip mesh).  The quotient is reflection invariant, so the
-    descent stays in the mirror class of its start and reports that
-    parity; gap is None.  The gradient and its preconditioned
-    direction are computed only at accepted iterates: a rejected
-    backtracking candidate costs one projection and one quotient value.
-    The full-strip variant enforces the zero weighted p-mean constraint
-    with a scalar shift; the odd variant works on the half strip with the
-    midline pinned, where no constraint is needed.  It stops converged
-    when 40 step halvings fail to lower the quotient or the quotient drops
-    by at most STALL_TOL = 1e-9 (relative) over STALL_WINDOW = 50 accepted
-    steps, and unconverged after DESCENT_MAX_ITER = 20000 steps: converged
-    reports stagnation, the attainable notion of success for a descent
-    method, and mu is an upper estimate of the discrete minimum.  At p = 2
-    it returns the result of solve_mu1_linear, or of solve_mu1_odd_linear
-    when odd, whose converged means a residual of at most RESIDUAL_TOL.
+    The descent runs on the half strip of the p = 2 solve, in the mirror
+    class of the p = 2 winner (the odd class when odd), from that class's
+    p = 2 eigenvector: the quotient is reflection invariant, so a descent
+    started in a class stays in it.  The odd class holds the midline at
+    zero; the even class enforces the zero weighted p-mean constraint with
+    a scalar shift on the half mesh's lumped masses, whose midline nodes
+    carry half the whole-strip mass, so the constraint is the whole
+    strip's.  Directions are preconditioned by the half strip's one
+    K + sigma M band factor (its leading block for the odd class), and an
+    even direction drops its mass mean, its component along the constants
+    in that operator's inner product (K annihilates the constants).  The
+    step is Barzilai-Borwein (BB2) in that inner product (module docstring),
+    doubled from the last accepted trial step when either of its products
+    is not positive, with a backtracking safeguard.  The gradient and its
+    direction are computed only at accepted iterates: a rejected candidate
+    costs one projection and one quotient value.  residual is the norm of
+    the last direction over mu.  It stops converged when 40 step halvings
+    fail to lower the quotient or the quotient drops by at most
+    STALL_TOL = 1e-9 (relative) over STALL_WINDOW = 50 accepted steps, and
+    unconverged after DESCENT_MAX_ITER = 20000 steps: converged reports
+    stagnation, the attainable notion of success for a descent method, and
+    mu is an upper estimate of the discrete minimum.  parity is the class
+    searched; gap is None; mesh is the half mesh.  u is mirrored onto the
+    whole strip (numbered like build_mesh(domain, ns, nt)) for the full
+    solve and stays on the half mesh when odd.  At p = 2 it returns the
+    result of solve_mu1_linear, or of solve_mu1_odd_linear when odd, whose
+    converged means a residual of at most RESIDUAL_TOL.
     """
     if not 1.0 < p < np.inf:
         raise BadExponent(f"p must exceed 1 and be finite (got {p})")
@@ -514,34 +513,34 @@ def solve_mu1_nonlinear(domain, p, ns=256, nt=16, odd=False):
     if p == 2.0:
         return solve_mu1_odd_linear(domain, ns, nt) if odd else solve_mu1_linear(domain, ns, nt)
 
-    if odd:
-        lin, half = _odd_linear(domain, ns, nt)
-        mesh = lin.mesh
-        u = lin.u
-        free = half.free["odd"]
-        odd_chol = half.chol["odd"]
+    half = _HalfStrip(domain, ns, nt)
+    start = half.solve("odd") if odd else _lowest(half)[0]
+    parity = start.parity
+    mesh = half.mesh
+    chol = half.chol[parity]
 
-        def precondition(vec):
-            out = np.zeros(mesh.n_nodes)
-            out[:free] = odd_chol.solve(vec[:free])
-            return out
+    if parity == "even":
+        m_lump = np.asarray(half.M.sum(axis=1)).ravel()
+
+        def constrain(vec):
+            return vec - pmean_shift(vec, m_lump, p)
+
+        def precondition(g):
+            d = chol.solve(g)
+            return d - (m_lump @ d) / m_lump.sum()
 
     else:
-        lin = solve_mu1_linear(domain, ns, nt)
-        mesh = build_mesh(domain, ns, nt)
-        K, M = assemble(mesh)
-        u = lin.u
-        free = None
-        m_lump = np.asarray(M.sum(axis=1)).ravel()
-        precondition = _BandCholesky(K + lin.mu * M).solve
+        free = half.free["odd"]
+        midline = np.zeros(mesh.n_nodes - free)
+
+        def constrain(vec):
+            return np.concatenate([vec[:free], midline])
+
+        def precondition(g):
+            return np.concatenate([chol.solve(g[:free]), midline])
 
     def project(vec):
-        if free is None:
-            vec = vec - pmean_shift(vec, m_lump, p)
-        else:
-            out = np.zeros(mesh.n_nodes)
-            out[:free] = vec[:free]
-            vec = out
+        vec = constrain(vec)
         return vec / np.max(np.abs(vec))
 
     def evaluate(vec):
@@ -556,7 +555,7 @@ def solve_mu1_nonlinear(domain, p, ns=256, nt=16, odd=False):
 
         return num / den, direction
 
-    u = project(u)
+    u = project(start.u)
     value, direction = evaluate(u)
     g, d = direction()
     step = 1.0
@@ -592,15 +591,14 @@ def solve_mu1_nonlinear(domain, p, ns=256, nt=16, odd=False):
                 converged = True
                 break
 
-    residual = float(np.linalg.norm(d) / value)
     return Eigen2DResult(
         mu=float(value),
-        u=u,
-        residual=residual,
+        u=u if odd else half.mirror(u, parity),
+        residual=float(np.linalg.norm(d) / value),
         method="descent-odd" if odd else "descent",
         iterations=iterations,
         converged=converged,
         mesh=mesh,
-        parity=lin.parity,
+        parity=parity,
         gap=None,
     )

@@ -447,13 +447,17 @@ def make_domain(curve, width):
     tangents = curve.tangents
     normal = np.column_stack([tangents[:, 1], -tangents[:, 0]])
     # A width near the top of double range overflows the offset curve or
-    # the polygon's extent; the negated test below rejects it.
+    # the polygon's extent, and a width above about 1e154 the cross products
+    # of the crossing test (each at most 2 extent^2); the negated test below
+    # rejects both.
     with np.errstate(over="ignore", invalid="ignore"):
         offset = curve.points + width.delta_samples[:, None] * normal
-        extent = np.ptp(np.concatenate([curve.points, offset]), axis=0)
-    if not np.all(extent < np.inf):
+        extent = np.max(np.ptp(np.concatenate([curve.points, offset]), axis=0))
+        cross_bound = 2.0 * extent**2
+    if not cross_bound < np.inf:
         raise InvalidDomain(
-            "the strip's boundary polygon is not finite in double precision "
+            "the strip's boundary polygon is too large for double precision: "
+            "the cross products of its crossing test are not finite "
             f"(max width {np.max(width.delta_samples):.6g})"
         )
     collisions = _boundary_crossings(curve.points, offset)

@@ -313,6 +313,31 @@ class TestExitCodes:
         assert "config error: InvalidDomain" in err and "not finite" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("width", ["2e154", "1e200"])
+    def test_width_beyond_crossing_test_range_is_config_error(self, tmp_path, capsys, width):
+        # The offset curve is finite, but the crossing test's cross products
+        # (up to twice the squared extent of the boundary polygon) overflow.
+        payload = {"curve": {"mode": "curvature", "L": 3.0, "k": "-0.5"}, "width": width}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, report = run(tmp_path, "bounds", payload)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert report is None
+        assert "config error: InvalidDomain" in err and "crossing test" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("k", ["-0.5", "0.5"])
+    def test_width_just_inside_crossing_test_range_runs_bounds(self, tmp_path, capsys, k):
+        # The widest accepted constant width on L = 3, k = +-0.5 is about
+        # 6.954e153; just below it the bounds run with no numpy warning.
+        payload = {"curve": {"mode": "curvature", "L": 3.0, "k": k}, "width": "6.9e153"}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, report = run(tmp_path, "bounds", payload)
+        assert code == 0, capsys.readouterr().err
+        assert report["command"] == "bounds"
+
     def test_width_below_double_precision_is_degenerate_cell(self, tmp_path, capsys):
         # 1 / delta^2 overflows at delta = 1e-200.  The mesh reports the
         # degenerate metric without a numpy warning: any warning raised

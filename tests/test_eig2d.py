@@ -315,6 +315,36 @@ class TestNonlinearSolver:
             np.testing.assert_array_equal(non.u, lin.u)
             assert non.method == lin.method
 
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    def test_full_is_odd_descent_when_odd_wins(self, annulus, p):
+        # The full descent searches the p = 2 winner's class on the half
+        # strip; when that class is odd it is the odd descent, mirrored.
+        full = solve_mu1_nonlinear(annulus, p, ns=64, nt=16)
+        odd = solve_mu1_nonlinear(annulus, p, ns=64, nt=16, odd=True)
+        assert full.parity == odd.parity == "odd"
+        assert (full.mu, full.residual, full.iterations) == (odd.mu, odd.residual, odd.iterations)
+        rows = odd.u.reshape(33, 17)
+        np.testing.assert_array_equal(full.u, np.concatenate([rows, -rows[-2::-1]]).ravel())
+
+    # The whole-strip descent's values on the sector k = -0.2, width 3,
+    # 64x16, before the descent moved to the half strip.
+    WIDE_SECTOR_MU = {1.5: 1.09221381619, 3.0: 1.11510678357}
+
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    def test_even_class_descent_on_wide_sector(self, p):
+        domain = make_domain(
+            reconstruct_from_curvature(math.pi, lambda s: -0.2), width_profile(3.0, math.pi)
+        )
+        full = solve_mu1_nonlinear(domain, p, ns=64, nt=16)
+        odd = solve_mu1_nonlinear(domain, p, ns=64, nt=16, odd=True)
+        assert full.parity == "even" and full.mu < odd.mu
+        grid = full.u.reshape(65, 17)
+        np.testing.assert_array_equal(grid, grid[::-1])
+        # An even direction keeps no constant component: one left in it is
+        # amplified by 1 / sigma and the residual reads about 44 at p = 1.5.
+        assert full.converged and full.residual < 0.1
+        assert full.mu == pytest.approx(self.WIDE_SECTOR_MU[p], abs=1e-5)
+
     def test_odd_mode(self, annulus):
         full = solve_mu1_nonlinear(annulus, 3.0, ns=64, nt=8)
         odd = solve_mu1_nonlinear(annulus, 3.0, ns=64, nt=8, odd=True)
