@@ -50,18 +50,21 @@ def pi_p(p):
 def pi_p_quadrature(p):
     """Evaluate pi_p from its integral definition, 2 * int_0^inf dt / (1 + t^p/(p-1)).
 
-    Substituting t = (p-1)^(1/p) u turns the integrand into 1/(1+u^p); the
-    tail over [1, inf) maps onto [0, 1] via u -> 1/u.  Serves as the
-    independent oracle for the closed form.
+    Substituting t = (p-1)^(1/p) u turns the integrand into 1/(1+u^p).  The
+    tail over [1, inf) maps onto [0, 1] via u -> 1/u as the integral of
+    u^(p-2) / (1+u^p), singular at 0 for p < 2; v = u^(p-1) turns that into
+    1/(p-1) times the integral of the smooth 1/(1+v^q), with q = p/(p-1)
+    the conjugate exponent.  Serves as the independent oracle for the
+    closed form.
     """
     _require_p(p)
-    head = scipy.integrate.quad(
-        lambda u: 1.0 / (1.0 + u**p), 0.0, 1.0, epsabs=1e-13, epsrel=1e-13
-    )[0]
-    tail = scipy.integrate.quad(
-        lambda u: u ** (p - 2.0) / (1.0 + u**p), 0.0, 1.0, epsabs=1e-13, epsrel=1e-13, limit=200
-    )[0]
-    return 2.0 * (p - 1.0) ** (1.0 / p) * (head + tail)
+
+    def integral(e):  # int_0^1 du / (1 + u^e)
+        return scipy.integrate.quad(
+            lambda u: 1.0 / (1.0 + u**e), 0.0, 1.0, epsabs=1e-13, epsrel=1e-13, limit=200
+        )[0]
+
+    return 2.0 * (p - 1.0) ** (1.0 / p) * (integral(p) + integral(p / (p - 1.0)) / (p - 1.0))
 
 
 def c_p(p):

@@ -40,7 +40,8 @@ class AsymmetricWeight(FermiSpectraError):
 
 
 class NonpositiveWeight(FermiSpectraError):
-    """A weight or width that must be strictly positive is not."""
+    """A weight or width that must be strictly positive and finite is not:
+    a sample is zero, negative, infinite or NaN."""
 
 
 class BadExponent(FermiSpectraError):

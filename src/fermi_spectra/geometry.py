@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy
 
 from .errors import (
     AsymmetricCurvature,
@@ -168,17 +167,21 @@ def check_curve(spec):
 
 
 def _check_weight(w, evenness_tol, noun):
-    """Raise unless the samples w are positive and even about their midpoint.
+    """Raise unless the samples w are positive, finite and even about their
+    midpoint.
 
-    Returns (min w, evenness residual).  Both tests are negated
-    comparisons, so a NaN sample fails them; an infinite one fails the
-    evenness bound.  noun ("width" or "weight") names w in the message.
+    Returns (min w, evenness residual).  The positivity test is negated,
+    so a NaN sample fails it; an infinite one fails the finiteness test
+    before the evenness test, where inf - inf would read as NaN.  noun
+    ("width" or "weight") names w in the message.
     """
-    w_min = float(np.min(w))
+    w_min, w_max = float(np.min(w)), float(np.max(w))
     if not w_min > 0.0:
         raise NonpositiveWeight(f"{noun} must be positive (min {w_min:.6g})")
+    if w_max == np.inf:
+        raise NonpositiveWeight(f"{noun} must be finite (max {w_max:.6g} is not finite)")
     res = float(np.max(np.abs(w - w[::-1])))
-    if not res <= evenness_tol * np.max(w) < np.inf:
+    if not res <= evenness_tol * w_max:
         raise AsymmetricWeight(f"{noun} is not even about L/2 (residual {res:.3g})")
     return w_min, res
 
@@ -188,11 +191,14 @@ def curvature_from_parametric(x, y, t_range, n_samples=1024, derivatives=None, s
 
     x, y map the parameter to coordinates.  derivatives, when given, is a
     tuple (dx, dy, ddx, ddy) of exact derivative callables; otherwise
-    derivatives come from fourth-order central differences.  Returns a
-    CurveSpec with n_samples uniform arc-length nodes.  Raises ZeroSpeed
-    when the parametrization stalls or its speed is not finite,
-    SymmetryViolation when the traced curve is not mirror symmetric about
-    the vertical axis.
+    derivatives come from fourth-order central differences.  The speed is
+    integrated by 5-point Gauss-Legendre panels over max(4096, 4 n_samples)
+    equal parameter steps, and L is their sum.  Newton's method inverts
+    each arc-length node in its panel, on the same rule from the panel's
+    start, clipped to the panel.  Returns a CurveSpec with n_samples
+    uniform arc-length nodes.  Raises ZeroSpeed when the parametrization
+    stalls or its speed is not finite, SymmetryViolation when the traced
+    curve is not mirror symmetric about the vertical axis.
     """
     t0, t1 = float(t_range[0]), float(t_range[1])
     if not t1 > t0:
@@ -218,30 +224,25 @@ def curvature_from_parametric(x, y, t_range, n_samples=1024, derivatives=None, s
             at = t_dense[np.argmin(sp_dense) if finite.all() else np.argmin(finite)]
             raise ZeroSpeed(f"speed vanishes or is not finite near t={at:.6g}")
 
-    L = scipy.integrate.quad(
-        lambda t: float(speed(t)), t0, t1, limit=200, epsabs=1e-13, epsrel=1e-13
-    )[0]
-
-    # Cumulative arc length by per-interval Gauss panels, then spline inversion.
     gx, gw = np.polynomial.legendre.leggauss(5)
-    mid = 0.5 * (t_dense[:-1] + t_dense[1:])
-    half = 0.5 * np.diff(t_dense)
-    t_nodes = mid[:, None] + half[:, None] * gx[None, :]
-    panel = half * (speed(t_nodes.ravel()).reshape(-1, 5) @ gw)
-    s_dense = np.concatenate(([0.0], np.cumsum(panel)))
-    s_dense *= L / s_dense[-1]
-    arc = scipy.interpolate.CubicSpline(t_dense, s_dense)
 
-    s_targets = np.linspace(0.0, L, n_samples)
-    t_of_s = np.empty(n_samples)
-    t_of_s[0], t_of_s[-1] = t0, t1
-    idx = np.searchsorted(s_dense, s_targets[1:-1])
-    for j, sj in enumerate(s_targets[1:-1], start=1):
-        a = t_dense[max(idx[j - 1] - 1, 0)]
-        b = t_dense[min(idx[j - 1] + 1, dense_n)]
-        t_of_s[j] = scipy.optimize.brentq(
-            lambda t: arc(t) - sj, a, b, xtol=1e-14 * max(1.0, abs(t1))
-        )
+    def arc(a, b):  # the Gauss rule for the arc length over each [a, b]
+        nodes = 0.5 * (a + b)[:, None] + 0.5 * (b - a)[:, None] * gx
+        return 0.5 * (b - a) * (speed(nodes.ravel()).reshape(-1, 5) @ gw)
+
+    s_dense = np.concatenate(([0.0], np.cumsum(arc(t_dense[:-1], t_dense[1:]))))
+    L = float(s_dense[-1])
+
+    s_j = np.linspace(0.0, L, n_samples)[1:-1]
+    i = np.minimum(np.searchsorted(s_dense, s_j, side="right") - 1, dense_n - 1)
+    a, b, rest = t_dense[i], t_dense[i + 1], s_j - s_dense[i]
+    t = a + (b - a) * rest / (s_dense[i + 1] - s_dense[i])
+    for _ in range(50):  # quadratic from the interpolant; the cap bounds rough speeds
+        step = (arc(a, t) - rest) / speed(t)
+        t = np.clip(t - step, a, b)
+        if np.max(np.abs(step), initial=0.0) <= 1e-14 * max(1.0, abs(t1)):
+            break
+    t_of_s = np.concatenate(([t0], t, [t1]))
 
     xd, yd = dx(t_of_s), dy(t_of_s)
     sp = np.hypot(xd, yd)

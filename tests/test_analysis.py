@@ -7,6 +7,7 @@ asserted against the closed form here.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -70,6 +71,15 @@ class TestPiP:
     def test_quadrature_agrees_with_closed_form(self):
         for p in (1.05, 1.3, 2.0, 3.7, 20.0, 100.0):
             assert pi_p_quadrature(p) == pytest.approx(pi_p(p), rel=1e-10)
+
+    @pytest.mark.parametrize("p", [1.011, 1.03])
+    def test_quadrature_is_regular_near_one(self, p):
+        # The tail's integrand u^(p-2)/(1+u^p) is singular at 0 for p < 2;
+        # integrated as it stands, quad warns for these p.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = pi_p_quadrature(p)
+        assert abs(value - pi_p(p)) < 1e-12
 
     def test_rejects_bad_exponent(self):
         for p in (1.0, 0.5, -2.0):

@@ -313,6 +313,19 @@ class TestExitCodes:
         assert "config error: InvalidDomain" in err and "not finite" in err
         assert "Traceback" not in err
 
+    def test_infinite_width_is_named_not_finite(self, tmp_path, capsys):
+        # 1e400 parses to inf; the weight check names it as not finite
+        # rather than as asymmetric (inf - inf is NaN).
+        payload = {"curve": {"mode": "curvature", "L": 3.0, "k": "-0.5"}, "width": "1e400"}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, report = run(tmp_path, "bounds", payload)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert report is None
+        assert "config error: NonpositiveWeight" in err and "not finite" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("width", ["2e154", "1e200"])
     def test_width_beyond_crossing_test_range_is_config_error(self, tmp_path, capsys, width):
         # The offset curve is finite, but the crossing test's cross products

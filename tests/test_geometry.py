@@ -75,6 +75,38 @@ class TestParametricCurvature:
         assert spec.L == pytest.approx(2.4, rel=1e-10)
         assert np.max(np.abs(spec.k_samples - 1.0)) < 1e-6
 
+    @pytest.mark.parametrize("sinh", [False, True])
+    def test_arc_length_matches_closed_form(self, sinh):
+        # y = c x^2 with x = t, or with x = sinh(2t)/2, whose speed grows from
+        # 1 at t = 0 to about 18 at t = 1.5.  The closed form for the arc
+        # length from the vertex is S(x) = (u sqrt(1 + u^2) + asinh u) / (4c)
+        # with u = 2cx.  The sinh curve gets exact derivatives, so that the
+        # finite differences' truncation error does not mask the resampling.
+        c = 0.15
+        if sinh:
+            T = 1.5
+            x = lambda t: 0.5 * np.sinh(2.0 * t)
+            dx = lambda t: np.cosh(2.0 * t)
+            ddx = lambda t: 2.0 * np.sinh(2.0 * t)
+            derivatives = (
+                dx, lambda t: 2.0 * c * x(t) * dx(t),
+                ddx, lambda t: 2.0 * c * (dx(t) ** 2 + x(t) * ddx(t)),
+            )
+        else:
+            T, x, derivatives = 1.0, (lambda t: t), None
+        spec = curvature_from_parametric(
+            x, lambda t: c * x(t) ** 2, (-T, T), derivatives=derivatives
+        )
+
+        def S(xx):
+            u = 2.0 * c * xx
+            return (u * np.sqrt(1.0 + u * u) + np.arcsinh(u)) / (4.0 * c)
+
+        X = float(x(T))
+        assert abs(spec.L - 2.0 * S(X)) <= 1e-13 * 2.0 * S(X)
+        s_of_t = S(spec.points[:, 0]) + S(X)
+        assert np.max(np.abs(s_of_t - spec.s_samples)) <= 1e-12
+
     def test_asymmetric_curvature_rejected(self):
         with pytest.raises(AsymmetricCurvature):
             curvature_from_parametric(
@@ -180,10 +212,15 @@ class TestWidthProfile:
 
     @pytest.mark.parametrize("ends", [[0], [0, -1]])
     def test_infinite_sample_rejected(self, ends):
+        # Named as not finite; the evenness residual inf - inf would be NaN.
         delta = np.full(65, 0.4)
         delta[ends] = np.inf
-        with pytest.raises(AsymmetricWeight):
+        with pytest.raises(NonpositiveWeight, match="not finite"):
             width_profile(delta, math.pi, n_samples=65)
+
+    def test_infinite_constant_rejected(self):
+        with pytest.raises(NonpositiveWeight, match="not finite"):
+            width_profile(math.inf, 3.0)
 
 
 class TestDomain:

@@ -55,3 +55,16 @@ def test_linear_strip_solve_loads_no_quadrature_or_root_finder(tmp_path):
     loaded = loaded_subpackages(cli_body("solve2d", "annulus.json", tmp_path, "--p", "2"))
     assert not loaded & {"optimize", "integrate", "interpolate", "spatial"}
     assert "linalg" in loaded
+
+
+@pytest.mark.parametrize("command", ["certify", "bounds"])
+def test_parametric_curve_commands_load_no_subpackage(tmp_path, command):
+    assert loaded_subpackages(cli_body(command, "parabola.json", tmp_path)) == set()
+
+
+def test_arc_length_resampling_loads_no_subpackage():
+    body = (
+        "from fermi_spectra import curvature_from_parametric\n"
+        "curvature_from_parametric(lambda t: t, lambda t: 0.15 * t * t, (-1.0, 1.0))"
+    )
+    assert loaded_subpackages(body) == set()
