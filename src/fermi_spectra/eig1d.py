@@ -13,6 +13,7 @@ at p = 2, inverse power iteration from its eigenvector otherwise.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,14 +118,89 @@ def _shoot(mu, p, q, w_stage, h, n_steps, record=False):
     return crossed, u, None, None
 
 
+BRENT_RTOL = 4.0 * float(np.finfo(float).eps)
+
+
+def _divide(a, b):
+    """a / b as C divides doubles: a zero divisor gives an infinity or NaN."""
+    if b != 0.0:
+        return a / b
+    if a == 0.0 or a != a:
+        return math.nan
+    return math.copysign(math.inf, a) * math.copysign(1.0, b)
+
+
+def _brentq(f, a, b, xtol, rtol=BRENT_RTOL, maxiter=100):
+    """A root of f in the bracket [a, b] by Brent's method (Brent 1973, ch. 4).
+
+    A port of scipy.optimize.brentq's C routine, iterate for iterate: the
+    same secant and inverse quadratic steps, bisection safeguard, sign
+    tests and stop test |half bracket| < (xtol + rtol |x|) / 2, so it
+    returns the same root to the bit.  Returns (root, converged); converged
+    is False when maxiter iterations end without the stop test holding.
+    Raises ValueError when f(a) and f(b) have the same sign, and
+    SolveFailure when f returns NaN.
+    """
+
+    def value(x):
+        fx = float(f(x))
+        if fx != fx:
+            raise SolveFailure(f"Brent's method met a NaN function value at x={x!r}")
+        return fx
+
+    # Python floats throughout: f sees the iterates as given, and a numpy
+    # scalar would make every shot's pure-Python arithmetic slower.
+    xtol, rtol = float(xtol), float(rtol)
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0:
+        return xpre, True
+    if fcur == 0.0:
+        return xcur, True
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur, True
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant through the bracket ends
+                stry = _divide(-fcur * (xcur - xpre), fcur - fpre)
+            else:  # inverse quadratic through the last three points
+                dpre = _divide(fpre - fcur, xpre - xcur)
+                dblk = _divide(fblk - fcur, xblk - xcur)
+                stry = _divide(-fcur * (fblk * dblk - fpre * dpre), dblk * dpre * (fblk - fpre))
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = value(xcur)
+    return xcur, False
+
+
 def solve_shooting(problem, tol=1e-10, n_steps=4096):
     """Locate the smallest mu whose shot from s = 0 vanishes by L/2.
 
     Brackets by doubling from the Lyapunov lower bound with the crossing
     predicate, which is monotone in mu, then runs Brent's method on the
     terminal value u(L/2; mu), which is continuous in mu and changes sign
-    across the bracket.  tol is relative on mu; converged says that brentq
-    converged and that the final bracket of the crossing predicate (the
+    across the bracket.  tol is relative on mu; converged says that Brent's
+    method converged and that the final bracket of the crossing predicate (the
     largest uncrossed and the smallest crossed mu shot) is at most tol * mu
     wide.  iterations counts the shots that located mu.  Returns the
     eigenfunction on the problem grid, extended oddly to [0, L].
@@ -176,19 +252,18 @@ def solve_shooting(problem, tol=1e-10, n_steps=4096):
         if guard > 60:
             raise NoCrossing("no crossed bracket end with a negative terminal value")
 
-    # brentq needs xtol > 0 and rtol >= 4 eps; tol alone sets the width.
-    mu, root = scipy.optimize.brentq(
+    # xtol > 0 and rtol >= 4 eps keep Brent's stop test meaningful; tol
+    # alone sets the width.
+    mu, root_converged = _brentq(
         lambda m: shoot(m)[1],
         lo,
         hi,
         xtol=np.finfo(float).tiny,
-        rtol=max(tol, 4.0 * np.finfo(float).eps),
-        full_output=True,
-        disp=False,
+        rtol=max(tol, BRENT_RTOL),
     )
     lo = max(m for m, (c, _) in shots.items() if not c)
     hi = min(m for m, (c, _) in shots.items() if c)
-    converged = root.converged and hi - lo <= tol * mu
+    converged = root_converged and hi - lo <= tol * mu
 
     # Sample the eigenfunction at the largest uncrossed mu shot so it stays
     # positive up to the midpoint; the boundary defect goes into residual.
@@ -243,7 +318,10 @@ def pmean_shift(values, weights, p):
         raise SolveFailure(f"iterate is not finite (values range over [{lo}, {hi}])")
     if hi - lo == 0.0:
         return lo
-    return scipy.optimize.brentq(g, lo, hi, xtol=1e-15 * max(1.0, abs(hi) + abs(lo)))
+    root, converged = _brentq(g, lo, hi, xtol=1e-15 * max(1.0, abs(hi) + abs(lo)))
+    if not converged:
+        raise SolveFailure(f"p-mean shift did not converge on [{lo}, {hi}]")
+    return root
 
 
 def _discrete_quotient(u, h, w_mid, m_lumped, p):

@@ -22,7 +22,7 @@ K + sigma M, and its Cholesky factor is the leading columns of the
 band factor.  The full p = 2 solve is the lower of the two classes; its
 eigenvector is mirrored onto the whole strip, u(L - s) = +-u(s).
 
-One system is factored per solve at any p: the half band's K + sigma M,
+One system is factored per strip and mesh at any p: the half band's K + sigma M,
 symmetric positive definite with every entry within nt + 2 of the
 diagonal, by banded Cholesky (LAPACK pbtrf, called through
 scipy.linalg.lapack) at O(ns nt^3) cost.  The band is narrow because
@@ -41,6 +41,20 @@ It measures its Barzilai-Borwein step in P's inner product, the metric
 the direction lives in: with y the change of gradient between accepted
 iterates and du the change of iterate, the step is (du . y) / (P^-1 y . y),
 and P^-1 y is the change of direction, already at hand.
+
+Solves on one strip share their work.  The module keeps one half strip,
+the latest solved: its mesh, K and M, band factor, each class's p = 2
+solve and each class's descent per p.  It is found by content (ns, nt, L
+and the exact bytes of the curvature, width and width-derivative
+samples), not by the domain object.  So a full and an odd request on one
+strip and mesh, in either order, or a sweep over p, cost one mesh, one
+assembly, one factorization, one p = 2 solve per class and one descent
+per (p, class).  The state is held until a strip or mesh that differs is
+solved, and is dropped before the new one is built; at 1024 x 64 it is
+about 31 MiB.  Its arrays are read-only: results share the mesh, and
+every returned u is the caller's own array.  A failed solve is not kept,
+and a p = 2 result's converged is judged against RESIDUAL_TOL when the
+result is made.
 """
 
 from __future__ import annotations
@@ -255,8 +269,11 @@ class _BandCholesky:
 
 
 # Inverse iteration stops when mu changes by at most INVERSE_TOL (relative),
-# or by at most INVERSE_FLOOR_TOL and no less than the step before: on thin
-# strips mu settles at a rounding floor above INVERSE_TOL.
+# or by no less than the step before and at most the larger of
+# INVERSE_FLOOR_TOL mu and eps max_i K_ii / M_ii: on thin strips mu settles
+# at a rounding floor above INVERSE_TOL, and on strips some 1e4 times
+# longer than wide that floor, of order eps times the pencil's largest
+# eigenvalue, exceeds INVERSE_FLOOR_TOL mu.
 INVERSE_TOL = 1e-12
 INVERSE_FLOOR_TOL = 1e-9
 INVERSE_MAX_ITER = 200
@@ -275,13 +292,30 @@ SHIFT = 1e-3
 
 @dataclass
 class _ClassSolve:
+    """One mirror class's p = 2 solve; converged is judged when a result is made."""
+
     parity: str
     mu: float
     next_mu: float
     u: np.ndarray
     residual: float
     iterations: int
+
+
+@dataclass
+class _Descent:
+    """One mirror class's Rayleigh descent at one p, on the half mesh."""
+
+    mu: float
+    u: np.ndarray
+    residual: float
+    iterations: int
     converged: bool
+
+
+def _read_only(*arrays):
+    for a in arrays:
+        a.flags.writeable = False
 
 
 class _HalfStrip:
@@ -296,22 +330,34 @@ class _HalfStrip:
     principal block of K + sigma M, and its Cholesky factor is the leading
     columns of the band factor.  Odd-class vectors keep all nodes, with
     zeros on the midline.
+
+    An instance also keeps what was solved on it: each class's p = 2 solve
+    (solve) and each class's Rayleigh descent per p (descend), computed on
+    first request.  Its mesh, matrices, factor and kept vectors are
+    read-only.  Instances come from _half_strip, which keeps the latest one.
     """
 
     def __init__(self, domain, ns, nt):
-        domain.require_valid()
         if ns % 2 != 0:
             raise ValueError("p = 2 solves run on the half strip and need an even ns")
         self.L = domain.L
         self.nt = nt
-        self.mesh = build_mesh(domain, ns // 2, nt, s_range=(0.0, 0.5 * domain.L))
-        self.K, self.M = assemble(self.mesh)
-        cos = np.cos(np.pi * self.mesh.node_s / domain.L)
-        sigma = SHIFT * float(cos @ (self.K @ cos)) / float(cos @ (self.M @ cos))
-        chol = _BandCholesky(self.K + sigma * self.M)
-        n_odd = self.mesh.n_nodes - (nt + 1)
-        self.free = {"even": self.mesh.n_nodes, "odd": n_odd}
+        mesh = build_mesh(domain, ns // 2, nt, s_range=(0.0, 0.5 * domain.L))
+        K, M = assemble(mesh)
+        cos = np.cos(np.pi * mesh.node_s / domain.L)
+        sigma = SHIFT * float(cos @ (K @ cos)) / float(cos @ (M @ cos))
+        chol = _BandCholesky(K + sigma * M)
+        n_odd = mesh.n_nodes - (nt + 1)
+        _read_only(*vars(mesh).values(), K.data, K.indices, K.indptr,
+                   M.data, M.indices, M.indptr, chol._factor)
+        self.mesh, self.K, self.M = mesh, K, M
+        self.free = {"even": mesh.n_nodes, "odd": n_odd}
         self.chol = {"even": chol, "odd": chol.leading(n_odd)}
+        # The rounding floor of a Ritz value: eps times the pencil's largest
+        # eigenvalue, which max K_ii / M_ii estimates from below.
+        self.ritz_floor = np.finfo(float).eps * float(np.max(K.diagonal() / M.diagonal()))
+        self._classes = {}
+        self._descents = {}
 
     def _start(self, parity):
         """Deterministic start block with components along the low modes of
@@ -333,6 +379,12 @@ class _HalfStrip:
         return V
 
     def solve(self, parity):
+        """The class's p = 2 solve, computed on first request."""
+        if parity not in self._classes:
+            self._classes[parity] = self._inverse_iteration(parity)
+        return self._classes[parity]
+
+    def _inverse_iteration(self, parity):
         """Lowest eigenpairs of one mirror class: block inverse iteration
         with Rayleigh-Ritz, stopped on the class's first nonzero Ritz value.
         The even block keeps the constant, an exact null vector of K, as
@@ -361,7 +413,8 @@ class _HalfStrip:
             MV = MW @ Y
             mu_prev, mu = mu, float(theta[target])
             change = abs(mu - mu_prev)
-            if change <= INVERSE_TOL * abs(mu) or change_prev <= change <= INVERSE_FLOOR_TOL * abs(mu):
+            floor = max(INVERSE_FLOOR_TOL * abs(mu), self.ritz_floor)
+            if change <= INVERSE_TOL * abs(mu) or change_prev <= change <= floor:
                 break
             change_prev = change
         else:
@@ -371,10 +424,16 @@ class _HalfStrip:
         residual = float(np.linalg.norm(Ku - mu * MV[:m, target]) / max(np.linalg.norm(Ku), 1e-300))
         if u[np.argmax(np.abs(u))] < 0.0:
             u = -u
+        _read_only(u)
         return _ClassSolve(
             parity=parity, mu=mu, next_mu=float(theta[target + 1]), u=u,
-            residual=residual, iterations=it, converged=residual <= RESIDUAL_TOL,
+            residual=residual, iterations=it,
         )
+
+    def lowest(self):
+        """Both mirror classes: (winner, other), odd on a tie."""
+        even, odd = self.solve("even"), self.solve("odd")
+        return (odd, even) if odd.mu <= even.mu else (even, odd)
 
     def mirror(self, u, parity):
         """The whole-strip field of a half-strip vector: u(L - s) = u(s) for
@@ -383,11 +442,34 @@ class _HalfStrip:
         sign = 1.0 if parity == "even" else -1.0
         return np.concatenate([rows, sign * rows[-2::-1]]).ravel()
 
+    def descend(self, p, parity):
+        """The class's Rayleigh descent at p, computed on first request."""
+        key = (p, parity)
+        if key not in self._descents:
+            self._descents[key] = _descent(self, p, parity)
+        return self._descents[key]
 
-def _lowest(half):
-    """Both mirror classes solved on half: (winner, other), odd on a tie."""
-    even, odd = half.solve("even"), half.solve("odd")
-    return (odd, even) if odd.mu <= even.mu else (even, odd)
+
+# The latest half strip, with its key: nothing else is kept between solves.
+_slot = None
+
+
+def _strip_key(domain, ns, nt):
+    """What a half strip is built from: the mesh and the exact samples."""
+    samples = (domain.curve.k_samples, domain.width.delta_samples, domain.width.ddelta_samples)
+    return (ns, nt, float(domain.L), *(np.asarray(a, dtype=float).tobytes() for a in samples))
+
+
+def _half_strip(domain, ns, nt):
+    """The _HalfStrip of (domain, ns, nt): the kept one when its strip and
+    mesh are the same, else a new one, which replaces it."""
+    global _slot
+    domain.require_valid()
+    key = _strip_key(domain, ns, nt)
+    if _slot is None or _slot[0] != key:
+        _slot = None
+        _slot = (key, _HalfStrip(domain, ns, nt))
+    return _slot[1]
 
 
 def solve_mu1_linear(domain, ns=256, nt=16):
@@ -406,16 +488,21 @@ def solve_mu1_linear(domain, ns=256, nt=16):
     like build_mesh(domain, ns, nt); mesh is the half mesh it was solved
     on.  iterations counts both classes; converged holds when both
     classes stopped with residual at most RESIDUAL_TOL.
+
+    The half strip and both class solves are kept until a different strip
+    or mesh is solved (module docstring), so solve_mu1_odd_linear on the
+    same strip and mesh reuses the odd class.  mesh is read-only and
+    shared; u is the caller's own.
     """
-    half = _HalfStrip(domain, ns, nt)
-    first, other = _lowest(half)
+    half = _half_strip(domain, ns, nt)
+    first, other = half.lowest()
     return Eigen2DResult(
         mu=first.mu,
         u=half.mirror(first.u, first.parity) / np.sqrt(2.0),
         residual=first.residual,
         method="linear",
         iterations=first.iterations + other.iterations,
-        converged=first.converged and other.converged,
+        converged=first.residual <= RESIDUAL_TOL and other.residual <= RESIDUAL_TOL,
         mesh=half.mesh,
         parity=first.parity,
         gap=min(other.mu, first.next_mu) / first.mu - 1.0,
@@ -429,13 +516,15 @@ def solve_mu1_odd_linear(domain, ns=256, nt=16):
     midline held at zero, solved on the leading block of the half strip's
     K + sigma M factor.  For even curvature and width data this is the
     odd-reflection eigenvalue.  u lives on the half mesh (zero on the
-    midline); gap is measured to the class's second Ritz value.
+    midline); gap is measured to the class's second Ritz value.  It shares
+    the kept half strip and odd class solve with solve_mu1_linear (module
+    docstring); mesh is read-only and shared, u is the caller's own copy.
     """
-    half = _HalfStrip(domain, ns, nt)
+    half = _half_strip(domain, ns, nt)
     odd = half.solve("odd")
     return Eigen2DResult(
-        mu=odd.mu, u=odd.u, residual=odd.residual, method="linear-odd",
-        iterations=odd.iterations, converged=odd.converged, mesh=half.mesh,
+        mu=odd.mu, u=odd.u.copy(), residual=odd.residual, method="linear-odd",
+        iterations=odd.iterations, converged=odd.residual <= RESIDUAL_TOL, mesh=half.mesh,
         parity="odd", gap=odd.next_mu / odd.mu - 1.0,
     )
 
@@ -488,9 +577,10 @@ def solve_mu1_nonlinear(domain, p, ns=256, nt=16, odd=False):
     carry half the whole-strip mass, so the constraint is the whole
     strip's.  Directions are preconditioned by the half strip's one
     K + sigma M band factor (its leading block for the odd class), and an
-    even direction drops its mass mean, its component along the constants
-    in that operator's inner product (K annihilates the constants).  The
-    step is Barzilai-Borwein (BB2) in that inner product (module docstring),
+    even direction is projected onto the tangent space of that constraint,
+    along P^-1 w with w = m |u|^(p-2) (|u| floored at 1e-12): a direction
+    off it would be partly undone by the shift.  The step is
+    Barzilai-Borwein (BB2) in that inner product (module docstring),
     doubled from the last accepted trial step when either of its products
     is not positive, with a backtracking safeguard.  The gradient and its
     direction are computed only at accepted iterates: a rejected candidate
@@ -506,6 +596,12 @@ def solve_mu1_nonlinear(domain, p, ns=256, nt=16, odd=False):
     solve and stays on the half mesh when odd.  At p = 2 it returns the
     result of solve_mu1_linear, or of solve_mu1_odd_linear when odd, whose
     converged means a residual of at most RESIDUAL_TOL.
+
+    Each class's descent at each p is kept with the half strip until a
+    different strip or mesh is solved (module docstring).  When the odd
+    class wins, the full and the odd request therefore share one descent,
+    and a sweep over p on one strip shares the mesh, factor and p = 2
+    class solves.  mesh is read-only and shared; u is the caller's own.
     """
     if not 1.0 < p < np.inf:
         raise BadExponent(f"p must exceed 1 and be finite (got {p})")
@@ -513,9 +609,29 @@ def solve_mu1_nonlinear(domain, p, ns=256, nt=16, odd=False):
     if p == 2.0:
         return solve_mu1_odd_linear(domain, ns, nt) if odd else solve_mu1_linear(domain, ns, nt)
 
-    half = _HalfStrip(domain, ns, nt)
-    start = half.solve("odd") if odd else _lowest(half)[0]
-    parity = start.parity
+    half = _half_strip(domain, ns, nt)
+    parity = "odd" if odd else half.lowest()[0].parity
+    run = half.descend(p, parity)
+    return Eigen2DResult(
+        mu=run.mu,
+        u=run.u.copy() if odd else half.mirror(run.u, parity),
+        residual=run.residual,
+        method="descent-odd" if odd else "descent",
+        iterations=run.iterations,
+        converged=run.converged,
+        mesh=half.mesh,
+        parity=parity,
+        gap=None,
+    )
+
+
+# |u| is floored here in the even class's constraint weight m |u|^(p-2).
+TANGENT_FLOOR = 1e-12
+
+
+def _descent(half, p, parity):
+    """Rayleigh descent at p in one mirror class of half (solve_mu1_nonlinear)."""
+    start = half.solve(parity)
     mesh = half.mesh
     chol = half.chol[parity]
 
@@ -525,9 +641,12 @@ def solve_mu1_nonlinear(domain, p, ns=256, nt=16, odd=False):
         def constrain(vec):
             return vec - pmean_shift(vec, m_lump, p)
 
-        def precondition(g):
-            d = chol.solve(g)
-            return d - (m_lump @ d) / m_lump.sum()
+        def precondition(g, vec):
+            # P^-1 g projected along P^-1 w onto w . d = 0, the tangent
+            # space of sum m |u|^(p-2) u = 0 at vec.
+            w = m_lump * np.maximum(np.abs(vec), TANGENT_FLOOR) ** (p - 2.0)
+            d, pw = chol.solve(np.column_stack([g, w])).T
+            return d - ((w @ d) / (w @ pw)) * pw
 
     else:
         free = half.free["odd"]
@@ -536,7 +655,7 @@ def solve_mu1_nonlinear(domain, p, ns=256, nt=16, odd=False):
         def constrain(vec):
             return np.concatenate([vec[:free], midline])
 
-        def precondition(g):
+        def precondition(g, vec):
             return np.concatenate([chol.solve(g[:free]), midline])
 
     def project(vec):
@@ -551,7 +670,7 @@ def solve_mu1_nonlinear(domain, p, ns=256, nt=16, odd=False):
 
         def direction():
             g = _p_rayleigh_grad(mesh, p, num, den, grad, energy, ug)
-            return g, precondition(g)
+            return g, precondition(g, vec)
 
         return num / den, direction
 
@@ -591,14 +710,8 @@ def solve_mu1_nonlinear(domain, p, ns=256, nt=16, odd=False):
                 converged = True
                 break
 
-    return Eigen2DResult(
-        mu=float(value),
-        u=u if odd else half.mirror(u, parity),
-        residual=float(np.linalg.norm(d) / value),
-        method="descent-odd" if odd else "descent",
-        iterations=iterations,
-        converged=converged,
-        mesh=mesh,
-        parity=parity,
-        gap=None,
+    _read_only(u)
+    return _Descent(
+        mu=float(value), u=u, residual=float(np.linalg.norm(d) / value),
+        iterations=iterations, converged=converged,
     )

@@ -6,6 +6,7 @@ import time
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.optimize
 import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -292,7 +293,7 @@ class TestShootingRoot:
     def test_crossed_end_ending_positive_is_shrunk(self, monkeypatch):
         # Pretend shots above mu = 1.2 cross back up by L/2, as a second
         # crossing would.  The doubling bracket of this problem ends at 1.62,
-        # where brentq would then see no sign change.
+        # where Brent's method would then see no sign change.
         problem = constant_problem(2.0, math.pi)
         plain = solve_shooting(problem, n_steps=1024)
         shoot = eig1d._shoot
@@ -305,6 +306,60 @@ class TestShootingRoot:
         guarded = solve_shooting(problem, n_steps=1024)
         assert guarded.mu == pytest.approx(plain.mu, rel=1e-9)
         assert guarded.converged
+
+
+def brent_case(rng, kind):
+    """A function with one sign change at c, a bracket around it and tolerances."""
+    c, e = rng.normal(), rng.uniform(0.3, 3.0)
+    f = [
+        lambda x: np.sign(x - c) * abs(x - c) ** e,
+        lambda x: np.tanh(5.0 * (x - c)) + 0.1 * (x - c) ** 3,
+        lambda x: np.expm1(e * (x - c)),
+        lambda x: (x - c) * (1.0 + (x - c) ** 2) - 1e-3 * np.sin(40.0 * x),
+        # values near the bottom of double range: the inverse quadratic
+        # step's denominator underflows to zero
+        lambda x: 1e-300 * (np.tanh(5.0 * (x - c)) + 0.1 * (x - c) ** 3),
+    ][kind]
+    a, b = c - rng.uniform(1e-3, 5.0), c + rng.uniform(1e-3, 5.0)
+    if rng.random() < 0.5:
+        a, b = b, a
+    xtol = 10.0 ** rng.uniform(-300.0, -2.0)
+    rtol = max(eig1d.BRENT_RTOL, 10.0 ** rng.uniform(-16.0, -3.0))
+    return f, a, b, xtol, rtol
+
+
+class TestBrent:
+    """The private Brent root finder against scipy.optimize.brentq."""
+
+    @pytest.mark.parametrize("kind", range(5))
+    def test_bit_identical_to_scipy(self, kind):
+        rng = np.random.default_rng(kind)
+        for _ in range(400):
+            f, a, b, xtol, rtol = brent_case(rng, kind)
+            maxiter = int(rng.choice([3, 100]))
+            root, info = scipy.optimize.brentq(
+                f, a, b, xtol=xtol, rtol=rtol, maxiter=maxiter, full_output=True, disp=False
+            )
+            assert eig1d._brentq(f, a, b, xtol, rtol, maxiter) == (root, info.converged)
+
+    def test_function_sees_python_floats(self):
+        # Shooting integrates in pure Python, which is slower on numpy scalars.
+        seen = set()
+
+        def f(x):
+            seen.add(type(x))
+            return x - 0.3
+
+        eig1d._brentq(f, np.float64(0.0), 1.0, xtol=np.finfo(float).tiny, rtol=np.float64(1e-10))
+        assert seen == {float}
+
+    def test_same_signs_are_rejected(self):
+        with pytest.raises(ValueError, match="different signs"):
+            eig1d._brentq(lambda x: x * x + 1.0, -1.0, 1.0, 1e-12)
+
+    def test_nan_value_is_solve_failure(self):
+        with pytest.raises(SolveFailure, match="NaN"):
+            eig1d._brentq(lambda x: x if x < 0.5 else math.nan, -1.0, 1.0, 1e-12)
 
 
 class TestPMeanShift:

@@ -68,3 +68,10 @@ def test_arc_length_resampling_loads_no_subpackage():
         "curvature_from_parametric(lambda t: t, lambda t: 0.15 * t * t, (-1.0, 1.0))"
     )
     assert loaded_subpackages(body) == set()
+
+
+@pytest.mark.parametrize("command", ["solve1d", "sweep"])
+def test_root_finding_commands_load_no_optimize(tmp_path, command):
+    # Shooting and the p-mean shift find their roots with the package's own
+    # Brent method.
+    assert "optimize" not in loaded_subpackages(cli_body(command, "wavy_sweep.json", tmp_path))
