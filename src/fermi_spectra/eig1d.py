@@ -7,8 +7,10 @@ The problem on (0, L) with positive even weight w reads
 Evenness of w makes the first nonzero eigenfunction odd about L/2 and
 strictly monotone, so shooting only needs the half interval with a zero
 target at L/2.  A discretized route provides the independent cross-check:
-a sparse shift-invert eigensolve of the tridiagonal finite-element pencil
-at p = 2, inverse power iteration from its eigenvector otherwise.
+Sturm counts and Rayleigh quotient iteration on the tridiagonal
+finite-element pencil at p = 2, inverse power iteration from its
+eigenvector otherwise.  Both routes run on numpy and pure Python; neither
+loads a scipy subpackage.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy
 
 from .analysis import lyapunov_bound
 from .errors import BadExponent, NoCrossing, SolveFailure, StiffFailure
@@ -77,42 +78,97 @@ def _shoot(mu, p, q, w_stage, h, n_steps, record=False):
     Integrates the whole half interval and returns (crossed, u_end, us, vs):
     whether u became nonpositive at some step, the terminal value u(L/2),
     and, with record, the sampled trajectory (None otherwise).
+
+    Each _phi is inlined with its float operations in the same order, so
+    the state matches step-by-step calls of _phi to the bit: -mu * w
+    parses as (-mu) * w and 0.5 * h * x as (0.5 * h) * x, so both factors
+    are taken once; a value of modulus above PHI_FLOOR is raised to the
+    power directly, and the power is skipped when its exponent is exactly
+    1, where x ** 1.0 == x.  Zero, floored and NaN values go through _phi.
     """
     pm1 = p - 1.0
     qm1 = q - 1.0
+    pow_u = pm1 != 1.0
+    pow_v = qm1 != 1.0
+    floor = PHI_FLOOR
+    hh = 0.5 * h
+    nmu = -mu
+    a_stage = [nmu * w for w in w_stage]
     u = 1.0
     v = 0.0
-    us = [1.0] if record else None
-    vs = [0.0] if record else None
+    us = [1.0]
+    vs = [0.0]
     crossed = False
-    for i in range(n_steps):
-        j = 2 * i
-        w0 = w_stage[j]
-        wm = w_stage[j + 1]
-        w1 = w_stage[j + 2]
-        du1 = _phi(v / w0, qm1)
-        dv1 = -mu * w0 * _phi(u, pm1)
-        ua = u + 0.5 * h * du1
-        va = v + 0.5 * h * dv1
-        du2 = _phi(va / wm, qm1)
-        dv2 = -mu * wm * _phi(ua, pm1)
-        ub = u + 0.5 * h * du2
-        vb = v + 0.5 * h * dv2
-        du3 = _phi(vb / wm, qm1)
-        dv3 = -mu * wm * _phi(ub, pm1)
+    # w_stage holds 2 n_steps + 1 values: step i starts at 2i, has its
+    # midpoint at 2i + 1 and ends at 2i + 2.
+    stages = zip(w_stage[0::2], w_stage[1::2], w_stage[2::2], a_stage[0::2], a_stage[1::2], a_stage[2::2])
+    for w0, wm, w1, a0, am, a1 in stages:
+        z = v / w0
+        if z > floor:
+            du1 = z**qm1 if pow_v else z
+        elif z < -floor:
+            du1 = -((-z) ** qm1) if pow_v else z
+        else:
+            du1 = _phi(z, qm1)
+        if u > floor:
+            dv1 = a0 * (u**pm1 if pow_u else u)
+        elif u < -floor:
+            dv1 = a0 * (-((-u) ** pm1) if pow_u else u)
+        else:
+            dv1 = a0 * _phi(u, pm1)
+        ua = u + hh * du1
+        va = v + hh * dv1
+        z = va / wm
+        if z > floor:
+            du2 = z**qm1 if pow_v else z
+        elif z < -floor:
+            du2 = -((-z) ** qm1) if pow_v else z
+        else:
+            du2 = _phi(z, qm1)
+        if ua > floor:
+            dv2 = am * (ua**pm1 if pow_u else ua)
+        elif ua < -floor:
+            dv2 = am * (-((-ua) ** pm1) if pow_u else ua)
+        else:
+            dv2 = am * _phi(ua, pm1)
+        ub = u + hh * du2
+        vb = v + hh * dv2
+        z = vb / wm
+        if z > floor:
+            du3 = z**qm1 if pow_v else z
+        elif z < -floor:
+            du3 = -((-z) ** qm1) if pow_v else z
+        else:
+            du3 = _phi(z, qm1)
+        if ub > floor:
+            dv3 = am * (ub**pm1 if pow_u else ub)
+        elif ub < -floor:
+            dv3 = am * (-((-ub) ** pm1) if pow_u else ub)
+        else:
+            dv3 = am * _phi(ub, pm1)
         uc = u + h * du3
         vc = v + h * dv3
-        du4 = _phi(vc / w1, qm1)
-        dv4 = -mu * w1 * _phi(uc, pm1)
+        z = vc / w1
+        if z > floor:
+            du4 = z**qm1 if pow_v else z
+        elif z < -floor:
+            du4 = -((-z) ** qm1) if pow_v else z
+        else:
+            du4 = _phi(z, qm1)
+        if uc > floor:
+            dv4 = a1 * (uc**pm1 if pow_u else uc)
+        elif uc < -floor:
+            dv4 = a1 * (-((-uc) ** pm1) if pow_u else uc)
+        else:
+            dv4 = a1 * _phi(uc, pm1)
         u += h * (du1 + 2.0 * (du2 + du3) + du4) / 6.0
         v += h * (dv1 + 2.0 * (dv2 + dv3) + dv4) / 6.0
         if u != u or v != v:
             raise StiffFailure(f"integration produced non-finite state at mu={mu:.6g}")
         if u <= 0.0:
             crossed = True
-        if record:
-            us.append(u)
-            vs.append(v)
+        us.append(u)
+        vs.append(v)
     if record:
         return crossed, u, np.array(us), np.array(vs)
     return crossed, u, None, None
@@ -214,14 +270,21 @@ def solve_shooting(problem, tol=1e-10, n_steps=4096):
     w_stage = np.interp(stage_s, problem.s_samples, problem.w_samples).tolist()
 
     shots = {}
+    # (mu, us, vs) of the largest uncrossed mu shot so far: its trajectory
+    # samples the eigenfunction, so no shot is integrated twice.
+    uncrossed = (-math.inf, None, None)
 
     def shoot(mu):
         """(crossed, u(L/2)) at mu; each mu is integrated once."""
+        nonlocal uncrossed
         if mu not in shots:
             try:
-                shots[mu] = _shoot(mu, p, q, w_stage, h, n_steps)[:2]
+                crossed, u_end, us, vs = _shoot(mu, p, q, w_stage, h, n_steps, record=True)
             except OverflowError as exc:  # a float power in _phi overflowed
                 raise StiffFailure(f"integration overflowed at mu={mu:.6g}") from exc
+            shots[mu] = crossed, u_end
+            if not crossed and mu > uncrossed[0]:
+                uncrossed = mu, us, vs
         return shots[mu]
 
     lo = lyapunov_bound(problem.w_samples, L, p, evenness_tol=problem.evenness_tol)
@@ -261,13 +324,12 @@ def solve_shooting(problem, tol=1e-10, n_steps=4096):
         xtol=np.finfo(float).tiny,
         rtol=max(tol, BRENT_RTOL),
     )
-    lo = max(m for m, (c, _) in shots.items() if not c)
+    lo, us, vs = uncrossed
     hi = min(m for m, (c, _) in shots.items() if c)
     converged = root_converged and hi - lo <= tol * mu
 
     # Sample the eigenfunction at the largest uncrossed mu shot so it stays
     # positive up to the midpoint; the boundary defect goes into residual.
-    _, _, us, vs = _shoot(lo, p, q, w_stage, h, n_steps, record=True)
     residual = abs(us[-1]) / np.max(np.abs(us))
     dus = np.array([_phi(v / w, q - 1.0) for v, w in zip(vs, w_stage[::2])])
 
@@ -280,9 +342,9 @@ def solve_shooting(problem, tol=1e-10, n_steps=4096):
     du_full = np.empty(n)
     u_full[: len(left)] = u_left
     du_full[: len(left)] = du_left
-    for i in range(len(left), n):
-        u_full[i] = -u_full[n - 1 - i]
-        du_full[i] = du_full[n - 1 - i]
+    # left ends at or before the midpoint, so the mirror reads only left.
+    u_full[len(left) :] = -u_full[: n - len(left)][::-1]
+    du_full[len(left) :] = du_full[: n - len(left)][::-1]
     if n % 2 == 1:
         u_full[n // 2] = 0.0
 
@@ -338,29 +400,145 @@ def _cumtrap(f, h):
     return out
 
 
-def _lowest_pairs(K, M):
-    """The three lowest eigenpairs of the tridiagonal pencil (K, M), ascending.
+EPS = float(np.finfo(float).eps)
+PENCIL_MAX_ITER, PENCIL_TOL = 60, 1e-14
 
-    K and M are the stiffness and mass matrices on the unit interval (see
-    solve_discretized).  Shift-invert Lanczos (ARPACK through
-    scipy.sparse.linalg.eigsh) runs about sigma = -1e-3 times the Rayleigh
-    quotient of cos(pi t): with sigma < 0, K - sigma M is positive definite
-    though K holds the constant mode in its null space, so nothing is
-    deflated, and each Lanczos step is one solve with the tridiagonal
-    factor, linear in n.  The start vector cos(pi t) + 0.5 is fixed, so
-    reruns repeat every digit.  Raises SolveFailure when the factorization
-    or ARPACK fails or an eigenvalue is not a finite double.
+
+def _tridiag_mul(diag, off, x):
+    """The symmetric tridiagonal matrix with this diagonal and off-diagonal, times x."""
+    y = diag * x
+    y[:-1] += off * x[1:]
+    y[1:] += off * x[:-1]
+    return y
+
+
+def _pencil_ldl(c, m_diag, m_off, sigma):
+    """Pivots of K - sigma M = L D L^T and how many of them are negative.
+
+    K = D^T diag(c) D is the stiffness matrix of the edge conductances c
+    (D the difference matrix), so K has the constants in its null space;
+    M is the tridiagonal mass matrix with diagonal m_diag and off-diagonal
+    m_off.  M is positive definite, so by Sylvester's law of inertia the
+    count of negative pivots is the number of pencil eigenvalues below
+    sigma.  Pivot i is carried as c_i + e_i, the conductance to its right
+    (none at the last node) plus an excess that obeys, with
+    t = sigma m_off[i - 1],
+
+        e_0 = -sigma m_diag[0],
+        e_i = (c_{i-1} (e_{i-1} - 2 t) - t^2) / d_{i-1} - sigma m_diag[i].
+
+    This is the recurrence d_i = a_i - b_{i-1}^2 / d_{i-1} on the entries
+    of K - sigma M with the conductances cancelled by hand: the excesses
+    are of the size of sigma M, not of K, so they keep their digits where
+    forming K - sigma M first loses them on fine grids, and at sigma = 0
+    they all vanish, K's null space kept exactly.  A pivot that is zero
+    is replaced by eps max c.  Pure Python, linear in the grid size.
     """
-    c = np.cos(np.pi * np.linspace(0.0, 1.0, K.shape[0]))
-    sigma = -1e-3 * (c @ (K @ c)) / (c @ (M @ c))
-    try:
-        vals, vecs = scipy.sparse.linalg.eigsh(K, k=3, M=M, sigma=sigma, v0=c + 0.5)
-    except RuntimeError as exc:  # SuperLU's singular factor, ARPACK's own errors
-        raise SolveFailure(f"discrete eigensolve failed: {exc}") from exc
-    if not np.all(np.isfinite(vals)):
+    cl = c.tolist()
+    tl = (sigma * m_off).tolist()
+    sl = (sigma * m_diag).tolist()
+    tiny = EPS * max(cl)
+    e = -sl[0]
+    d = cl[0] + e
+    pivots = [d]
+    negative = d < 0.0
+    for c_left, c_right, t, s in zip(cl, cl[1:] + [0.0], tl, sl[1:]):
+        e = (c_left * (e - 2.0 * t) - t * t) / d - s
+        d = c_right + e
+        if d == 0.0:
+            d = tiny
+            e = d - c_right
+        negative += d < 0.0
+        pivots.append(d)
+    return pivots, int(negative)
+
+
+def _pencil_solve(c, m_off, sigma, pivots, f):
+    """(K - sigma M)^-1 f from the pivots that _pencil_ldl returned at sigma.
+
+    L has -(c_i + sigma m_off[i]) / d_i below its diagonal, so the forward
+    and the back substitution are one multiply-add per node each.
+    """
+    d = np.array(pivots)
+    g = ((c + sigma * m_off) / d[:-1]).tolist()
+    z = float(f[0])
+    zs = [z]
+    for gi, fi in zip(g, f[1:].tolist()):
+        z = fi + gi * z
+        zs.append(z)
+    ys = (np.array(zs) / d).tolist()
+    y = ys[-1]
+    out = [y]
+    for gi, yi in zip(reversed(g), reversed(ys[:-1])):
+        y = yi + gi * y
+        out.append(y)
+    return np.array(out[::-1])
+
+
+def _second_pair(c, m_diag, m_off):
+    """The second eigenpair (lam, x) of the pencil of _pencil_ldl, x^T M x = 1.
+
+    The first pair is the constant mode at zero.  Sturm counts (the
+    inertia of _pencil_ldl) isolate the second eigenvalue: bisection from
+    [0, rho], rho the Rayleigh quotient of cos(pi t) made M-orthogonal to
+    the constants, which is at least lam, stops as soon as exactly one
+    eigenvalue lies below the lower end and exactly two below the upper.
+    Rayleigh quotient iteration from that cosine then converges on the
+    pair; each step factors K - sigma M at the current quotient, or at
+    the bracket's midpoint when the quotient has left the bracket, and
+    that factor's inertia also narrows the bracket, so the iteration can
+    only settle on the second eigenvalue.  It stops when two quotients
+    agree to PENCIL_TOL (relative) inside the bracket.  The start vector
+    is fixed, so reruns repeat every digit.  Raises SolveFailure when a
+    quotient is not a finite double or the iteration does not settle
+    within PENCIL_MAX_ITER bisection or iteration steps.
+    """
+
+    def quotient(x):
+        return float(np.sum(c * np.diff(x) ** 2) / (x @ _tridiag_mul(m_diag, m_off, x)))
+
+    def count(sigma):
+        return _pencil_ldl(c, m_diag, m_off, sigma)[1]
+
+    x = np.cos(np.pi * np.linspace(0.0, 1.0, len(m_diag)))
+    x -= np.sum(_tridiag_mul(m_diag, m_off, x)) / (np.sum(m_diag) + 2.0 * np.sum(m_off))
+    rho = quotient(x)
+    if not 0.0 < rho < np.inf:
         raise SolveFailure("discrete eigenvalues are not finite doubles")
-    order = np.argsort(vals)
-    return vals[order], vecs[:, order]
+
+    lo, n_lo, hi, n_hi = 0.0, 0, rho, count(rho)
+    for _ in range(PENCIL_MAX_ITER):
+        if n_lo == 1 and n_hi == 2:
+            break
+        if n_hi < 2:  # rho at or below the second eigenvalue in rounding
+            lo, n_lo, hi = hi, n_hi, 2.0 * hi
+            n_hi = count(hi)
+            continue
+        mid = 0.5 * (lo + hi)
+        n_mid = count(mid)
+        if n_mid >= 2:
+            hi, n_hi = mid, n_mid
+        else:
+            lo, n_lo = mid, n_mid
+    else:
+        raise SolveFailure("discrete eigensolve did not isolate the second eigenvalue")
+
+    for _ in range(PENCIL_MAX_ITER):
+        sigma = rho if lo < rho <= hi else 0.5 * (lo + hi)
+        pivots, n_sigma = _pencil_ldl(c, m_diag, m_off, sigma)
+        if n_sigma >= 2:
+            hi = sigma
+        else:
+            lo = sigma
+        x = _pencil_solve(c, m_off, sigma, pivots, _tridiag_mul(m_diag, m_off, x))
+        x /= np.max(np.abs(x))
+        previous, rho = rho, quotient(x)
+        if not 0.0 < rho < np.inf:
+            raise SolveFailure("discrete eigenvalues are not finite doubles")
+        settled = abs(rho - previous) <= PENCIL_TOL * rho
+        if settled and lo * (1.0 - PENCIL_TOL) <= rho <= hi * (1.0 + PENCIL_TOL):
+            return rho, x / math.sqrt(x @ _tridiag_mul(m_diag, m_off, x))
+    raise SolveFailure("discrete eigensolve did not converge")
 
 
 DISCRETIZED_MAX_ITER, DISCRETIZED_TOL = 400, 1e-8
@@ -371,10 +549,11 @@ def solve_discretized(problem, n=512):
 
     For p = 2 this is the generalized eigenproblem of the assembled
     piecewise-linear stiffness and mass matrices (second eigenvalue; the
-    first is the constant mode at zero).  Both matrices stay tridiagonal
-    and the pencil is solved by shift-invert Lanczos, so time and memory
-    are linear in n.  For p != 2 it runs inverse power iteration from that
-    p = 2 eigenvector: each step solves -(w phi_p(v'))' = mu w phi_p(u)
+    first is the constant mode at zero).  Both matrices stay tridiagonal:
+    Sturm counts isolate the second eigenvalue and Rayleigh quotient
+    iteration with tridiagonal LDL^T solves converges on it (_second_pair),
+    so time and memory are linear in n.  For p != 2 it runs inverse power
+    iteration from that p = 2 eigenvector: each step solves -(w phi_p(v'))' = mu w phi_p(u)
     by integrating the flux from the left Neumann end, inverting phi_p,
     and integrating again, then restores the weighted p-mean-zero
     constraint with a scalar shift.  The solve is exact up to trapezoid quadrature
@@ -399,30 +578,29 @@ def solve_discretized(problem, n=512):
     # Exact element integrals for linear v: stiffness n v_mid, mass by rows.
     v = w / np.max(w)
     v_mid = 0.5 * (v[:-1] + v[1:])
-    main = np.zeros(n + 1)
+    c = n * v_mid
     m_main = np.zeros(n + 1)
-    main[:-1] += n * v_mid
-    main[1:] += n * v_mid
     m_main[:-1] += (3.0 * v[:-1] + v[1:]) / (12.0 * n)
     m_main[1:] += (v[:-1] + 3.0 * v[1:]) / (12.0 * n)
     m_upper = (v[:-1] + v[1:]) / (12.0 * n)
-    K = scipy.sparse.diags([-n * v_mid, main, -n * v_mid], [-1, 0, 1], format="csc")
-    M = scipy.sparse.diags([m_upper, m_main, m_upper], [-1, 0, 1], format="csc")
-    vals, vecs = _lowest_pairs(K, M)
+    lam, u2 = _second_pair(c, m_main, m_upper)
     with np.errstate(over="ignore", under="ignore"):
-        mu = vals[1] / L / L
+        mu = lam / L / L
     if not np.isfinite(mu):
         # on an interval this short the eigenvalues leave double range
         raise SolveFailure(f"discrete eigenvalues are not finite doubles (L = {L:.6g})")
-    u2 = vecs[:, 1]
     if abs(u2[0]) > 1e-12 * np.max(np.abs(u2)):
         u2 = u2 / u2[0]
 
     if p == 2.0:
         if mu == 0.0:
             raise SolveFailure(f"discrete eigenvalue underflows to zero (L = {L:.6g})")
-        r = K @ u2 - vals[1] * (M @ u2)
-        residual = float(np.linalg.norm(r) / np.linalg.norm(K @ u2))
+        main = np.zeros(n + 1)
+        main[:-1] += c
+        main[1:] += c
+        ku = _tridiag_mul(main, -c, u2)
+        r = ku - lam * _tridiag_mul(m_main, m_upper, u2)
+        residual = float(np.linalg.norm(r) / np.linalg.norm(ku))
         u_out = np.interp(problem.s_samples, s, u2)
         return EigenResult(
             mu=float(mu),

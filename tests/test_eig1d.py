@@ -20,7 +20,13 @@ from fermi_spectra import (
 )
 from fermi_spectra import eig1d
 from fermi_spectra.eig1d import pmean_shift
-from fermi_spectra.errors import AsymmetricWeight, BadExponent, NonpositiveWeight, SolveFailure
+from fermi_spectra.errors import (
+    AsymmetricWeight,
+    BadExponent,
+    NonpositiveWeight,
+    SolveFailure,
+    StiffFailure,
+)
 
 
 def constant_problem(p, L, n=257):
@@ -98,6 +104,9 @@ class TestEigenfunctionShape:
         result = solve_shooting(problem)
         u = result.u_samples
         assert np.max(np.abs(u + u[::-1])) < 1e-8 * np.max(np.abs(u))
+        # the right half is the left half mirrored, to the bit
+        assert np.array_equal(u, -u[::-1])
+        assert np.array_equal(result.du_samples, result.du_samples[::-1])
         signs = np.sign(u[np.abs(u) > 1e-10 * np.max(np.abs(u))])
         assert np.count_nonzero(np.diff(signs)) == 1
         assert result.residual < 1e-8
@@ -171,8 +180,20 @@ def wavy_problem(p, L=3.0, n=1025):
     return OneDimProblem(L=L, p=p, w_samples=1.0 + 0.3 * np.cos(2.0 * np.pi * s / L))
 
 
+def unit_pencil(problem, n):
+    """Edge conductances and mass diagonals of solve_discretized's unit-interval pencil."""
+    s = np.linspace(0.0, problem.L, n + 1)
+    w = np.interp(s, problem.s_samples, problem.w_samples)
+    v = w / np.max(w)
+    m_diag = np.zeros(n + 1)
+    m_diag[:-1] += (3.0 * v[:-1] + v[1:]) / (12.0 * n)
+    m_diag[1:] += (v[:-1] + 3.0 * v[1:]) / (12.0 * n)
+    return n * (0.5 * (v[:-1] + v[1:])), m_diag, (v[:-1] + v[1:]) / (12.0 * n)
+
+
 class TestDiscretizedPencil:
-    """The p = 2 step of solve_discretized: a sparse solve of the tridiagonal pencil."""
+    """The p = 2 step of solve_discretized: Sturm counts and Rayleigh quotient
+    iteration on the tridiagonal pencil, without scipy."""
 
     @pytest.mark.parametrize("n", [64, 512])
     def test_matches_dense_pencil(self, n):
@@ -212,12 +233,62 @@ class TestDiscretizedPencil:
         assert scaled == pytest.approx([scaled[1]] * 3, rel=1e-12)
 
     def test_failed_factorization_is_solve_failure(self, monkeypatch):
-        def singular(*args, **kwargs):
-            raise RuntimeError("Factor is exactly singular")
+        # A factorization whose pivots are NaN: the counts stay valid, the
+        # solves return NaN and the quotient of the iterate is no double.
+        ldl = eig1d._pencil_ldl
 
-        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", singular)
-        with pytest.raises(SolveFailure, match="exactly singular"):
+        def nan_pivots(*args):
+            pivots, negative = ldl(*args)
+            return [math.nan] * len(pivots), negative
+
+        monkeypatch.setattr(eig1d, "_pencil_ldl", nan_pivots)
+        with pytest.raises(SolveFailure, match="not finite doubles"):
             solve_discretized(wavy_problem(2.0), n=64)
+
+    def test_inertia_puts_one_eigenvalue_below_mu(self):
+        problem = wavy_problem(2.0)
+        lam = solve_discretized(problem, n=512).mu * problem.L**2
+        c, m_diag, m_off = unit_pencil(problem, 512)
+        assert eig1d._pencil_ldl(c, m_diag, m_off, lam * (1.0 - 1e-9))[1] == 1
+        assert eig1d._pencil_ldl(c, m_diag, m_off, lam * (1.0 + 1e-9))[1] == 2
+
+    def test_inertia_counts_dense_eigenvalues(self):
+        problem = wavy_problem(2.0)
+        c, m_diag, m_off = unit_pencil(problem, 64)
+        K = np.diag(np.append(c, 0.0) + np.insert(c, 0, 0.0)) - np.diag(c, 1) - np.diag(c, -1)
+        M = np.diag(m_diag) + np.diag(m_off, 1) + np.diag(m_off, -1)
+        dense = scipy.linalg.eigh(K, M, eigvals_only=True)
+        rng = np.random.default_rng(4)
+        for sigma in np.concatenate([[0.0], 10.0 ** rng.uniform(-3.0, 4.5, 200)]):
+            if np.min(np.abs(dense - sigma)) > 1e-8 * max(sigma, 1.0):
+                assert eig1d._pencil_ldl(c, m_diag, m_off, sigma)[1] == np.sum(dense < sigma)
+
+    @pytest.mark.parametrize("n", [64, 512, 2048, 4096])
+    def test_matches_eigsh(self, n):
+        # eigsh's eigenvalue is only as accurate as its factor of the
+        # assembled K - sigma M, about eps n^2 / mu relative (2e-10 at n =
+        # 4096 on a constant weight); the quotient of its eigenvector,
+        # evaluated in difference form, is accurate to that error squared.
+        problem = wavy_problem(2.0)
+        c, m_diag, m_off = unit_pencil(problem, n)
+        K = scipy.sparse.diags(
+            [-c, np.append(c, 0.0) + np.insert(c, 0, 0.0), -c], [-1, 0, 1], format="csc"
+        )
+        M = scipy.sparse.diags([m_off, m_diag, m_off], [-1, 0, 1], format="csc")
+        vals, vecs = scipy.sparse.linalg.eigsh(K, k=3, M=M, sigma=-1e-2)
+        x = vecs[:, np.argsort(vals)[1]]
+        quotient = np.sum(c * np.diff(x) ** 2) / (x @ (M @ x))
+        mu = solve_discretized(problem, n=n).mu * problem.L**2
+        assert mu == pytest.approx(quotient, rel=1e-11)
+
+    @pytest.mark.parametrize("n", [64, 512, 2048, 4096])
+    def test_constant_weight_closed_form(self, n):
+        # Linear elements on a uniform grid: cos(pi s) is an exact discrete
+        # eigenvector, with eigenvalue 6 n^2 (1 - cos(pi / n)) / (2 + cos(pi / n)).
+        theta = math.pi / n
+        exact = 12.0 * n * n * math.sin(0.5 * theta) ** 2 / (2.0 + math.cos(theta))
+        mu = solve_discretized(OneDimProblem(1.0, 2.0, np.ones(65)), n=n).mu
+        assert mu == pytest.approx(exact, rel=1e-13)
 
     @pytest.mark.parametrize(
         "L, p, match",
@@ -267,6 +338,111 @@ def bisect_crossing(problem, n_steps, rtol=1e-13):
         else:
             lo = mid
     return 0.5 * (lo + hi)
+
+
+def reference_phi(z, power):
+    """eig1d._phi as the per-step kernel called it."""
+    if z == 0.0:
+        return 0.0
+    az = abs(z)
+    if az < eig1d.PHI_FLOOR:
+        az = eig1d.PHI_FLOOR
+    r = az**power
+    return r if z > 0.0 else -r
+
+
+def reference_shoot(mu, p, q, w_stage, h, n_steps, record=False):
+    """The RK4 kernel with one reference_phi call per stage, kept as the reference."""
+    pm1 = p - 1.0
+    qm1 = q - 1.0
+    u = 1.0
+    v = 0.0
+    us = [1.0] if record else None
+    vs = [0.0] if record else None
+    crossed = False
+    for i in range(n_steps):
+        j = 2 * i
+        w0 = w_stage[j]
+        wm = w_stage[j + 1]
+        w1 = w_stage[j + 2]
+        du1 = reference_phi(v / w0, qm1)
+        dv1 = -mu * w0 * reference_phi(u, pm1)
+        ua = u + 0.5 * h * du1
+        va = v + 0.5 * h * dv1
+        du2 = reference_phi(va / wm, qm1)
+        dv2 = -mu * wm * reference_phi(ua, pm1)
+        ub = u + 0.5 * h * du2
+        vb = v + 0.5 * h * dv2
+        du3 = reference_phi(vb / wm, qm1)
+        dv3 = -mu * wm * reference_phi(ub, pm1)
+        uc = u + h * du3
+        vc = v + h * dv3
+        du4 = reference_phi(vc / w1, qm1)
+        dv4 = -mu * w1 * reference_phi(uc, pm1)
+        u += h * (du1 + 2.0 * (du2 + du3) + du4) / 6.0
+        v += h * (dv1 + 2.0 * (dv2 + dv3) + dv4) / 6.0
+        if u != u or v != v:
+            raise StiffFailure(f"integration produced non-finite state at mu={mu:.6g}")
+        if u <= 0.0:
+            crossed = True
+        if record:
+            us.append(u)
+            vs.append(v)
+    if record:
+        return crossed, u, np.array(us), np.array(vs)
+    return crossed, u, None, None
+
+
+def shot_outcome(shoot, mu, problem, n_steps):
+    """What one shot returns, or the type and message of what it raises."""
+    p = problem.p
+    half = 0.5 * problem.L
+    stage_s = np.linspace(0.0, half, 2 * n_steps + 1)
+    w_stage = np.interp(stage_s, problem.s_samples, problem.w_samples).tolist()
+    try:
+        crossed, u_end, us, vs = shoot(mu, p, p / (p - 1.0), w_stage, half / n_steps, n_steps, True)
+    except (StiffFailure, OverflowError) as exc:
+        return type(exc), str(exc)
+    return crossed, u_end, us.tobytes(), vs.tobytes()
+
+
+class TestShotKernel:
+    """The inlined RK4 kernel against the per-step reference, to the bit."""
+
+    @pytest.mark.parametrize("p", [1.01, 1.5, 2.0, 3.0, 4.0, 8.0, 60.0])
+    @pytest.mark.parametrize("weight", ["constant", "wavy"])
+    def test_bit_identical_to_reference(self, p, weight):
+        L = math.pi
+        s = np.linspace(0.0, L, 513)
+        w = np.ones(513) if weight == "constant" else 1.0 + 0.3 * np.cos(2.0 * s)
+        problem = OneDimProblem(L=L, p=p, w_samples=w)
+        mu1 = (pi_p(p) / L) ** p if weight == "constant" else solve_shooting(problem, n_steps=512).mu
+        for factor in (0.5, 1.0, 1.0 + 1e-9, 1.7):
+            got = shot_outcome(eig1d._shoot, factor * mu1, problem, 1024)
+            assert got == shot_outcome(reference_shoot, factor * mu1, problem, 1024)
+
+    @pytest.mark.parametrize(
+        "p, mu, error",
+        [(2.0, 1e10, StiffFailure), (4.0, 1e10, StiffFailure), (60.0, 1e200, StiffFailure),
+         (1.01, 1e3, OverflowError), (1.5, 1e6, OverflowError)],
+    )
+    def test_failures_at_the_same_inputs(self, p, mu, error):
+        problem = OneDimProblem(L=math.pi, p=p, w_samples=np.ones(16))
+        got = shot_outcome(eig1d._shoot, mu, problem, 64)
+        assert got[0] is error
+        assert got == shot_outcome(reference_shoot, mu, problem, 64)
+
+    @pytest.mark.parametrize("index", range(8))
+    def test_solve_matches_reference_kernel(self, index, monkeypatch):
+        problem = criterion4_problems()[index]
+        got = solve_shooting(problem)
+        monkeypatch.setattr(eig1d, "_shoot", reference_shoot)
+        want = solve_shooting(problem)
+        for name, value in vars(want).items():
+            if isinstance(value, np.ndarray):
+                assert value.tobytes() == getattr(got, name).tobytes(), name
+            else:
+                assert type(value) is type(getattr(got, name)) and value == getattr(got, name), name
 
 
 class TestShootingRoot:

@@ -70,6 +70,13 @@ def test_arc_length_resampling_loads_no_subpackage():
     assert loaded_subpackages(body) == set()
 
 
+@pytest.mark.parametrize("config", ["wavy_sweep.json", "parabola.json"])
+def test_limit_solve_loads_no_subpackage(tmp_path, config):
+    # Shooting and the discretized route, its tridiagonal pencil included,
+    # run on numpy and the package's own Brent method.
+    assert loaded_subpackages(cli_body("solve1d", config, tmp_path)) == set()
+
+
 @pytest.mark.parametrize("command", ["solve1d", "sweep"])
 def test_root_finding_commands_load_no_optimize(tmp_path, command):
     # Shooting and the p-mean shift find their roots with the package's own
