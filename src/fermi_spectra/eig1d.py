@@ -6,11 +6,15 @@ The problem on (0, L) with positive even weight w reads
 
 Evenness of w makes the first nonzero eigenfunction odd about L/2 and
 strictly monotone, so shooting only needs the half interval with a zero
-target at L/2.  A discretized route provides the independent cross-check:
-Sturm counts and Rayleigh quotient iteration on the tridiagonal
-finite-element pencil at p = 2, inverse power iteration from its
-eigenvector otherwise.  Both routes run on numpy and pure Python; neither
-loads a scipy subpackage.
+target at L/2.  Shooting runs at two levels: the root on an eighth of the
+RK4 steps places a bracket about 1e-7 wide in which the full-resolution
+root takes 3 or 4 shots; when the coarse level fails, the full level
+brackets by doubling from the Lyapunov bound as a single level would.
+Only full-resolution shots enter the result.  A discretized route
+provides the independent cross-check: Sturm counts and Rayleigh quotient
+iteration on the tridiagonal finite-element pencil at p = 2, inverse
+power iteration from its eigenvector otherwise.  Both routes run on numpy
+and pure Python; neither loads a scipy subpackage.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import lyapunov_bound
-from .errors import BadExponent, NoCrossing, SolveFailure, StiffFailure
+from .errors import BadExponent, FermiSpectraError, NoCrossing, SolveFailure, StiffFailure
 from .geometry import _check_weight
 
 PHI_FLOOR = 1e-14
@@ -249,22 +253,30 @@ def _brentq(f, a, b, xtol, rtol=BRENT_RTOL, maxiter=100):
     return xcur, False
 
 
-def solve_shooting(problem, tol=1e-10, n_steps=4096):
-    """Locate the smallest mu whose shot from s = 0 vanishes by L/2.
+# solve_shooting's coarse level: n_steps // _COARSE_DIVISOR RK4 steps, run
+# when there are at least _COARSE_MIN_STEPS, to Brent rtol _COARSE_RTOL.
+# _root brackets about its root with eta from _START_ETA, times
+# _ETA_GROWTH on each miss.
+_COARSE_DIVISOR, _COARSE_MIN_STEPS, _COARSE_RTOL = 8, 64, 1e-12
+_START_ETA, _ETA_GROWTH = 1e-7, 16.0
 
-    Brackets by doubling from the Lyapunov lower bound with the crossing
-    predicate, which is monotone in mu, then runs Brent's method on the
-    terminal value u(L/2; mu), which is continuous in mu and changes sign
-    across the bracket.  tol is relative on mu; converged says that Brent's
-    method converged and that the final bracket of the crossing predicate (the
-    largest uncrossed and the smallest crossed mu shot) is at most tol * mu
-    wide.  iterations counts the shots that located mu.  Returns the
-    eigenfunction on the problem grid, extended oddly to [0, L].
+
+def _root(problem, tol, n_steps, start=None):
+    """Brent's root of u(L/2; mu) on n_steps RK4 steps, and the shots it took.
+
+    With start None the bracket comes from doubling from the Lyapunov lower
+    bound with the crossing predicate, which is monotone in mu; with a
+    start, from shots at start (1 + eta)^(+-1) away from start's side of the
+    root (dividing keeps mu positive).  A crossed end whose shot crossed
+    back is then shrunk until the terminal value changes sign, and Brent's
+    method runs to rtol max(tol, BRENT_RTOL).  Returns (mu, root_converged,
+    shots, uncrossed, w_stage): shots maps each mu shot to (crossed, u_end),
+    uncrossed is (mu, us, vs) of the largest uncrossed shot, and w_stage
+    holds the weight at the RK4 stage points.
     """
     p = problem.p
     q = p / (p - 1.0)
-    L = problem.L
-    half = 0.5 * L
+    half = 0.5 * problem.L
     h = half / n_steps
     stage_s = np.linspace(0.0, half, 2 * n_steps + 1)
     w_stage = np.interp(stage_s, problem.s_samples, problem.w_samples).tolist()
@@ -287,21 +299,33 @@ def solve_shooting(problem, tol=1e-10, n_steps=4096):
                 uncrossed = mu, us, vs
         return shots[mu]
 
-    lo = lyapunov_bound(problem.w_samples, L, p, evenness_tol=problem.evenness_tol)
-    guard = 0
-    while shoot(lo)[0]:
-        lo *= 0.5
-        guard += 1
-        if guard > 60:
-            raise NoCrossing("no uncrossed lower bracket found")
-    hi = 2.0 * lo
-    guard = 0
-    while not shoot(hi)[0]:
-        lo = hi
-        hi *= 2.0
-        guard += 1
-        if guard > 60:
-            raise NoCrossing("doubling never produced a crossing")
+    if start is None:
+        lo = lyapunov_bound(problem.w_samples, problem.L, p, evenness_tol=problem.evenness_tol)
+        guard = 0
+        while shoot(lo)[0]:
+            lo *= 0.5
+            guard += 1
+            if guard > 60:
+                raise NoCrossing("no uncrossed lower bracket found")
+        hi = 2.0 * lo
+        guard = 0
+        while not shoot(hi)[0]:
+            lo = hi
+            hi *= 2.0
+            guard += 1
+            if guard > 60:
+                raise NoCrossing("doubling never produced a crossing")
+    else:
+        crossed = shoot(start)[0]
+        near, eta = start, _START_ETA
+        for _ in range(61):
+            far = start / (1.0 + eta) if crossed else start * (1.0 + eta)
+            if shoot(far)[0] != crossed:
+                break
+            near, eta = far, eta * _ETA_GROWTH
+        else:
+            raise NoCrossing(f"no bracket found about mu={start:.6g}")
+        lo, hi = (far, near) if crossed else (near, far)
     # A crossed shot ends below zero unless it crossed back; shrink such an
     # end with the crossing predicate until the terminal value changes sign.
     guard = 0
@@ -324,6 +348,49 @@ def solve_shooting(problem, tol=1e-10, n_steps=4096):
         xtol=np.finfo(float).tiny,
         rtol=max(tol, BRENT_RTOL),
     )
+    return mu, root_converged, shots, uncrossed, w_stage
+
+
+def _signed_powers(zs, power):
+    """[_phi(z, power) for z in zs] with _phi inlined as in _shoot, to the bit."""
+    floor = PHI_FLOOR
+    if power == 1.0:
+        return [z if z > floor or z < -floor else _phi(z, power) for z in zs]
+    return [
+        z**power if z > floor else -((-z) ** power) if z < -floor else _phi(z, power)
+        for z in zs
+    ]
+
+
+def solve_shooting(problem, tol=1e-10, n_steps=4096):
+    """Locate the smallest mu whose shot from s = 0 vanishes by L/2.
+
+    Runs at two levels.  The coarse level shoots with n_steps // 8 RK4
+    steps (only when that is at least 64): it brackets by doubling from the
+    Lyapunov lower bound with the crossing predicate, which is monotone in
+    mu, and runs Brent's method on the terminal value u(L/2; mu), which is
+    continuous in mu and changes sign across the bracket, to rtol 1e-12.
+    The full level, with n_steps steps, then brackets its own root within
+    about 1e-7 of that estimate and runs Brent's method to tol, relative on
+    mu, so it takes 3 or 4 shots where doubling takes 7 or 8; the 7 to 11
+    coarse shots together cost about one full-resolution shot.  A coarse
+    level that raises (StiffFailure, NoCrossing, SolveFailure) is dropped
+    and the full level brackets by doubling itself.
+
+    Only full-resolution shots count: converged says that Brent's method
+    converged and that the final bracket of the crossing predicate (the
+    largest uncrossed and the smallest crossed mu shot) is at most tol * mu
+    wide, iterations counts the n_steps shots, and the eigenfunction is
+    the trajectory of the largest uncrossed one, extended oddly to [0, L]
+    and sampled on the problem grid; its boundary defect is the residual.
+    """
+    start = None
+    if n_steps // _COARSE_DIVISOR >= _COARSE_MIN_STEPS:
+        try:
+            start = _root(problem, _COARSE_RTOL, n_steps // _COARSE_DIVISOR)[0]
+        except FermiSpectraError:
+            pass  # a missed hint, not a failed solve: the full level doubles
+    mu, root_converged, shots, uncrossed, w_stage = _root(problem, tol, n_steps, start)
     lo, us, vs = uncrossed
     hi = min(m for m, (c, _) in shots.items() if c)
     converged = root_converged and hi - lo <= tol * mu
@@ -331,13 +398,17 @@ def solve_shooting(problem, tol=1e-10, n_steps=4096):
     # Sample the eigenfunction at the largest uncrossed mu shot so it stays
     # positive up to the midpoint; the boundary defect goes into residual.
     residual = abs(us[-1]) / np.max(np.abs(us))
-    dus = np.array([_phi(v / w, q - 1.0) for v, w in zip(vs, w_stage[::2])])
+    q = problem.p / (problem.p - 1.0)
+    dus = np.array(_signed_powers((vs / np.array(w_stage[::2])).tolist(), q - 1.0))
 
+    L = problem.L
+    half = 0.5 * L
+    node_s = np.linspace(0.0, half, n_steps + 1)
     s_grid = problem.s_samples
     n = len(s_grid)
     left = s_grid[s_grid <= half + 1e-12 * L]
-    u_left = np.interp(left, stage_s[::2], us)
-    du_left = np.interp(left, stage_s[::2], dus)
+    u_left = np.interp(left, node_s, us)
+    du_left = np.interp(left, node_s, dus)
     u_full = np.empty(n)
     du_full = np.empty(n)
     u_full[: len(left)] = u_left
@@ -560,7 +631,8 @@ def solve_discretized(problem, n=512):
     because the flux has an explicit antiderivative in one dimension.  It
     stops once an update moves u by at most 1e-8 or the last five quotients
     agree to DISCRETIZED_TOL = 1e-8 (relative), and stops unconverged
-    after DISCRETIZED_MAX_ITER = 400 updates.
+    after DISCRETIZED_MAX_ITER = 400 updates.  mu is the quotient of the
+    last iterate, the function returned in u_samples.
     """
     if n < 32:
         raise ValueError("n must be at least 32")
@@ -650,7 +722,6 @@ def solve_discretized(problem, n=512):
                 window.pop(0)
             spread = max(window) - min(window)
             if shift <= 1e-8 or (len(window) == 5 and spread <= DISCRETIZED_TOL * value):
-                value = float(np.mean(window))
                 converged = True
                 break
 

@@ -2,6 +2,7 @@
 
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,16 +14,20 @@ from hypothesis import strategies as st
 
 from fermi_spectra import (
     OneDimProblem,
+    limit_problem,
+    load_config,
     lyapunov_bound,
     pi_p,
     solve_discretized,
     solve_shooting,
 )
 from fermi_spectra import eig1d
+from fermi_spectra.cli import build_domain
 from fermi_spectra.eig1d import pmean_shift
 from fermi_spectra.errors import (
     AsymmetricWeight,
     BadExponent,
+    NoCrossing,
     NonpositiveWeight,
     SolveFailure,
     StiffFailure,
@@ -173,6 +178,23 @@ class TestWeightedProperties:
         disc = solve_discretized(problem, n=512)
         assert disc.converged
         assert shot.mu == pytest.approx(disc.mu, rel=1e-3)
+
+    @pytest.mark.parametrize("p", [1.5, 3.0, 4.0])
+    def test_nonlinear_mu_is_quotient_of_returned_iterate(self, p):
+        # The problem grid is the solver's grid, so u_samples is the last
+        # iterate itself and mu must be its discrete quotient.
+        L, n = math.pi, 512
+        s = np.linspace(0.0, L, n + 1)
+        w = 1.0 + 0.3 * np.cos(2.0 * s) + 0.1 * np.cos(4.0 * s)
+        result = solve_discretized(OneDimProblem(L=L, p=p, w_samples=w), n=n)
+        assert result.converged and result.iterations > 5
+        h = L / n
+        w_mid = 0.5 * (w[:-1] + w[1:])
+        m_lumped = np.zeros(n + 1)
+        m_lumped[:-1] += 0.5 * h * w_mid
+        m_lumped[1:] += 0.5 * h * w_mid
+        num, den = eig1d._discrete_quotient(result.u_samples, h, w_mid, m_lumped, p)
+        assert result.mu == num / den
 
 
 def wavy_problem(p, L=3.0, n=1025):
@@ -406,6 +428,14 @@ def shot_outcome(shoot, mu, problem, n_steps):
     return crossed, u_end, us.tobytes(), vs.tobytes()
 
 
+def assert_same_result(got, want):
+    for name, value in vars(want).items():
+        if isinstance(value, np.ndarray):
+            assert value.tobytes() == getattr(got, name).tobytes(), name
+        else:
+            assert type(value) is type(getattr(got, name)) and value == getattr(got, name), name
+
+
 class TestShotKernel:
     """The inlined RK4 kernel against the per-step reference, to the bit."""
 
@@ -437,12 +467,7 @@ class TestShotKernel:
         problem = criterion4_problems()[index]
         got = solve_shooting(problem)
         monkeypatch.setattr(eig1d, "_shoot", reference_shoot)
-        want = solve_shooting(problem)
-        for name, value in vars(want).items():
-            if isinstance(value, np.ndarray):
-                assert value.tobytes() == getattr(got, name).tobytes(), name
-            else:
-                assert type(value) is type(getattr(got, name)) and value == getattr(got, name), name
+        assert_same_result(got, solve_shooting(problem))
 
 
 class TestShootingRoot:
@@ -450,7 +475,7 @@ class TestShootingRoot:
     def test_few_shots_converged_and_positive(self, index):
         problem = criterion4_problems()[index]
         result = solve_shooting(problem)
-        assert result.iterations <= 14
+        assert result.iterations <= 5
         assert result.converged
         left = problem.s_samples < 0.5 * problem.L
         assert np.all(result.u_samples[left] > 0.0)
@@ -482,6 +507,109 @@ class TestShootingRoot:
         guarded = solve_shooting(problem, n_steps=1024)
         assert guarded.mu == pytest.approx(plain.mu, rel=1e-9)
         assert guarded.converged
+
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+STRIP_CONFIGS = ("annulus", "parabola", "rectangle", "thin_strip", "wavy_sweep", "wide_sector")
+
+
+def config_limit_problem(name, p):
+    """The thin-limit problem that solve1d solves for a config in configs/."""
+    domain = build_domain(load_config(CONFIG_DIR / f"{name}.json", command="solve1d"))
+    return limit_problem(domain, p)
+
+
+def single_level(problem, monkeypatch, **kwargs):
+    """solve_shooting with the coarse level switched off."""
+    with monkeypatch.context() as m:
+        m.setattr(eig1d, "_COARSE_MIN_STEPS", math.inf)
+        return solve_shooting(problem, **kwargs)
+
+
+def shots_by_resolution(monkeypatch):
+    """Wrap eig1d._shoot; the returned dict maps n_steps to [(mu, crossed, us, vs)]."""
+    taken = {}
+    shoot = eig1d._shoot
+
+    def recording(mu, p, q, w_stage, h, n_steps, record=False):
+        out = shoot(mu, p, q, w_stage, h, n_steps, record)
+        taken.setdefault(n_steps, []).append((mu, out[0], out[2], out[3]))
+        return out
+
+    monkeypatch.setattr(eig1d, "_shoot", recording)
+    return taken
+
+
+class TestTwoLevelShooting:
+    """The coarse RK4 level only places the full-resolution bracket."""
+
+    @pytest.mark.parametrize("index", range(8))
+    def test_criterion4_agrees_with_single_level(self, index, monkeypatch):
+        problem = criterion4_problems()[index]
+        taken = shots_by_resolution(monkeypatch)
+        got = solve_shooting(problem)
+        assert len(taken[4096]) == got.iterations <= 5
+        assert len(taken[512]) <= 12
+        want = single_level(problem, monkeypatch)
+        assert got.converged and want.converged
+        assert abs(got.mu - want.mu) <= 1e-10 * want.mu
+
+    @pytest.mark.parametrize("name", STRIP_CONFIGS)
+    def test_config_limits_agree_with_single_level(self, name, monkeypatch):
+        for p in (1.5, 2.0, 4.0):
+            problem = config_limit_problem(name, p)
+            got = solve_shooting(problem)
+            want = single_level(problem, monkeypatch)
+            assert got.converged and got.iterations <= 5, p
+            assert abs(got.mu - want.mu) <= 1e-10 * want.mu, p
+
+    @pytest.mark.parametrize("error", [StiffFailure, NoCrossing, SolveFailure])
+    def test_failed_coarse_level_is_single_level(self, error, monkeypatch):
+        problem = criterion4_problems()[2]
+        want = single_level(problem, monkeypatch)
+        shoot = eig1d._shoot
+
+        def coarse_fails(mu, p, q, w_stage, h, n_steps, record=False):
+            if n_steps == 512:
+                raise error("coarse shot failed")
+            return shoot(mu, p, q, w_stage, h, n_steps, record)
+
+        monkeypatch.setattr(eig1d, "_shoot", coarse_fails)
+        assert_same_result(solve_shooting(problem), want)
+
+    @pytest.mark.parametrize("n_steps", [8, 256, 511])
+    def test_short_integrations_run_one_level(self, n_steps, monkeypatch):
+        problem = criterion4_problems()[0]
+        taken = shots_by_resolution(monkeypatch)
+        solve_shooting(problem, n_steps=n_steps)
+        assert list(taken) == [n_steps]
+
+    @pytest.mark.parametrize("index", range(8))
+    def test_samples_come_from_a_full_resolution_shot(self, index, monkeypatch):
+        # u and du are today's interpolation of the largest uncrossed
+        # 4096-step trajectory, du by one _phi call per node.
+        problem = criterion4_problems()[index]
+        taken = shots_by_resolution(monkeypatch)
+        result = solve_shooting(problem)
+        mu, _, us, vs = max(shot for shot in taken[4096] if not shot[1])
+        half = 0.5 * problem.L
+        nodes = np.linspace(0.0, half, 2 * 4096 + 1)
+        w_nodes = np.interp(nodes, problem.s_samples, problem.w_samples).tolist()[::2]
+        q = problem.p / (problem.p - 1.0)
+        dus = np.array([eig1d._phi(v / w, q - 1.0) for v, w in zip(vs, w_nodes)])
+        left = problem.s_samples < half  # the midpoint sample is set to zero
+        assert result.u_samples[left].tobytes() == np.interp(problem.s_samples[left], nodes[::2], us).tobytes()
+        assert result.du_samples[left].tobytes() == np.interp(problem.s_samples[left], nodes[::2], dus).tobytes()
+
+    @pytest.mark.parametrize("power", [1.0, 0.5, 2.0, 1.0 / 0.01, 1.0 / 59.0])
+    def test_signed_powers_match_phi(self, power):
+        floor = eig1d.PHI_FLOOR
+        zs = [0.0, -0.0, floor, -floor, 0.5 * floor, -0.5 * floor, 2.0 * floor, -2.0 * floor,
+              1e-300, -1e-300, 0.3, -0.3, 1.0, -1.0, 7.5, -7.5, math.nan]
+        zs += np.random.default_rng(0).normal(scale=3.0, size=200).tolist()
+        got = eig1d._signed_powers(zs, power)
+        want = [eig1d._phi(z, power) for z in zs]
+        assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
 def brent_case(rng, kind):
