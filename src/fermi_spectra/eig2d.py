@@ -629,6 +629,9 @@ def solve_mu1_nonlinear(domain, p, ns=256, nt=16, odd=False):
 TANGENT_FLOOR = 1e-12
 
 
+# An overflow in |grad u|^p makes the quotient inf, which evaluate reports
+# and the descent handles; it is not worth a warning.
+@np.errstate(over="ignore")
 def _descent(half, p, parity):
     """Rayleigh descent at p in one mirror class of half (solve_mu1_nonlinear)."""
     start = half.solve(parity)
@@ -665,17 +668,26 @@ def _descent(half, p, parity):
     def evaluate(vec):
         """The quotient at vec and a function computing its gradient g and
         preconditioned direction P^-1 g: a rejected candidate never pays
-        for them."""
+        for them.  The quotient is inf when its numerator or denominator is
+        not a finite positive double, as when |grad u|^p leaves double
+        range at large p."""
         num, den, grad, energy, ug = _p_rayleigh(mesh, vec, p)
 
         def direction():
             g = _p_rayleigh_grad(mesh, p, num, den, grad, energy, ug)
             return g, precondition(g, vec)
 
+        if not (0.0 < num < np.inf and 0.0 < den < np.inf):
+            return np.inf, direction
         return num / den, direction
 
     u = project(start.u)
     value, direction = evaluate(u)
+    if not value < np.inf:
+        raise SolveFailure(
+            f"the p-quotient at p={p:.9g} is not finite at the p = 2 start; "
+            "p is too large for double precision"
+        )
     g, d = direction()
     step = 1.0
     history = [value]
@@ -710,8 +722,13 @@ def _descent(half, p, parity):
                 converged = True
                 break
 
+    residual = float(np.linalg.norm(d) / value)
+    if not residual < np.inf:
+        raise SolveFailure(
+            f"the p-quotient's gradient at p={p:.9g} is not finite; "
+            "p is too large for double precision"
+        )
     _read_only(u)
     return _Descent(
-        mu=float(value), u=u, residual=float(np.linalg.norm(d) / value),
-        iterations=iterations, converged=converged,
+        mu=float(value), u=u, residual=residual, iterations=iterations, converged=converged,
     )

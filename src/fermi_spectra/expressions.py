@@ -291,11 +291,17 @@ def pretty(node):
 
 
 def as_function(node, variable, L=None):
-    """Wrap a tree as f(values) for one free variable, with L bound when given."""
+    """Wrap a tree as f(values) for one free variable, with L bound when given.
+
+    The result has the shape of values also when the tree does not use the
+    variable: a constant is broadcast, so callers that check shapes take it
+    as vectorized.
+    """
     bound = {} if L is None else {"L": L}
 
     def f(values):
-        env = {**bound, variable: np.asarray(values, dtype=float)}
-        return np.asarray(evaluate(node, env), dtype=float)
+        values = np.asarray(values, dtype=float)
+        out = np.asarray(evaluate(node, {**bound, variable: values}), dtype=float)
+        return out if out.shape == values.shape else np.full(values.shape, out)
 
     return f

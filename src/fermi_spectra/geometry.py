@@ -266,6 +266,12 @@ def reconstruct_from_curvature(L, k, n_samples=1024, symmetry_tol=1e-6):
     theta(L/2) = 0 and gamma(L/2) = (0, 0); integration is one-step RK4 on
     the right half, mirrored onto the left so the symmetry invariants hold
     exactly.  Raises AsymmetricCurvature when k is not even about L/2.
+
+    All steps run at once as arrays.  theta' = k(s) does not depend on
+    theta, so RK4 on it is Simpson's rule and every theta increment is
+    known before any step runs; the stage angles follow from theta at each
+    step start.  Cumulative sums add the increments in step order, so
+    every sample rounds exactly as the step-by-step recurrence does.
     """
     L = float(L)
     if L <= 0:
@@ -274,40 +280,38 @@ def reconstruct_from_curvature(L, k, n_samples=1024, symmetry_tol=1e-6):
     k_eval = _profile(k, L)
     k_samples = k_eval(s_grid)
 
-    # One RK4 step of (theta, x, y)' = (k, cos theta, sin theta).
-    def rk4_step(state, s, h):
-        theta, xx, yy = state
-        k1 = (float(k_eval(s)), np.cos(theta), np.sin(theta))
-        t2 = theta + 0.5 * h * k1[0]
-        k2 = (float(k_eval(s + 0.5 * h)), np.cos(t2), np.sin(t2))
-        t3 = theta + 0.5 * h * k2[0]
-        k3 = (k2[0], np.cos(t3), np.sin(t3))
-        t4 = theta + h * k3[0]
-        k4 = (float(k_eval(s + h)), np.cos(t4), np.sin(t4))
-        return (
-            theta + h * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0]) / 6.0,
-            xx + h * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1]) / 6.0,
-            yy + h * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2]) / 6.0,
-        )
+    # RK4 steps of (theta, x, y)' = (k, cos theta, sin theta) from L/2 to
+    # each node of the right half, which starts at node mid.  A node that
+    # rounds to L/2 or just below it takes no step, and the next step starts
+    # at L/2.
+    mid = np.nonzero(s_grid >= 0.5 * L - 1e-12 * L)[0][0]
+    ends = s_grid[mid:]
+    start = np.concatenate(([0.5 * L], np.maximum(ends[:-1], 0.5 * L)))
+    h = ends - start
+    taken = h > 0
+    k1, k2, k4 = k_eval(start), k_eval(start + 0.5 * h), k_eval(start + h)
 
-    pts = np.zeros((n_samples, 2))
-    thetas = np.zeros(n_samples)
-    right = np.nonzero(s_grid >= 0.5 * L - 1e-12 * L)[0]
-    state, s_cur = (0.0, 0.0, 0.0), 0.5 * L
-    for i in right:
-        h = s_grid[i] - s_cur
-        if h > 0:
-            state = rk4_step(state, s_cur, h)
-            s_cur = s_grid[i]
-        thetas[i] = state[0]
-        pts[i] = (state[1], state[2])
+    # The state at L/2 and after each step: the running sum of the
+    # increments from 0, each added to the sum before it as a recurrence
+    # would add it.
+    def advance(k1_, k2_, k3_, k4_):
+        step = np.where(taken, h * (k1_ + 2 * k2_ + 2 * k3_ + k4_) / 6.0, 0.0)
+        return np.cumsum(np.concatenate(([0.0], step)))
+
+    theta = advance(k1, k2, k2, k4)
+    theta0 = theta[:-1]
+    t2 = theta0 + 0.5 * h * k1
+    t3 = theta0 + 0.5 * h * k2
+    t4 = theta0 + h * k2
+    x = advance(np.cos(theta0), np.cos(t2), np.cos(t3), np.cos(t4))
+    y = advance(np.sin(theta0), np.sin(t2), np.sin(t3), np.sin(t4))
 
     # Mirror the left half; evenness of k makes this the exact solution there.
-    for i in range(n_samples):
-        j = n_samples - 1 - i
-        if i < right[0]:
-            pts[i] = (-pts[j, 0], pts[j, 1])
-            thetas[i] = -thetas[j]
+    thetas = np.empty(n_samples)
+    pts = np.empty((n_samples, 2))
+    thetas[mid:], pts[mid:, 0], pts[mid:, 1] = theta[1:], x[1:], y[1:]
+    mirror = n_samples - 1 - np.arange(mid)
+    thetas[:mid], pts[:mid, 0], pts[:mid, 1] = -thetas[mirror], -pts[mirror, 0], pts[mirror, 1]
 
     tangents = np.column_stack([np.cos(thetas), np.sin(thetas)])
     spec = CurveSpec(

@@ -559,3 +559,46 @@ def test_module_entry_matches_script(tmp_path):
     assert proc.returncode == 0, proc.stderr
     report = (module_out / "report.json").read_bytes()
     assert report == (script_out / "report.json").read_bytes()
+
+
+def run_module(tmp_path, *argv):
+    """``python -m fermi_spectra.cli`` in a fresh interpreter, so stderr holds
+    everything a user sees: tracebacks and numpy warnings included."""
+    package_root = Path(fermi_spectra.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(package_root), env.get("PYTHONPATH")])
+    )
+    return subprocess.run(
+        [sys.executable, "-m", "fermi_spectra.cli", *argv, "--out", str(tmp_path / "out")],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+
+
+ANNULUS = Path(__file__).resolve().parents[1] / "configs" / "annulus.json"
+
+
+@pytest.mark.parametrize("p", ["2000", "3000", "1e308"])
+def test_large_p_solve2d_is_solver_failure(tmp_path, p):
+    # At p = 2000 the quotient's gradient overflows.  At 3000 and above
+    # |grad u|^p leaves double range at the descent's p = 2 start, and at
+    # p = 1e308 the denominator underflows to 0 as well.
+    proc = run_module(tmp_path, "solve2d", "--config", str(ANNULUS), "--p", p)
+    assert proc.returncode == 2
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    assert lines[0].startswith("solver error: SolveFailure: ")
+    assert f"p={float(p):.9g}" in lines[0]
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+def test_large_p_bounds_print_no_warning(tmp_path):
+    # The Lyapunov integrand (L/2 - s)^(p - 1) overflows; the bound is 0.
+    proc = run_module(tmp_path, "bounds", "--config", str(ANNULUS), "--p", "1e5")
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    lyapunov = [b for b in report["results"]["bounds"] if b["label"] == "lyapunov"]
+    assert lyapunov[0]["value"] == 0.0

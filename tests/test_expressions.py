@@ -74,6 +74,14 @@ class TestEvaluation:
         assert f(3.0) == 6.0
         np.testing.assert_allclose(f(np.array([1.0, 2.0])), [2.0, 4.0])
 
+    @pytest.mark.parametrize("text", ["-0.5479", "2*L", "sin(pi/2)"])
+    def test_constant_as_function_takes_argument_shape(self, text):
+        f = as_function(parse_expression(text, variables=("s", "L")), "s", L=3.0)
+        for values in (np.linspace(0.0, 3.0, 7), np.zeros((2, 3)), 1.5):
+            out = f(values)
+            assert out.shape == np.shape(values)
+            assert np.all(out == evaluate(parse_expression(text, ("s", "L")), {"L": 3.0}))
+
 
 class TestErrors:
     def test_truncated_call_offset(self):

@@ -11,9 +11,11 @@ from scipy.interpolate import CubicSpline
 from scipy.spatial import cKDTree
 
 from fermi_spectra import (
+    as_function,
     curvature_from_parametric,
     fermi_map,
     make_domain,
+    parse_expression,
     reconstruct_from_curvature,
     scale_width,
     width_profile,
@@ -178,6 +180,111 @@ class TestReconstruction:
             reconstruct_from_curvature(
                 math.pi, lambda s: np.sqrt(0.5 - np.abs(s - math.pi / 2.0))
             )
+
+
+def _reconstruct_step_by_step(L, k, n_samples):
+    """Points and tangents by the scalar RK4 recurrence, one step per node
+    from L/2 rightward, then mirrored node by node: the oracle for the
+    array form in reconstruct_from_curvature."""
+    from fermi_spectra.geometry import _profile
+
+    s_grid = np.linspace(0.0, L, n_samples)
+    k_eval = _profile(k, L)
+
+    def rk4_step(state, s, h):
+        theta, xx, yy = state
+        k1 = (float(k_eval(s)), np.cos(theta), np.sin(theta))
+        t2 = theta + 0.5 * h * k1[0]
+        k2 = (float(k_eval(s + 0.5 * h)), np.cos(t2), np.sin(t2))
+        t3 = theta + 0.5 * h * k2[0]
+        k3 = (k2[0], np.cos(t3), np.sin(t3))
+        t4 = theta + h * k3[0]
+        k4 = (float(k_eval(s + h)), np.cos(t4), np.sin(t4))
+        return (
+            theta + h * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0]) / 6.0,
+            xx + h * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1]) / 6.0,
+            yy + h * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2]) / 6.0,
+        )
+
+    pts = np.zeros((n_samples, 2))
+    thetas = np.zeros(n_samples)
+    right = np.nonzero(s_grid >= 0.5 * L - 1e-12 * L)[0]
+    state, s_cur = (0.0, 0.0, 0.0), 0.5 * L
+    for i in right:
+        h = s_grid[i] - s_cur
+        if h > 0:
+            state = rk4_step(state, s_cur, h)
+            s_cur = s_grid[i]
+        thetas[i] = state[0]
+        pts[i] = (state[1], state[2])
+    for i in range(right[0]):
+        j = n_samples - 1 - i
+        pts[i] = (-pts[j, 0], pts[j, 1])
+        thetas[i] = -thetas[j]
+    tangents = np.column_stack([np.cos(thetas), np.sin(thetas)])
+    return pts, tangents, k_eval(s_grid)
+
+
+def _wavy(L):
+    return lambda s: -0.3 + 0.4 * np.cos(2.0 * np.pi * (s - 0.5 * L) / L) + 0.1 * (s - 0.5 * L) ** 2
+
+
+_CURVATURES = {
+    "constant": lambda L: -0.5479,
+    "negative zero": lambda L: -0.0,
+    "callable": _wavy,
+    # math.cos rejects arrays, so this one is called once per sample
+    "scalar-only callable": lambda L: (
+        lambda s: 0.2 + 0.3 * math.cos(2.0 * math.pi * (s - 0.5 * L) / L)
+    ),
+    "expression": lambda L: as_function(
+        parse_expression("-0.3 + 0.4*cos(2*pi*(s - L/2)/L) + 0.1*(s - L/2)^2", ("s", "L")),
+        "s",
+        L=L,
+    ),
+    "constant expression": lambda L: as_function(parse_expression("-0.5479", ("s",)), "s", L=L),
+    "samples": lambda L: _wavy(L)(np.linspace(0.0, L, 97)),
+}
+
+
+class TestArrayReconstruction:
+    @pytest.mark.parametrize("kind", sorted(_CURVATURES))
+    @pytest.mark.parametrize(
+        "L, n_samples",
+        # odd and even sample counts; at L = pi, 151 samples put the middle
+        # node one rounding below L/2, so its step is skipped and the next
+        # one starts at L/2
+        [(2.3, 1024), (2.3, 1025), (math.pi, 151), (math.pi, 2), (math.pi, 3), (0.797, 40)],
+    )
+    def test_equals_step_by_step_rk4(self, kind, L, n_samples):
+        k = _CURVATURES[kind](L)
+        spec = reconstruct_from_curvature(L, k, n_samples=n_samples)
+        points, tangents, k_samples = _reconstruct_step_by_step(L, k, n_samples)
+        assert np.array_equal(spec.points, points)
+        assert np.array_equal(spec.tangents, tangents)
+        assert np.array_equal(spec.k_samples, k_samples)
+        # signed zeros too: the mirror negates, the sums start from +0
+        assert np.array_equal(np.signbit(spec.points), np.signbit(points))
+        assert np.array_equal(np.signbit(spec.tangents), np.signbit(tangents))
+
+    def test_middle_node_rounds_below_half_length(self):
+        s = np.linspace(0.0, math.pi, 151)
+        assert s[75] < 0.5 * math.pi
+        spec = reconstruct_from_curvature(math.pi, -0.5, n_samples=151)
+        assert np.array_equal(spec.points[75], [0.0, 0.0])
+
+    @pytest.mark.parametrize("n_samples", [1024, 1025])
+    def test_constant_curvature_is_circular_arc(self, n_samples):
+        # theta(s) = k (s - L/2), so gamma(s) = (sin(k u), 1 - cos(k u)) / k
+        # with u = s - L/2: RK4 is exact on theta, and its error on gamma
+        # is O(h^4).
+        L, k0 = math.pi, -0.5
+        spec = reconstruct_from_curvature(L, k0, n_samples=n_samples)
+        u = np.linspace(0.0, L, n_samples) - 0.5 * L
+        arc = np.column_stack([np.sin(k0 * u), 1.0 - np.cos(k0 * u)]) / k0
+        assert np.max(np.abs(spec.points - arc)) < 1e-12
+        tangents = np.column_stack([np.cos(k0 * u), np.sin(k0 * u)])
+        assert np.max(np.abs(spec.tangents - tangents)) < 1e-12
 
 
 class TestWidthProfile:
