@@ -30,10 +30,14 @@ every mesh in use has ns >= nt.
 
 The mesh's cell tables (conn, shape, shape_grad, metric, gauss_weight)
 are the one discrete representation of the strip.  assemble contracts
-them into the p = 2 matrices.  The descent's p-quotient (p != 2) gathers
-each cell's nodal values through conn and contracts them with the shape
-tables at the Gauss points; its gradient scatters the per-cell terms
-back to the nodes with one bincount.  No matrix is built for it.
+them into the p = 2 matrices and writes them straight onto the 9-point
+stencil of the t-fastest numbering, as scipy.sparse.dia_array.  DIA
+stores each diagonal column-aligned, as LAPACK stores its upper band, so
+the band factor packs its input with one row copy per upper diagonal.
+The descent's p-quotient (p != 2) gathers each cell's nodal values
+through conn and contracts them with the shape tables at the Gauss
+points; its gradient scatters the per-cell terms back to the nodes with
+one bincount.  No matrix is built for it.
 
 The descent (p != 2) runs on the same half band, in one mirror class,
 and preconditions its direction by that factor, the p = 2 operator P.
@@ -51,7 +55,7 @@ strip and mesh, in either order, or a sweep over p, cost one mesh, one
 assembly, one factorization, one p = 2 solve per class and one descent
 per (p, class).  The state is held until a strip or mesh that differs is
 solved, and is dropped before the new one is built; at 1024 x 64 it is
-about 31 MiB.  Its arrays are read-only: results share the mesh, and
+about 29 MiB.  Its arrays are read-only: results share the mesh, and
 every returned u is the caller's own array.  A failed solve is not kept,
 and a p = 2 result's converged is judged against RESIDUAL_TOL when the
 result is made.
@@ -144,9 +148,9 @@ def build_mesh(domain, ns, nt, s_range=None):
         axis=1,
     )
 
-    xi, eta = np.meshgrid(_GPTS, _GPTS, indexing="ij")
-    xi = xi.ravel()
-    eta = eta.ravel()
+    # Gauss point g of a cell sits at (_GPTS[gi[g]], _GPTS[gj[g]]).
+    gi, gj = (a.ravel() for a in np.meshgrid([0, 1], [0, 1], indexing="ij"))
+    xi, eta = _GPTS[gi], _GPTS[gj]
     shape = 0.25 * np.stack(
         [
             (1 - xi) * (1 - eta),
@@ -160,11 +164,14 @@ def build_mesh(domain, ns, nt, s_range=None):
     deta = 0.25 * np.stack([-(1 - xi), -(1 + xi), (1 + xi), (1 - xi)], axis=1)
     shape_grad = np.stack([dxi * (2.0 / hs), deta * (2.0 / ht)], axis=2)
 
-    s_g = s_nodes[ci][:, None] + hs * 0.5 * (1.0 + xi)[None, :]
-    t_g = t_nodes[cj][:, None] + ht * 0.5 * (1.0 + eta)[None, :]
-    delta = domain.delta_at(s_g)
-    ddelta = domain.ddelta_at(s_g)
-    k = domain.k_at(s_g)
+    # k, delta and delta' depend on s alone: they are read once per column of
+    # Gauss points (2 ns values), and the point data is formed on a
+    # (cell column, cell row, Gauss point) grid, then flattened to cells.
+    s_col = s_nodes[:-1, None] + hs * 0.5 * (1.0 + _GPTS)
+    delta = domain.delta_at(s_col)[:, None, gi]
+    ddelta = domain.ddelta_at(s_col)[:, None, gi]
+    k = domain.k_at(s_col)[:, None, gi]
+    t_g = t_nodes[:-1, None] + ht * 0.5 * (1.0 + eta)
     jac = 1.0 + t_g * delta * k
     if np.min(jac) <= 0.0:
         raise DegenerateCell(
@@ -189,8 +196,8 @@ def build_mesh(domain, ns, nt, s_range=None):
         conn=conn,
         node_s=node_s,
         node_t=node_t,
-        gauss_weight=gauss_weight,
-        metric=metric,
+        gauss_weight=gauss_weight.reshape(ns * nt, 4),
+        metric=metric.reshape(ns * nt, 4, 2, 2),
         shape=shape,
         shape_grad=shape_grad,
     )
@@ -204,7 +211,16 @@ _M_PATH = ["einsum_path", (1, 2), (0, 1)]
 
 
 def assemble(mesh):
-    """Sparse stiffness and mass matrices for the quadratic (p = 2) forms.
+    """Stiffness and mass matrices for the quadratic (p = 2) forms, as
+    scipy.sparse.dia_array on the mesh's 9-point stencil.
+
+    build_mesh numbers the nodes t-fastest, so local node a of a cell is
+    node conn[:, 0] + step[a], step = (0, nt + 1, nt + 2, 1), and the cell
+    entry (a, b) lands on the diagonal step[b] - step[a], at column
+    conn[:, 0] + step[b].  Diagonals are stored column-aligned,
+    data[k, j] = A[j - offsets[k], j], with the offsets ascending, and each
+    is filled by one strided addition per (a, b) pair, a in the order
+    2, 1, 3, 0: every entry sums its cells in ascending cell order.
 
     Raises DegenerateCell when a cell matrix overflows, as on a strip so
     short that the squared shape gradients (of order 1 / hs^2) leave
@@ -222,32 +238,46 @@ def assemble(mesh):
             f"cell matrices overflow in the stiffness contraction (mesh length {span:.6g}); "
             "the strip is too short for double precision"
         )
-    rows = np.broadcast_to(mesh.conn[:, :, None], k_cells.shape).ravel()
-    cols = np.broadcast_to(mesh.conn[:, None, :], k_cells.shape).ravel()
+    step = mesh.conn[0] - mesh.conn[0, 0]  # (0, nt + 1, nt + 2, 1)
+    stride = step[1]
+    nt = stride - 1
+    ns = len(mesh.conn) // nt
+    offsets, diagonal = np.unique(step[None, :] - step[:, None], return_inverse=True)
+    diagonal = diagonal.reshape(4, 4)
     n = mesh.n_nodes
-    K = scipy.sparse.coo_matrix((k_cells.ravel(), (rows, cols)), shape=(n, n)).tocsr()
-    M = scipy.sparse.coo_matrix((m_cells.ravel(), (rows, cols)), shape=(n, n)).tocsr()
-    return K, M
+    K = np.zeros((len(offsets), ns + 1, stride))
+    M = np.zeros_like(K)
+    for a in (2, 1, 3, 0):
+        for b in range(4):
+            i, j = divmod(step[b], stride)  # node b's place in the cell, along s and t
+            target = (diagonal[a, b], slice(i, i + ns), slice(j, j + nt))
+            K[target] += k_cells[:, a, b].reshape(ns, nt)
+            M[target] += m_cells[:, a, b].reshape(ns, nt)
+    return tuple(
+        scipy.sparse.dia_array((A.reshape(len(offsets), n), offsets), shape=(n, n)) for A in (K, M)
+    )
 
 
 class _BandCholesky:
     """Banded Cholesky factor of a sparse symmetric positive definite matrix.
 
-    The half-bandwidth is read from the stored entries (nt + 2 on a strip
-    mesh) and the upper band is packed in LAPACK band storage, column by
-    column, so the factor of a leading block is a contiguous slice of it
-    (leading).  Raises SolveFailure when the matrix is not positive
-    definite.
+    The matrix is read as a scipy.sparse.dia_array (other sparse formats
+    are converted) and its half-bandwidth is the largest stored offset
+    (nt + 2 on a strip mesh).  DIA storage is column-aligned like LAPACK's
+    upper band, so each upper diagonal is one row copy into the band, which
+    is packed column by column: the factor of a leading block is a
+    contiguous slice of it (leading).  Raises SolveFailure when the matrix
+    is not positive definite.
     """
 
     def __init__(self, A):
-        A = A.tocoo()
-        A.sum_duplicates()
-        upper = A.col >= A.row
-        rows, cols = A.row[upper], A.col[upper]
-        self.bandwidth = int(np.max(cols - rows))
-        band = np.zeros((self.bandwidth + 1, A.shape[0]), order="F")
-        band[self.bandwidth + rows - cols, cols] = A.data[upper]
+        A = scipy.sparse.dia_array(A)
+        n = A.shape[0]
+        self.bandwidth = int(np.max(A.offsets))
+        band = np.zeros((self.bandwidth + 1, n), order="F")
+        for offset, diagonal in zip(A.offsets, A.data):
+            if offset >= 0:
+                band[self.bandwidth - offset, : diagonal.size] = diagonal[:n]
         self._factor, info = scipy.linalg.lapack.dpbtrf(band, overwrite_ab=1)
         if info != 0:
             raise SolveFailure(
@@ -346,10 +376,11 @@ class _HalfStrip:
         K, M = assemble(mesh)
         cos = np.cos(np.pi * mesh.node_s / domain.L)
         sigma = SHIFT * float(cos @ (K @ cos)) / float(cos @ (M @ cos))
-        chol = _BandCholesky(K + sigma * M)
+        # K and M share the stencil's offsets, so K + sigma M adds their data.
+        A = scipy.sparse.dia_array((K.data + sigma * M.data, K.offsets), shape=K.shape)
+        chol = _BandCholesky(A)
         n_odd = mesh.n_nodes - (nt + 1)
-        _read_only(*vars(mesh).values(), K.data, K.indices, K.indptr,
-                   M.data, M.indices, M.indptr, chol._factor)
+        _read_only(*vars(mesh).values(), K.data, K.offsets, M.data, M.offsets, chol._factor)
         self.mesh, self.K, self.M = mesh, K, M
         self.free = {"even": mesh.n_nodes, "odd": n_odd}
         self.chol = {"even": chol, "odd": chol.leading(n_odd)}
@@ -590,7 +621,9 @@ def solve_mu1_nonlinear(domain, p, ns=256, nt=16, odd=False):
     STALL_TOL = 1e-9 (relative) over STALL_WINDOW = 50 accepted steps, and
     unconverged after DESCENT_MAX_ITER = 20000 steps: converged reports
     stagnation, the attainable notion of success for a descent method, and
-    mu is an upper estimate of the discrete minimum.  parity is the class
+    mu is an upper estimate of the discrete minimum.  A descent whose first
+    line search accepts no step is converged only when its residual is at
+    most RESIDUAL_TOL.  parity is the class
     searched; gap is None; mesh is the half mesh.  u is mirrored onto the
     whole strip (numbered like build_mesh(domain, ns, nt)) for the full
     solve and stays on the half mesh when odd.  At p = 2 it returns the
@@ -639,7 +672,8 @@ def _descent(half, p, parity):
     chol = half.chol[parity]
 
     if parity == "even":
-        m_lump = np.asarray(half.M.sum(axis=1)).ravel()
+        # Summed as compressed rows, whose rounding the kept reports carry.
+        m_lump = half.M.tocsr().sum(axis=1)
 
         def constrain(vec):
             return vec - pmean_shift(vec, m_lump, p)
@@ -728,6 +762,10 @@ def _descent(half, p, parity):
             f"the p-quotient's gradient at p={p:.9g} is not finite; "
             "p is too large for double precision"
         )
+    if len(history) == 1:
+        # No step was accepted: the start has stagnated, not converged,
+        # unless it is already nearly critical.
+        converged = residual <= RESIDUAL_TOL
     _read_only(u)
     return _Descent(
         mu=float(value), u=u, residual=residual, iterations=iterations, converged=converged,

@@ -5,16 +5,21 @@ constant width 0.5, length pi, radii 1.5 to 2).  Its first nonzero
 Neumann eigenvalue separates in polar coordinates; the angular mode
 solves a radial equation that an independent shooting oracle integrates
 below.  The frozen oracle value is asserted against a fresh recompute so
-the constant cannot drift from its derivation.
+the constant cannot drift from its derivation.  annular_sector_mu gives
+the same eigenvalues exactly, as roots of a Bessel cross product.
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 from scipy.sparse.linalg import eigsh, spsolve
+from scipy.special import jvp, yvp
 
 from fermi_spectra import (
     build_mesh,
@@ -29,7 +34,9 @@ from fermi_spectra import (
 )
 from fermi_spectra import eig2d
 from fermi_spectra.asymptotics import limit_problem
-from fermi_spectra.eig1d import solve_discretized
+from fermi_spectra.cli import build_domain
+from fermi_spectra.config import load_config
+from fermi_spectra.eig1d import _brentq, solve_discretized
 from fermi_spectra.eig2d import _BandCholesky, _p_rayleigh, _p_rayleigh_grad, assemble
 from fermi_spectra.errors import BadExponent, DegenerateCell, SolveFailure
 
@@ -50,11 +57,34 @@ def radial_oracle(nu, lo=1.0, hi=1.6):
     return brentq(end_slope, lo, hi, xtol=1e-10)
 
 
+def annular_sector_mu(k, width, L, n):
+    """Exact Neumann eigenvalue of angular mode n on the annular sector of
+    constant curvature k and width: x^2 for the first positive root x of
+    J'_nu(x a) Y'_nu(x b) - J'_nu(x b) Y'_nu(x a), nu = n pi / Theta, with
+    a, b the radii and Theta = L |k| the opening angle.  Mode n is odd
+    about the midline when n is odd; n = 0 is the radial mode."""
+    R = 1.0 / abs(k)
+    a, b = (R - width, R) if k < 0 else (R, R + width)
+    nu = n * math.pi / (L / R)
+
+    def cross(x):
+        return jvp(nu, x * a) * yvp(nu, x * b) - jvp(nu, x * b) * yvp(nu, x * a)
+
+    x = np.linspace(0.01, 10.0, 2000)
+    i = np.flatnonzero(np.diff(np.sign(cross(x))))[0]
+    root, converged = _brentq(cross, x[i], x[i + 1], xtol=1e-15)
+    assert converged
+    return root**2
+
+
+ANNULUS_EXACT = 1.313931151760767  # annular_sector_mu(-0.5, 0.5, pi, 1)
+
+
 def half_system(domain, ns, nt):
     """K and M of the odd half strip, midline nodes removed, as the odd solver builds them."""
     L = domain.L
     mesh = build_mesh(domain, ns // 2, nt, s_range=(0.0, 0.5 * L))
-    K, M = assemble(mesh)
+    K, M = (A.tocsr() for A in assemble(mesh))
     keep = np.flatnonzero(mesh.node_s < 0.5 * L - 1e-12 * L)
     return K[keep][:, keep].tocsr(), M[keep][:, keep].tocsr()
 
@@ -133,6 +163,138 @@ class TestAssembly:
         ones = np.ones(mesh.n_nodes)
         assert np.max(np.abs(K @ ones)) < 1e-12
         assert M @ ones @ ones == pytest.approx(np.sum(mesh.gauss_weight), rel=1e-12)
+
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+
+
+@pytest.fixture(scope="module")
+def parabola():
+    return build_domain(load_config(CONFIG_DIR / "parabola.json", command="solve2d"))
+
+
+def reference_assemble(mesh):
+    """assemble by scattering every cell entry into a COO matrix summed as
+    CSR: the assembly the stencil one replaced."""
+    w, dN, N = mesh.gauss_weight, mesh.shape_grad, mesh.shape
+    k_cells = np.einsum("cg,gax,cgxy,gby->cab", w, dN, mesh.metric, dN, optimize=eig2d._K_PATH)
+    m_cells = np.einsum("cg,ga,gb->cab", w, N, N, optimize=eig2d._M_PATH)
+    rows = np.broadcast_to(mesh.conn[:, :, None], k_cells.shape).ravel()
+    cols = np.broadcast_to(mesh.conn[:, None, :], k_cells.shape).ravel()
+    n = mesh.n_nodes
+    K = scipy.sparse.coo_matrix((k_cells.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+    M = scipy.sparse.coo_matrix((m_cells.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+    return K, M
+
+
+def reference_band_factor(A):
+    """The band factor packed from A's upper COO entries, one fancy index
+    for all of them, as _BandCholesky did before it read diagonals."""
+    A = A.tocoo()
+    A.sum_duplicates()
+    upper = A.col >= A.row
+    rows, cols = A.row[upper], A.col[upper]
+    bandwidth = int(np.max(cols - rows))
+    band = np.zeros((bandwidth + 1, A.shape[0]), order="F")
+    band[bandwidth + rows - cols, cols] = A.data[upper]
+    factor, info = scipy.linalg.lapack.dpbtrf(band, overwrite_ab=1)
+    assert info == 0
+    return factor
+
+
+def pointwise_geometry(domain, ns, nt, s_range):
+    """build_mesh's gauss_weight and metric with k, delta and delta' read by
+    np.interp at every Gauss point of every cell."""
+    s0, s1 = s_range
+    s_nodes, t_nodes = np.linspace(s0, s1, ns + 1), np.linspace(0.0, 1.0, nt + 1)
+    hs, ht = (s1 - s0) / ns, 1.0 / nt
+    ci, cj = (a.ravel() for a in np.meshgrid(np.arange(ns), np.arange(nt), indexing="ij"))
+    xi, eta = (a.ravel() for a in np.meshgrid(eig2d._GPTS, eig2d._GPTS, indexing="ij"))
+    s_g = s_nodes[ci][:, None] + hs * 0.5 * (1.0 + xi)[None, :]
+    t_g = t_nodes[cj][:, None] + ht * 0.5 * (1.0 + eta)[None, :]
+    delta = np.interp(s_g, domain.s_samples, domain.width.delta_samples)
+    ddelta = np.interp(s_g, domain.s_samples, domain.width.ddelta_samples)
+    k = np.interp(s_g, domain.s_samples, domain.curve.k_samples)
+    jac = 1.0 + t_g * delta * k
+    alpha = 1.0 / jac
+    beta = -t_g * ddelta / (jac * delta)
+    metric = np.empty(jac.shape + (2, 2))
+    metric[..., 0, 0] = alpha**2
+    metric[..., 0, 1] = alpha * beta
+    metric[..., 1, 0] = alpha * beta
+    metric[..., 1, 1] = beta**2 + 1.0 / delta**2
+    return jac * delta * (hs * ht * 0.25), metric
+
+
+STENCIL_DOMAINS = ["rectangle", "annulus", "wavy", "parabola"]
+STENCIL_MESHES = [(16, 16), (256, 16), (64, 4), (64, 32)]
+
+
+class TestStencilAssembly:
+    """The 9-point stencil assembly against the COO to CSR one, to the bit."""
+
+    @pytest.mark.parametrize("ns, nt", STENCIL_MESHES)
+    @pytest.mark.parametrize("name", STENCIL_DOMAINS)
+    def test_matrices_and_products_match_reference(self, request, name, ns, nt):
+        mesh = build_mesh(request.getfixturevalue(name), ns, nt)
+        K, M = assemble(mesh)
+        rng = np.random.default_rng(3)
+        X = rng.normal(size=(mesh.n_nodes, 3))
+        for A, ref in zip((K, M), reference_assemble(mesh)):
+            stored = scipy.sparse.dia_array(ref)
+            np.testing.assert_array_equal(A.offsets, stored.offsets)
+            np.testing.assert_array_equal(A.data, stored.data)
+            np.testing.assert_array_equal(A @ X, ref @ X)
+            np.testing.assert_array_equal(A @ X[:, 1], ref @ X[:, 1])
+            np.testing.assert_array_equal(A.diagonal(), ref.diagonal())
+        # the even descent's lumped masses
+        lumped = np.asarray(reference_assemble(mesh)[1].sum(axis=1)).ravel()
+        np.testing.assert_array_equal(M.tocsr().sum(axis=1), lumped)
+
+    @pytest.mark.parametrize("ns, nt", STENCIL_MESHES)
+    @pytest.mark.parametrize("name", STENCIL_DOMAINS)
+    def test_band_factor_matches_reference(self, request, name, ns, nt):
+        # K + sigma M on the half mesh, as _HalfStrip factors it
+        domain = request.getfixturevalue(name)
+        mesh = build_mesh(domain, ns // 2, nt, s_range=(0.0, 0.5 * domain.L))
+        (K, M), (K_ref, M_ref) = assemble(mesh), reference_assemble(mesh)
+        sigma = 1e-3 * (1.0 + 0.5 * np.sqrt(2.0))
+        stencil = scipy.sparse.dia_array((K.data + sigma * M.data, K.offsets), shape=K.shape)
+        reference = reference_band_factor(K_ref + sigma * M_ref)
+        np.testing.assert_array_equal(_BandCholesky(stencil)._factor, reference)
+        np.testing.assert_array_equal(_BandCholesky(K_ref + sigma * M_ref)._factor, reference)
+
+    @pytest.mark.parametrize("ns, nt, half", [(16, 16, False), (256, 16, True), (64, 4, False), (7, 3, True)])
+    @pytest.mark.parametrize("name", ["annulus", "wavy", "parabola"])
+    def test_column_geometry_matches_pointwise_interp(self, request, name, ns, nt, half):
+        domain = request.getfixturevalue(name)
+        s_range = (0.0, 0.5 * domain.L if half else domain.L)
+        mesh = build_mesh(domain, ns, nt, s_range=s_range)
+        weight, metric = pointwise_geometry(domain, ns, nt, s_range)
+        np.testing.assert_array_equal(mesh.gauss_weight, weight)
+        np.testing.assert_array_equal(mesh.metric, metric)
+
+
+class TestAnnularSectorOracle:
+    """Q1 on annular sectors against the exact Bessel eigenvalues."""
+
+    def test_exact_value_matches_radial_shooting(self):
+        exact = annular_sector_mu(-0.5, 0.5, math.pi, 1)
+        assert exact == pytest.approx(ANNULUS_EXACT, rel=1e-14)
+        assert exact == pytest.approx(ANNULUS_MU1_RADIAL, rel=1e-8)
+
+    def test_annulus_error_is_second_order(self, annulus):
+        errors = [solve_mu1_linear(annulus, ns, nt).mu - ANNULUS_EXACT for ns, nt in ((256, 16), (512, 32))]
+        assert errors[0] > errors[1] > 0.0
+        assert 1.9 <= math.log2(errors[0] / errors[1]) <= 2.1
+
+    def test_wide_sector_winner_is_the_radial_mode(self):
+        radial, angular = (annular_sector_mu(-0.2, 3.0, math.pi, n) for n in (0, 1))
+        assert radial == pytest.approx(1.162593389, abs=1e-9)
+        assert radial < angular
+        result = solve_mu1_linear(wide_sector(), 256, 16)
+        assert result.parity == "even"
+        assert radial < result.mu < radial * (1.0 + 4e-3)
 
 
 class TestLinearSolver:
@@ -379,6 +541,19 @@ class TestNonlinearSolver:
         odd = solve_mu1_nonlinear(annulus, 3.0, ns=64, nt=8, odd=True)
         assert odd.converged
         assert odd.mu == pytest.approx(full.mu, rel=1e-6)
+
+    @pytest.mark.parametrize("odd", [False, True], ids=["full", "odd"])
+    def test_no_accepted_step_is_converged_only_near_critical(self, annulus, monkeypatch, odd):
+        # At p = 100 every trial of the first line search is rejected, far
+        # from a critical point: that is stagnation, not convergence.
+        monkeypatch.setattr(eig2d, "_slot", None)
+        result = solve_mu1_nonlinear(annulus, 100.0, ns=64, nt=16, odd=odd)
+        assert result.iterations == 1
+        assert result.residual > eig2d.RESIDUAL_TOL
+        assert not result.converged
+        monkeypatch.setattr(eig2d, "_slot", None)
+        monkeypatch.setattr(eig2d, "RESIDUAL_TOL", 2.0 * result.residual)
+        assert solve_mu1_nonlinear(annulus, 100.0, ns=64, nt=16, odd=odd).converged
 
     def test_narrower_strip_approaches_segment_value(self, annulus):
         # constant width and curvature: the thin limit weight is constant,
