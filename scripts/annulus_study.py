@@ -4,6 +4,7 @@ Builds the strip with constant curvature -0.5 and constant width 0.5 over
 length pi (an annular sector spanning a quarter turn, radii 1.5 to 2), then
 for each exponent p prints the lower bounds, the computed odd eigenvalue,
 the full first eigenvalue, and the transplant upper bound where available.
+It exits 1 when the ordering lower <= full <= odd (+1e-9) fails at any p.
 
 Run from the repository root:
 
@@ -12,6 +13,7 @@ Run from the repository root:
 
 import argparse
 import math
+import sys
 
 from fermi_spectra import (
     certify_odd,
@@ -31,7 +33,7 @@ def build_annulus(n_samples: int = 1025):
     return make_domain(curve, width)
 
 
-def main() -> None:
+def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--ns", type=int, default=256)
     ap.add_argument("--nt", type=int, default=16)
@@ -42,6 +44,7 @@ def main() -> None:
     print(f"domain: L={domain.L:.6f} jacobian_min={domain.jacobian_min:.6f}")
     print(f"{'p':>6} {'lower(const)':>14} {'lower(var)':>12} {'mu1_odd':>12} "
           f"{'mu1_full':>12} {'upper':>12}")
+    violated = []
     for p in args.p:
         lo_c = lower_bound_constant_width(domain, p)
         lo_v = lower_bound_variable_width(domain, p)
@@ -56,11 +59,16 @@ def main() -> None:
               f"{full.mu:12.8f} {upper:12.8f}")
         if not (lo <= full.mu <= odd.mu + 1e-9):
             print(f"   WARNING: ordering violated at p={p}")
+            violated.append(p)
 
     cert = certify_odd(domain)
     print(f"\ncertificate: case {cert.case_label}, threshold={cert.threshold:.8f}, "
           f"upper={cert.mu1_upper:.8f}, certified={cert.certified}")
+    if violated:
+        print(f"ordering violated at p = {', '.join(f'{p:g}' for p in violated)}", file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

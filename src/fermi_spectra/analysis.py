@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy
 
 from .errors import BadExponent, SolveFailure
 from .geometry import _check_weight
@@ -55,8 +54,10 @@ def pi_p_quadrature(p):
     u^(p-2) / (1+u^p), singular at 0 for p < 2; v = u^(p-1) turns that into
     1/(p-1) times the integral of the smooth 1/(1+v^q), with q = p/(p-1)
     the conjugate exponent.  Serves as the independent oracle for the
-    closed form.
+    closed form; it alone in the package imports scipy.integrate.
     """
+    import scipy.integrate
+
     _require_p(p)
 
     def integral(e):  # int_0^1 du / (1 + u^e)

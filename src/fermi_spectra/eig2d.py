@@ -24,20 +24,22 @@ eigenvector is mirrored onto the whole strip, u(L - s) = +-u(s).
 
 One system is factored per strip and mesh at any p: the half band's K + sigma M,
 symmetric positive definite with every entry within nt + 2 of the
-diagonal, by banded Cholesky (LAPACK pbtrf, called through
-scipy.linalg.lapack) at O(ns nt^3) cost.  The band is narrow because
-every mesh in use has ns >= nt.
+diagonal, by banded Cholesky (LAPACK pbtrf) at O(ns nt^3) cost.  The band
+is narrow because every mesh in use has ns >= nt.  The LAPACK routines
+come from scipy's LAPACK extension module, loaded without the
+scipy.linalg package (_lapack).
 
 The mesh's cell tables (conn, shape, shape_grad, metric, gauss_weight)
 are the one discrete representation of the strip.  assemble contracts
 them into the p = 2 matrices and writes them straight onto the 9-point
-stencil of the t-fastest numbering, as scipy.sparse.dia_array.  DIA
-stores each diagonal column-aligned, as LAPACK stores its upper band, so
-the band factor packs its input with one row copy per upper diagonal.
-The descent's p-quotient (p != 2) gathers each cell's nodal values
-through conn and contracts them with the shape tables at the Gauss
-points; its gradient scatters the per-cell terms back to the nodes with
-one bincount.  No matrix is built for it.
+stencil of the t-fastest numbering, as a Stencil: nine diagonals, each
+stored column-aligned, as LAPACK stores its upper band, so the band
+factor packs its input with one row copy per upper diagonal.  One numpy
+routine (_stencil_product) multiplies by them.  The descent's p-quotient
+(p != 2) gathers each cell's nodal values through conn and contracts them
+with the shape tables at the Gauss points; its gradient scatters the
+per-cell terms back to the nodes with one bincount.  No matrix is built
+for it.
 
 The descent (p != 2) runs on the same half band, in one mirror class,
 and preconditions its direction by that factor, the p = 2 operator P.
@@ -64,10 +66,13 @@ result is made.
 from __future__ import annotations
 
 import copy
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-import scipy
 
 from .eig1d import pmean_shift
 from .errors import BadExponent, DegenerateCell, SolveFailure
@@ -203,6 +208,121 @@ def build_mesh(domain, ns, nt, s_range=None):
     )
 
 
+_FLAPACK = "scipy.linalg._flapack"
+
+
+def _lapack():
+    """scipy's LAPACK wrappers: the extension module behind its lapack module.
+
+    Importing the scipy.linalg package costs some 0.2 s, most of it in
+    scipy's array-API set-up, which imports every lazy numpy submodule;
+    the routines the strip solver calls (dpbtrf, dpbtrs, dsygvd) need none
+    of it.  So the extension module is loaded from its file after bare
+    scipy, whose __init__ makes the bundled libraries loadable, and is
+    registered under its own name: a later import of scipy.linalg finds it
+    there and uses the same module, and one already loaded is used here.
+    """
+    module = sys.modules.get(_FLAPACK)
+    if module is None:
+        import scipy
+
+        directory = os.path.join(os.path.dirname(scipy.__file__), "linalg")
+        extensions = (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES)
+        spec = importlib.machinery.FileFinder(directory, extensions).find_spec(_FLAPACK)
+        if spec is None:  # a scipy laid out otherwise: import it the usual way
+            return importlib.import_module(_FLAPACK)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[_FLAPACK] = module
+        spec.loader.exec_module(module)
+    return module
+
+
+@dataclass
+class Stencil:
+    """A square matrix on the 9-point stencil of build_mesh's t-fastest
+    numbering, stored by diagonals: data[k, j] = A[j - offsets[k], j], with
+    the offsets ascending.  Each diagonal is column-aligned, as in scipy's
+    sparse DIA format and LAPACK's upper band; entries that fall outside
+    the matrix are zero."""
+
+    offsets: np.ndarray
+    data: np.ndarray
+
+
+# Up to this many nodes _stencil_product reads all nine diagonals at once
+# (_grid_product): a small product costs its numpy calls, and this takes
+# two, not two per diagonal.  On larger meshes its strided reduction is
+# the slower one.
+_GRID_NODES = 4096
+# Nodes per chunk of the product by diagonals: a chunk of the product and
+# its temporary stay in a core's L2 cache.
+_CHUNK = 16384
+
+
+def _stencil_product(offsets, data, x):
+    """A x for the Stencil matrices data (..., diagonal, n) on offsets and
+    the vectors x (..., n), broadcast over their leading axes.
+
+    Each entry sums its diagonals in ascending offset order, starting from
+    zero, as scipy's sparse DIA and CSR products sum a row, so the
+    products are theirs to the bit.
+    """
+    n = x.shape[-1]
+    shape = np.broadcast(data[..., 0, :], x).shape[:-1]
+    if n <= _GRID_NODES and len(offsets) == 9:
+        return _grid_product(offsets, data, x, shape)
+    y = np.zeros(shape + (n,))
+    term = np.empty(shape + (min(n, _CHUNK),))
+    for start in range(0, n, _CHUNK):
+        stop = min(start + _CHUNK, n)
+        for k, offset in enumerate(offsets.tolist()):
+            # rows i of the chunk meet columns i + offset inside the matrix
+            lo, hi = max(start, -offset), min(stop, n - offset)
+            if lo >= hi:
+                continue
+            t = term[..., : hi - lo]
+            np.multiply(data[..., k, lo + offset : hi + offset], x[..., lo + offset : hi + offset], out=t)
+            np.add(y[..., lo:hi], t, out=y[..., lo:hi])
+    return y
+
+
+def _grid_product(offsets, data, x, shape):
+    """_stencil_product by one multiplication and one reduction.
+
+    Nine distinct offsets are the whole 9-point stencil,
+    (g - 1)(nt + 1) + (e - 1) for g, e in 0, 1, 2, so row i meets its terms
+    data[k, j] x[j], j = i + offsets[k], along a 3 x 3 grid of strides
+    through the terms of every column, padded with zeros outside the
+    matrix (adding +0.0 to a sum that starts from +0.0 changes no bit).
+    The reduction runs through the grid in stride order, g then e, which
+    is ascending offset order.
+    """
+    n = x.shape[-1]
+    stride = int(offsets[7])  # nt + 1
+    pad = stride + 1  # the largest offset
+    terms = np.zeros(shape + (9, n + 2 * pad))  # column j at j + pad
+    np.multiply(data, x[..., None, :], out=terms[..., pad : pad + n])
+    *outer, row, col = terms.strides
+    grid = np.ndarray(
+        shape + (3, 3, n), buffer=terms, strides=(*outer, 3 * row + stride * col, row + col, col)
+    )
+    return np.add.reduce(grid, axis=(-3, -2), initial=0.0)
+
+
+def _row_sums(A):
+    """Row sums of a Stencil, rounded as scipy's sparse CSR sum(axis=1):
+    np.add.reduceat over each row's nonzeros in column order.  Zeros are
+    dropped, not added, since a pairwise sum groups its terms by their
+    count."""
+    n = A.data.shape[1]
+    rows = np.zeros((n, len(A.offsets)))
+    for k, offset in enumerate(A.offsets.tolist()):
+        rows[max(0, -offset) : n - max(0, offset), k] = A.data[k, max(0, offset) : n + min(0, offset)]
+    nonzero = rows != 0.0
+    count = np.count_nonzero(nonzero, axis=1)
+    return np.add.reduceat(rows[nonzero], np.cumsum(count) - count)
+
+
 # Contraction orders of assemble's einsums: the ones einsum_path picks on
 # every mesh of 16 cells or more.  Fixing them skips the path search on
 # each call, which costs more than the contraction on small meshes.
@@ -212,15 +332,15 @@ _M_PATH = ["einsum_path", (1, 2), (0, 1)]
 
 def assemble(mesh):
     """Stiffness and mass matrices for the quadratic (p = 2) forms, as
-    scipy.sparse.dia_array on the mesh's 9-point stencil.
+    Stencils on the mesh's 9-point stencil.
 
     build_mesh numbers the nodes t-fastest, so local node a of a cell is
     node conn[:, 0] + step[a], step = (0, nt + 1, nt + 2, 1), and the cell
-    entry (a, b) lands on the diagonal step[b] - step[a], at column
-    conn[:, 0] + step[b].  Diagonals are stored column-aligned,
-    data[k, j] = A[j - offsets[k], j], with the offsets ascending, and each
-    is filled by one strided addition per (a, b) pair, a in the order
-    2, 1, 3, 0: every entry sums its cells in ascending cell order.
+    entry (a, b) lands on the diagonal of offset step[b] - step[a], at
+    column conn[:, 0] + step[b].  Diagonals are stored column-aligned
+    (Stencil), and each is filled by one strided addition per (a, b) pair,
+    a in the order 2, 1, 3, 0: every entry sums its cells in ascending cell
+    order.
 
     Raises DegenerateCell when a cell matrix overflows, as on a strip so
     short that the squared shape gradients (of order 1 / hs^2) leave
@@ -244,7 +364,6 @@ def assemble(mesh):
     ns = len(mesh.conn) // nt
     offsets, diagonal = np.unique(step[None, :] - step[:, None], return_inverse=True)
     diagonal = diagonal.reshape(4, 4)
-    n = mesh.n_nodes
     K = np.zeros((len(offsets), ns + 1, stride))
     M = np.zeros_like(K)
     for a in (2, 1, 3, 0):
@@ -253,32 +372,28 @@ def assemble(mesh):
             target = (diagonal[a, b], slice(i, i + ns), slice(j, j + nt))
             K[target] += k_cells[:, a, b].reshape(ns, nt)
             M[target] += m_cells[:, a, b].reshape(ns, nt)
-    return tuple(
-        scipy.sparse.dia_array((A.reshape(len(offsets), n), offsets), shape=(n, n)) for A in (K, M)
-    )
+    return tuple(Stencil(offsets, A.reshape(len(offsets), mesh.n_nodes)) for A in (K, M))
 
 
 class _BandCholesky:
-    """Banded Cholesky factor of a sparse symmetric positive definite matrix.
+    """Banded Cholesky factor of a symmetric positive definite Stencil.
 
-    The matrix is read as a scipy.sparse.dia_array (other sparse formats
-    are converted) and its half-bandwidth is the largest stored offset
-    (nt + 2 on a strip mesh).  DIA storage is column-aligned like LAPACK's
-    upper band, so each upper diagonal is one row copy into the band, which
-    is packed column by column: the factor of a leading block is a
-    contiguous slice of it (leading).  Raises SolveFailure when the matrix
-    is not positive definite.
+    Its half-bandwidth is the largest offset (nt + 2 on a strip mesh).
+    The stencil's diagonals are column-aligned like LAPACK's upper band, so
+    each upper diagonal is one row copy into the band, which is packed
+    column by column: the factor of a leading block is a contiguous slice
+    of it (leading).  Raises SolveFailure when the matrix is not positive
+    definite.
     """
 
     def __init__(self, A):
-        A = scipy.sparse.dia_array(A)
-        n = A.shape[0]
+        n = A.data.shape[1]
         self.bandwidth = int(np.max(A.offsets))
         band = np.zeros((self.bandwidth + 1, n), order="F")
-        for offset, diagonal in zip(A.offsets, A.data):
+        for offset, diagonal in zip(A.offsets.tolist(), A.data):
             if offset >= 0:
-                band[self.bandwidth - offset, : diagonal.size] = diagonal[:n]
-        self._factor, info = scipy.linalg.lapack.dpbtrf(band, overwrite_ab=1)
+                band[self.bandwidth - offset] = diagonal
+        self._factor, info = _lapack().dpbtrf(band, overwrite_ab=1)
         if info != 0:
             raise SolveFailure(
                 f"band Cholesky failed: the leading minor of order {info} is not positive definite"
@@ -295,7 +410,9 @@ class _BandCholesky:
         return block
 
     def solve(self, b):
-        return scipy.linalg.lapack.dpbtrs(self._factor, b)[0]
+        """A^-1 b for a vector or for each column of a block, returned in
+        Fortran order."""
+        return _lapack().dpbtrs(self._factor, b)[0]
 
 
 # Inverse iteration stops when mu changes by at most INVERSE_TOL (relative),
@@ -374,19 +491,24 @@ class _HalfStrip:
         self.nt = nt
         mesh = build_mesh(domain, ns // 2, nt, s_range=(0.0, 0.5 * domain.L))
         K, M = assemble(mesh)
+        # K and M as one pencil: the two products with a block take one pass
+        # over the stencil.
+        self.offsets = K.offsets
+        self.pencil = np.stack([K.data, M.data])
+        del K, M  # the pencil holds the only copy of their data
         cos = np.cos(np.pi * mesh.node_s / domain.L)
-        sigma = SHIFT * float(cos @ (K @ cos)) / float(cos @ (M @ cos))
-        # K and M share the stencil's offsets, so K + sigma M adds their data.
-        A = scipy.sparse.dia_array((K.data + sigma * M.data, K.offsets), shape=K.shape)
-        chol = _BandCholesky(A)
+        k_cos, m_cos = _stencil_product(self.offsets, self.pencil, cos)
+        sigma = SHIFT * float(cos @ k_cos) / float(cos @ m_cos)
+        chol = _BandCholesky(Stencil(self.offsets, self.pencil[0] + sigma * self.pencil[1]))
         n_odd = mesh.n_nodes - (nt + 1)
-        _read_only(*vars(mesh).values(), K.data, K.offsets, M.data, M.offsets, chol._factor)
-        self.mesh, self.K, self.M = mesh, K, M
+        _read_only(*vars(mesh).values(), self.offsets, self.pencil, chol._factor)
+        self.mesh = mesh
         self.free = {"even": mesh.n_nodes, "odd": n_odd}
         self.chol = {"even": chol, "odd": chol.leading(n_odd)}
         # The rounding floor of a Ritz value: eps times the pencil's largest
         # eigenvalue, which max K_ii / M_ii estimates from below.
-        self.ritz_floor = np.finfo(float).eps * float(np.max(K.diagonal() / M.diagonal()))
+        k_main, m_main = self.pencil[:, np.searchsorted(self.offsets, 0)]
+        self.ritz_floor = np.finfo(float).eps * float(np.max(k_main / m_main))
         self._classes = {}
         self._descents = {}
 
@@ -401,7 +523,7 @@ class _HalfStrip:
         ramp = (1.0 + s) * (1.0 + np.cos(np.pi * self.mesh.node_t))
         if parity == "even":
             V = np.column_stack([np.ones_like(s), np.cos(2.0 * np.pi * s), ramp])
-            mass = self.M @ V[:, 0]
+            mass = _stencil_product(self.offsets, self.pencil[1], V[:, 0])
             V[:, 1:] -= np.outer(V[:, 0], (mass @ V[:, 1:]) / (mass @ V[:, 0]))
             return V
         cos = np.cos(np.pi * s)
@@ -420,26 +542,44 @@ class _HalfStrip:
         with Rayleigh-Ritz, stopped on the class's first nonzero Ritz value.
         The even block keeps the constant, an exact null vector of K, as
         its first column without solving for it, so its Ritz values start
-        with 0."""
+        with 0, and its products with K and M are formed once.
+
+        The block is held as columns, whose BLAS rounding the kept reports
+        carry.  The band solve returns its columns in Fortran order, so
+        their transpose is the rows the stencil product runs along.
+        """
         m = self.free[parity]
         target = 1 if parity == "even" else 0
-        K, M, chol = self.K, self.M, self.chol[parity]
+        offsets, chol = self.offsets, self.chol[parity]
+        pencil = self.pencil[:, None]  # K and M, each against every vector
+        dsygvd = _lapack().dsygvd
         W = self._start(parity)
-        MV = M @ W
+        # K W and M W; columns before target are the even block's constant
+        products = np.empty((2,) + W.shape)
+        for j in range(target):
+            products[:, :, j] = _stencil_product(offsets, self.pencil, W[:, j])
+        MV = _stencil_product(offsets, self.pencil[1], W.T).T
+        # the solved columns as rows, zero on the odd class's midline
+        block = np.zeros((W.shape[1] - target, self.mesh.n_nodes))
         mu = np.inf
         change_prev = np.inf
         for it in range(1, INVERSE_MAX_ITER + 1):
-            W = W.copy()
-            # columns before target: the even block's constant, kept as is
-            W[:m, target:] = chol.solve(MV[:m, target:])
-            KW, MW = K @ W, M @ W
+            solved = chol.solve(MV[:m, target:])
+            W[:m, target:] = solved
+            block[:, :m] = solved.T
+            # copied into the columns one vector at a time: a copy of the
+            # whole block would run along its short axis
+            for j, product in enumerate(_stencil_product(offsets, pencil, block).swapaxes(0, 1), target):
+                products[:, :, j] = product
+            KW, MW = products
             gram_k, gram_m = W.T @ KW, W.T @ MW
             # Rayleigh-Ritz with the columns scaled to unit M-norm, so the
             # small Gram matrices stay well conditioned.
             d = 1.0 / np.sqrt(np.diag(gram_m))
-            theta, Y = scipy.linalg.eigh(
-                d[:, None] * gram_k * d, d[:, None] * gram_m * d, check_finite=False
-            )
+            # dsygvd's defaults, itype 1 and the lower triangle, are eigh's
+            theta, Y, info = dsygvd(d[:, None] * gram_k * d, d[:, None] * gram_m * d)
+            if info != 0:
+                raise SolveFailure(f"Rayleigh-Ritz failed: LAPACK dsygvd returned {info} ({parity} modes)")
             Y = d[:, None] * Y
             MV = MW @ Y
             mu_prev, mu = mu, float(theta[target])
@@ -673,7 +813,7 @@ def _descent(half, p, parity):
 
     if parity == "even":
         # Summed as compressed rows, whose rounding the kept reports carry.
-        m_lump = half.M.tocsr().sum(axis=1)
+        m_lump = _row_sums(Stencil(half.offsets, half.pencil[1]))
 
         def constrain(vec):
             return vec - pmean_shift(vec, m_lump, p)

@@ -37,7 +37,15 @@ from fermi_spectra.asymptotics import limit_problem
 from fermi_spectra.cli import build_domain
 from fermi_spectra.config import load_config
 from fermi_spectra.eig1d import _brentq, solve_discretized
-from fermi_spectra.eig2d import _BandCholesky, _p_rayleigh, _p_rayleigh_grad, assemble
+from fermi_spectra.eig2d import (
+    Stencil,
+    _BandCholesky,
+    _p_rayleigh,
+    _p_rayleigh_grad,
+    _row_sums,
+    _stencil_product,
+    assemble,
+)
 from fermi_spectra.errors import BadExponent, DegenerateCell, SolveFailure
 
 ANNULUS_MU1_RADIAL = 1.3139311581  # frozen output of radial_oracle(nu=2)
@@ -80,11 +88,29 @@ def annular_sector_mu(k, width, L, n):
 ANNULUS_EXACT = 1.313931151760767  # annular_sector_mu(-0.5, 0.5, pi, 1)
 
 
+def sparse(A):
+    """A Stencil as the scipy.sparse.dia_array it stores, or a scipy.sparse or
+    dense matrix as the Stencil of its diagonals: the tests' one bridge
+    between the solver's stencils and scipy."""
+    if isinstance(A, Stencil):
+        n = A.data.shape[1]
+        return scipy.sparse.dia_array((A.data, A.offsets), shape=(n, n))
+    dia = scipy.sparse.dia_array(A)
+    data = np.zeros((len(dia.offsets), dia.shape[0]))
+    data[:, : dia.data.shape[1]] = dia.data[:, : dia.shape[0]]
+    return Stencil(dia.offsets, data)
+
+
+def assemble_sparse(mesh):
+    """assemble's K and M as scipy.sparse.dia_array."""
+    return tuple(sparse(A) for A in assemble(mesh))
+
+
 def half_system(domain, ns, nt):
     """K and M of the odd half strip, midline nodes removed, as the odd solver builds them."""
     L = domain.L
     mesh = build_mesh(domain, ns // 2, nt, s_range=(0.0, 0.5 * L))
-    K, M = (A.tocsr() for A in assemble(mesh))
+    K, M = (A.tocsr() for A in assemble_sparse(mesh))
     keep = np.flatnonzero(mesh.node_s < 0.5 * L - 1e-12 * L)
     return K[keep][:, keep].tocsr(), M[keep][:, keep].tocsr()
 
@@ -136,7 +162,7 @@ class TestAssembly:
         # same mesh assembled directly in physical coordinates with the
         # textbook bilinear element matrices
         mesh = build_mesh(rectangle, 24, 6)
-        K, M = assemble(mesh)
+        K, M = assemble_sparse(mesh)
         hx = rectangle.L / 24
         hy = 0.4 / 6
         k_x = (hy / (6.0 * hx)) * np.array(
@@ -159,7 +185,7 @@ class TestAssembly:
 
     def test_constant_in_stiffness_kernel(self, wavy):
         mesh = build_mesh(wavy, 32, 8)
-        K, M = assemble(mesh)
+        K, M = assemble_sparse(mesh)
         ones = np.ones(mesh.n_nodes)
         assert np.max(np.abs(K @ ones)) < 1e-12
         assert M @ ones @ ones == pytest.approx(np.sum(mesh.gauss_weight), rel=1e-12)
@@ -244,12 +270,60 @@ class TestStencilAssembly:
             stored = scipy.sparse.dia_array(ref)
             np.testing.assert_array_equal(A.offsets, stored.offsets)
             np.testing.assert_array_equal(A.data, stored.data)
-            np.testing.assert_array_equal(A @ X, ref @ X)
-            np.testing.assert_array_equal(A @ X[:, 1], ref @ X[:, 1])
-            np.testing.assert_array_equal(A.diagonal(), ref.diagonal())
+            # one vector per row of the product's input
+            np.testing.assert_array_equal(_stencil_product(A.offsets, A.data, X.T), (ref @ X).T)
+            np.testing.assert_array_equal(_stencil_product(A.offsets, A.data, X[:, 1]), ref @ X[:, 1])
+            np.testing.assert_array_equal(A.data[list(A.offsets).index(0)], ref.diagonal())
+        # K and M at once, as the inverse iteration multiplies its block
+        both = _stencil_product(K.offsets, np.stack([K.data, M.data])[:, None], X.T)
+        np.testing.assert_array_equal(both, [(ref @ X).T for ref in references])
         # the even descent's lumped masses
         lumped = np.asarray(references[1].sum(axis=1)).ravel()
-        np.testing.assert_array_equal(M.tocsr().sum(axis=1), lumped)
+        np.testing.assert_array_equal(_row_sums(M), lumped)
+
+    def test_single_row_of_cells(self, wavy):
+        # nt = 1: the t-neighbour and the diagonal neighbour along s share an
+        # offset, so the stencil has seven diagonals
+        mesh = build_mesh(wavy, 16, 1)
+        K, M = assemble(mesh)
+        assert list(K.offsets) == [-3, -2, -1, 0, 1, 2, 3]
+        references = reference_assemble(mesh)
+        n = mesh.n_nodes
+        for A, ref in zip((K, M), references):
+            columns = _stencil_product(A.offsets, A.data, np.eye(n))
+            np.testing.assert_allclose(columns.T, ref.toarray(), rtol=1e-13, atol=1e-13 * np.max(np.abs(columns)))
+        b = np.cos(np.arange(n))
+        x = _BandCholesky(Stencil(K.offsets, K.data + 0.5 * M.data)).solve(b)
+        reference = np.linalg.solve((references[0] + 0.5 * references[1]).toarray(), b)
+        np.testing.assert_allclose(x, reference, rtol=1e-10)
+
+    @pytest.mark.parametrize("chunk", [97, 1100])
+    def test_product_in_chunks_matches_reference(self, wavy, monkeypatch, chunk):
+        # chunks that do not divide the node count (1105), as at 1024 x 64;
+        # the last of 1100 holds fewer nodes than the largest offset
+        monkeypatch.setattr(eig2d, "_GRID_NODES", 0)
+        monkeypatch.setattr(eig2d, "_CHUNK", chunk)
+        mesh = build_mesh(wavy, 64, 16)
+        X = np.random.default_rng(5).normal(size=(2, mesh.n_nodes))
+        for A, ref in zip(assemble(mesh), reference_assemble(mesh)):
+            np.testing.assert_array_equal(_stencil_product(A.offsets, A.data, X), (ref @ X.T).T)
+
+    @pytest.mark.parametrize("grid_nodes", [0, 10**9], ids=["by-diagonal", "grid"])
+    @pytest.mark.parametrize("ns, nt", [(16, 16), (64, 4), (256, 16)])
+    def test_each_product_path_matches_reference(self, annulus, monkeypatch, ns, nt, grid_nodes):
+        # the inverse iteration's product, K and M against a block of rows,
+        # on the half mesh; a vector of -0.0 gives +0.0, as a sum from zero
+        monkeypatch.setattr(eig2d, "_GRID_NODES", grid_nodes)
+        mesh = build_mesh(annulus, ns // 2, nt, s_range=(0.0, 0.5 * annulus.L))
+        (K, M), references = assemble(mesh), reference_assemble(mesh)
+        X = np.random.default_rng(7).normal(size=(3, mesh.n_nodes))
+        both = _stencil_product(K.offsets, np.stack([K.data, M.data])[:, None], X)
+        np.testing.assert_array_equal(both, [(ref @ X.T).T for ref in references])
+        x = np.full(mesh.n_nodes, -0.0)
+        for A, ref in zip((K, M), references):
+            y, expected = _stencil_product(A.offsets, A.data, x), ref @ x
+            np.testing.assert_array_equal(y, expected)
+            np.testing.assert_array_equal(np.signbit(y), np.signbit(expected))
 
     @pytest.mark.parametrize("ns, nt", STENCIL_MESHES)
     @pytest.mark.parametrize("name", STENCIL_DOMAINS)
@@ -259,10 +333,10 @@ class TestStencilAssembly:
         mesh = build_mesh(domain, ns // 2, nt, s_range=(0.0, 0.5 * domain.L))
         (K, M), (K_ref, M_ref) = assemble(mesh), reference_assemble(mesh)
         sigma = 1e-3 * (1.0 + 0.5 * np.sqrt(2.0))
-        stencil = scipy.sparse.dia_array((K.data + sigma * M.data, K.offsets), shape=K.shape)
+        stencil = Stencil(K.offsets, K.data + sigma * M.data)
         reference = reference_band_factor(K_ref + sigma * M_ref)
         np.testing.assert_array_equal(_BandCholesky(stencil)._factor, reference)
-        np.testing.assert_array_equal(_BandCholesky(K_ref + sigma * M_ref)._factor, reference)
+        np.testing.assert_array_equal(_BandCholesky(sparse(K_ref + sigma * M_ref))._factor, reference)
 
     @pytest.mark.parametrize("ns, nt, half", [(16, 16, False), (256, 16, True), (64, 4, False), (7, 3, True)])
     @pytest.mark.parametrize("name", ["annulus", "wavy", "parabola"])
@@ -366,7 +440,7 @@ class TestLinearSolver:
             K, M = half_system(domain, ns, nt)
         else:
             result = solve_mu1_linear(domain, ns, nt)
-            K, M = assemble(build_mesh(domain, ns, nt))
+            K, M = assemble_sparse(build_mesh(domain, ns, nt))
         assert result.converged
         assert result.mu == pytest.approx(eigsh_quotient(K, M, 1 if odd else 2), rel=1e-10)
 
@@ -391,7 +465,7 @@ class TestLinearSolver:
         ns, nt = 512, 32
         full = solve_mu1_linear(annulus, ns, nt)
         odd = solve_mu1_odd_linear(annulus, ns, nt)
-        K, M = assemble(build_mesh(annulus, ns, nt))
+        K, M = assemble_sparse(build_mesh(annulus, ns, nt))
         assert full.mu == pytest.approx(eigsh_quotient(K, M, 2), rel=1e-10)
         K, M = half_system(annulus, ns, nt)
         assert odd.mu == pytest.approx(eigsh_quotient(K, M, 1), rel=1e-10)
@@ -420,7 +494,7 @@ class TestMirrorParity:
         domain = make_domain(reconstruct_from_curvature(math.pi, k), width_profile(width, math.pi))
         result = solve_mu1_linear(domain, self.NS, self.NT)
         odd = solve_mu1_odd_linear(domain, self.NS, self.NT)
-        K, M = assemble(build_mesh(domain, self.NS, self.NT))
+        K, M = assemble_sparse(build_mesh(domain, self.NS, self.NT))
         assert result.mu == pytest.approx(eigsh_quotient(K, M, 2), rel=1e-10)
         assert result.parity == "even"
         assert result.converged
@@ -436,7 +510,7 @@ class TestMirrorParity:
         grid = result.u.reshape(65, 5)
         assert result.parity == "even"
         assert np.max(np.abs(grid - grid[::-1])) == 0.0
-        K, M = assemble(build_mesh(domain, 64, 4))
+        K, M = assemble_sparse(build_mesh(domain, 64, 4))
         assert result.u @ (M @ result.u) == pytest.approx(1.0, rel=1e-12)
         assert result.u @ (K @ result.u) == pytest.approx(result.mu, rel=1e-10)
 
@@ -456,7 +530,7 @@ class TestBandCholesky:
 
     @pytest.fixture(scope="class")
     def systems(self, annulus):
-        K, M = assemble(build_mesh(annulus, self.NS, self.NT))
+        K, M = assemble_sparse(build_mesh(annulus, self.NS, self.NT))
         K_red, _ = half_system(annulus, self.NS, self.NT)
         return {"full": (K + 0.5 * M).tocsr(), "odd": K_red}
 
@@ -464,13 +538,13 @@ class TestBandCholesky:
     def test_solve_matches_spsolve(self, systems, which):
         A = systems[which]
         b = np.cos(0.37 * np.arange(A.shape[0]))
-        x = _BandCholesky(A).solve(b)
+        x = _BandCholesky(sparse(A)).solve(b)
         reference = spsolve(A.tocsc(), b)
         assert np.max(np.abs(x - reference)) <= 1e-12 * np.max(np.abs(reference))
 
     @pytest.mark.parametrize("which", ["full", "odd"])
     def test_bandwidth_read_from_matrix(self, systems, which):
-        assert _BandCholesky(systems[which]).bandwidth == self.NT + 2
+        assert _BandCholesky(sparse(systems[which])).bandwidth == self.NT + 2
 
     def test_leading_columns_solve_leading_block(self, systems):
         # Dropping the last column of nodes, as the odd class drops the
@@ -478,15 +552,15 @@ class TestBandCholesky:
         A = systems["full"]
         m = A.shape[0] - (self.NT + 1)
         b = np.cos(0.37 * np.arange(m))
-        x = _BandCholesky(A).leading(m).solve(b)
+        x = _BandCholesky(sparse(A)).leading(m).solve(b)
         reference = spsolve(A[:m, :m].tocsc(), b)
         assert np.max(np.abs(x - reference)) <= 1e-12 * np.max(np.abs(reference))
 
     def test_indefinite_matrix_is_solve_failure(self, annulus):
-        K, M = assemble(build_mesh(annulus, 64, 16))
+        K, M = assemble_sparse(build_mesh(annulus, 64, 16))
         mu1 = solve_mu1_linear(annulus, 64, 16).mu
         with pytest.raises(SolveFailure):
-            _BandCholesky(K - 2.0 * mu1 * M)
+            _BandCholesky(sparse(K - 2.0 * mu1 * M))
 
 
 class TestNonlinearSolver:
@@ -640,7 +714,7 @@ class TestKeptHalfStrip:
 
         class Counted(eig2d._BandCholesky):
             def __init__(self, A):
-                built.append(A.shape[0])
+                built.append(A.data.shape[1])
                 super().__init__(A)
 
         monkeypatch.setattr(eig2d, "_BandCholesky", Counted)
