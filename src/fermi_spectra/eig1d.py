@@ -76,12 +76,12 @@ def _phi(z, power):
     return r if z > 0.0 else -r
 
 
-def _shoot(mu, p, q, w_stage, h, n_steps, record=False):
+def _shoot(mu, p, q, w_stage, h, n_steps):
     """RK4 integration of u' = phi_q(v/w), v' = -mu w phi_p(u) from (1, 0).
 
     Integrates the whole half interval and returns (crossed, u_end, us, vs):
     whether u became nonpositive at some step, the terminal value u(L/2),
-    and, with record, the sampled trajectory (None otherwise).
+    and the sampled trajectory as arrays.
 
     Each _phi is inlined with its float operations in the same order, so
     the state matches step-by-step calls of _phi to the bit: -mu * w
@@ -173,9 +173,7 @@ def _shoot(mu, p, q, w_stage, h, n_steps, record=False):
             crossed = True
         us.append(u)
         vs.append(v)
-    if record:
-        return crossed, u, np.array(us), np.array(vs)
-    return crossed, u, None, None
+    return crossed, u, np.array(us), np.array(vs)
 
 
 BRENT_RTOL = 4.0 * float(np.finfo(float).eps)
@@ -291,7 +289,7 @@ def _root(problem, tol, n_steps, start=None):
         nonlocal uncrossed
         if mu not in shots:
             try:
-                crossed, u_end, us, vs = _shoot(mu, p, q, w_stage, h, n_steps, record=True)
+                crossed, u_end, us, vs = _shoot(mu, p, q, w_stage, h, n_steps)
             except OverflowError as exc:  # a float power in _phi overflowed
                 raise StiffFailure(f"integration overflowed at mu={mu:.6g}") from exc
             shots[mu] = crossed, u_end

@@ -49,18 +49,20 @@ iterates and du the change of iterate, the step is (du . y) / (P^-1 y . y),
 and P^-1 y is the change of direction, already at hand.
 
 Solves on one strip share their work.  The module keeps one half strip,
-the latest solved: its mesh, K and M, band factor, each class's p = 2
-solve and each class's descent per p.  It is found by content (ns, nt, L
-and the exact bytes of the curvature, width and width-derivative
-samples), not by the domain object.  So a full and an odd request on one
-strip and mesh, in either order, or a sweep over p, cost one mesh, one
-assembly, one factorization, one p = 2 solve per class and one descent
-per (p, class).  The state is held until a strip or mesh that differs is
-solved, and is dropped before the new one is built; at 1024 x 64 it is
-about 29 MiB.  Its arrays are read-only: results share the mesh, and
-every returned u is the caller's own array.  A failed solve is not kept,
-and a p = 2 result's converged is judged against RESIDUAL_TOL when the
-result is made.
+the latest solved: its mesh, K and M, band factor, and one memo of class
+results (_HalfStrip.result), keyed by (p, class): the p = 2 inverse
+iteration and the descent at each other p.  The half strip is found by
+content (ns, nt, L and the exact bytes of the curvature, width and
+width-derivative samples), not by the domain object.  So a full and an
+odd request on one strip and mesh, in either order, or a sweep over p,
+cost one mesh, one assembly, one factorization, one p = 2 solve per class
+and one descent per (p, class).  The state is held until a strip or mesh
+that differs is solved, and is dropped before the new one is built; at
+1024 x 64 it is about 29 MiB.  Its arrays are read-only: results share
+the mesh, and every returned u is the caller's own array.  A failed solve
+is not kept.  Every request, full or odd at any p, becomes its
+Eigen2DResult in one place (_strip_result), which judges a p = 2
+result's converged when the result is made.
 """
 
 from __future__ import annotations
@@ -97,15 +99,19 @@ class Mesh2D:
 
 @dataclass
 class Eigen2DResult:
-    """One strip eigenvalue.
+    """One strip eigenvalue, as every strip solver returns it (_strip_result).
 
     parity is the mirror parity about the midline s = L/2 ("even" or
     "odd") of the returned mode.  gap is the relative distance
     (mu_next - mu) / mu to the next eigenvalue, for p = 2 only (None
     otherwise).  mesh is the half mesh, s in [0, L/2], that every solve
     runs on.  u holds the mode at the nodes of the whole strip for the
-    full solves (mirrored from the half strip) and of the half mesh for
-    the odd ones.
+    full solves (mirrored from the half strip; at p = 2 unit in the whole
+    strip's mass norm) and of the half mesh for the odd ones.  iterations
+    counts every class solve behind the result.  At p = 2, converged holds
+    when each class's residual is at most RESIDUAL_TOL or its rounding
+    level eps max(K_ii / M_ii) / mu, whichever is larger; at other p it is
+    the descent's (solve_mu1_nonlinear).
     """
 
     mu: float
@@ -425,11 +431,13 @@ INVERSE_TOL = 1e-12
 INVERSE_FLOOR_TOL = 1e-9
 INVERSE_MAX_ITER = 200
 # A p = 2 solve is converged when its stop rule fired and its residual
-# ||K u - mu M u|| / ||K u|| is at most RESIDUAL_TOL.  Where the stop rule
+# ||K u - mu M u|| / ||K u|| is at most RESIDUAL_TOL, or at most its
+# rounding level ritz_floor / mu where that is larger.  Where the stop rule
 # fires the residual is at most 1.5e-7 on 60 solves of the benchmark's
 # strips (256x16 to 1024x64) and on 144 thin-strip solves down to width 0.0075,
 # and 3.6e-7 on the wide rectangle (width 3.5, 1024x64); the tolerance
-# leaves a factor of about 30 above that.
+# leaves a factor of about 30 above that.  On strips 7e4 times longer than
+# wide the rounding level (8e-5) is larger, and residuals reach 0.36-0.64 of it.
 RESIDUAL_TOL = 1e-5
 # K + sigma M is factored with sigma = SHIFT times the Rayleigh quotient of
 # cos(pi s / L): positive, so the matrix is definite with the constant
@@ -438,26 +446,22 @@ SHIFT = 1e-3
 
 
 @dataclass
-class _ClassSolve:
-    """One mirror class's p = 2 solve; converged is judged when a result is made."""
+class _ClassResult:
+    """One mirror class's solve at one p, on the half mesh.
+
+    At p = 2 it is the inverse iteration: next_mu is the class's second
+    Ritz value, and converged only says the stop rule fired, since the
+    residual is judged when a result is made (_strip_result).  At other p
+    it is the Rayleigh descent, with its own converged and no next_mu.
+    """
 
     parity: str
-    mu: float
-    next_mu: float
-    u: np.ndarray
-    residual: float
-    iterations: int
-
-
-@dataclass
-class _Descent:
-    """One mirror class's Rayleigh descent at one p, on the half mesh."""
-
     mu: float
     u: np.ndarray
     residual: float
     iterations: int
     converged: bool
+    next_mu: float | None
 
 
 def _read_only(*arrays):
@@ -478,10 +482,10 @@ class _HalfStrip:
     columns of the band factor.  Odd-class vectors keep all nodes, with
     zeros on the midline.
 
-    An instance also keeps what was solved on it: each class's p = 2 solve
-    (solve) and each class's Rayleigh descent per p (descend), computed on
-    first request.  Its mesh, matrices, factor and kept vectors are
-    read-only.  Instances come from _half_strip, which keeps the latest one.
+    An instance also keeps what was solved on it: each class's result at
+    each p (result), computed on first request.  Its mesh, matrices, factor
+    and kept vectors are read-only.  Instances come from _half_strip, which
+    keeps the latest one.
     """
 
     def __init__(self, domain, ns, nt):
@@ -509,8 +513,7 @@ class _HalfStrip:
         # eigenvalue, which max K_ii / M_ii estimates from below.
         k_main, m_main = self.pencil[:, np.searchsorted(self.offsets, 0)]
         self.ritz_floor = np.finfo(float).eps * float(np.max(k_main / m_main))
-        self._classes = {}
-        self._descents = {}
+        self._results = {}
 
     def _start(self, parity):
         """Deterministic start block with components along the low modes of
@@ -531,11 +534,13 @@ class _HalfStrip:
         V[self.free["odd"]:] = 0.0
         return V
 
-    def solve(self, parity):
-        """The class's p = 2 solve, computed on first request."""
-        if parity not in self._classes:
-            self._classes[parity] = self._inverse_iteration(parity)
-        return self._classes[parity]
+    def result(self, p, parity):
+        """The class's result at p, computed on first request: the inverse
+        iteration at p = 2, the Rayleigh descent (_descent) otherwise."""
+        key = (p, parity)
+        if key not in self._results:
+            self._results[key] = self._inverse_iteration(parity) if p == 2.0 else _descent(self, p, parity)
+        return self._results[key]
 
     def _inverse_iteration(self, parity):
         """Lowest eigenpairs of one mirror class: block inverse iteration
@@ -596,14 +601,14 @@ class _HalfStrip:
         if u[np.argmax(np.abs(u))] < 0.0:
             u = -u
         _read_only(u)
-        return _ClassSolve(
-            parity=parity, mu=mu, next_mu=float(theta[target + 1]), u=u,
-            residual=residual, iterations=it,
+        return _ClassResult(
+            parity=parity, mu=mu, u=u, residual=residual, iterations=it,
+            converged=True, next_mu=float(theta[target + 1]),
         )
 
     def lowest(self):
         """Both mirror classes: (winner, other), odd on a tie."""
-        even, odd = self.solve("even"), self.solve("odd")
+        even, odd = self.result(2.0, "even"), self.result(2.0, "odd")
         return (odd, even) if odd.mu <= even.mu else (even, odd)
 
     def mirror(self, u, parity):
@@ -612,13 +617,6 @@ class _HalfStrip:
         rows = u.reshape(-1, self.nt + 1)
         sign = 1.0 if parity == "even" else -1.0
         return np.concatenate([rows, sign * rows[-2::-1]]).ravel()
-
-    def descend(self, p, parity):
-        """The class's Rayleigh descent at p, computed on first request."""
-        key = (p, parity)
-        if key not in self._descents:
-            self._descents[key] = _descent(self, p, parity)
-        return self._descents[key]
 
 
 # The latest half strip, with its key: nothing else is kept between solves.
@@ -643,6 +641,35 @@ def _half_strip(domain, ns, nt):
     return _slot[1]
 
 
+def _strip_result(domain, p, ns, nt, odd):
+    """The Eigen2DResult of one request: the odd class, or the p = 2
+    winner's class mirrored onto the whole strip, taken with the other
+    class at p = 2 for the gap, iterations and converged."""
+    half = _half_strip(domain, ns, nt)
+    linear = p == 2.0
+    if odd:
+        classes = [half.result(p, "odd")]
+        u = classes[0].u.copy()
+    else:
+        winner, other = half.lowest()
+        classes = [winner, other] if linear else [half.result(p, winner.parity)]
+        u = half.mirror(classes[0].u, winner.parity)
+        if linear:
+            u /= np.sqrt(2.0)  # unit in the whole strip's mass norm
+    first = classes[0]
+    if linear:
+        converged = all(c.residual <= max(RESIDUAL_TOL, half.ritz_floor / c.mu) for c in classes)
+        gap = min([first.next_mu] + [c.mu for c in classes[1:]]) / first.mu - 1.0
+    else:
+        converged, gap = first.converged, None
+    return Eigen2DResult(
+        mu=first.mu, u=u, residual=first.residual,
+        method=("linear" if linear else "descent") + ("-odd" if odd else ""),
+        iterations=sum(c.iterations for c in classes), converged=converged,
+        mesh=half.mesh, parity=first.parity, gap=gap,
+    )
+
+
 def solve_mu1_linear(domain, ns=256, nt=16):
     """First nonzero Neumann eigenvalue for p = 2 on the full strip.
 
@@ -655,29 +682,16 @@ def solve_mu1_linear(domain, ns=256, nt=16):
     class's eigenvalue and the winning class's second Ritz value (an
     upper estimate of its second eigenvalue, converged only as far as the
     first needs).  u is the eigenvector mirrored onto the whole strip,
-    u(L - s) = +-u(s), unit in the whole strip's mass norm and numbered
-    like build_mesh(domain, ns, nt); mesh is the half mesh it was solved
-    on.  iterations counts both classes; converged holds when both
-    classes stopped with residual at most RESIDUAL_TOL.
+    u(L - s) = +-u(s), numbered like build_mesh(domain, ns, nt).  Its
+    norm, mesh, iterations and converged are as Eigen2DResult says, over
+    both classes.
 
     The half strip and both class solves are kept until a different strip
     or mesh is solved (module docstring), so solve_mu1_odd_linear on the
     same strip and mesh reuses the odd class.  mesh is read-only and
     shared; u is the caller's own.
     """
-    half = _half_strip(domain, ns, nt)
-    first, other = half.lowest()
-    return Eigen2DResult(
-        mu=first.mu,
-        u=half.mirror(first.u, first.parity) / np.sqrt(2.0),
-        residual=first.residual,
-        method="linear",
-        iterations=first.iterations + other.iterations,
-        converged=first.residual <= RESIDUAL_TOL and other.residual <= RESIDUAL_TOL,
-        mesh=half.mesh,
-        parity=first.parity,
-        gap=min(other.mu, first.next_mu) / first.mu - 1.0,
-    )
+    return _strip_result(domain, 2.0, ns, nt, odd=False)
 
 
 def solve_mu1_odd_linear(domain, ns=256, nt=16):
@@ -687,17 +701,12 @@ def solve_mu1_odd_linear(domain, ns=256, nt=16):
     midline held at zero, solved on the leading block of the half strip's
     K + sigma M factor.  For even curvature and width data this is the
     odd-reflection eigenvalue.  u lives on the half mesh (zero on the
-    midline); gap is measured to the class's second Ritz value.  It shares
-    the kept half strip and odd class solve with solve_mu1_linear (module
-    docstring); mesh is read-only and shared, u is the caller's own copy.
+    midline); gap is measured to the class's second Ritz value; converged
+    is as Eigen2DResult says.  It shares the kept half strip and odd class
+    solve with solve_mu1_linear (module docstring); mesh is read-only and
+    shared, u is the caller's own copy.
     """
-    half = _half_strip(domain, ns, nt)
-    odd = half.solve("odd")
-    return Eigen2DResult(
-        mu=odd.mu, u=odd.u.copy(), residual=odd.residual, method="linear-odd",
-        iterations=odd.iterations, converged=odd.residual <= RESIDUAL_TOL, mesh=half.mesh,
-        parity="odd", gap=odd.next_mu / odd.mu - 1.0,
-    )
+    return _strip_result(domain, 2.0, ns, nt, odd=True)
 
 
 ENERGY_FLOOR = 1e-60  # keeps energy^(p/2 - 1) finite for p < 2
@@ -763,12 +772,10 @@ def solve_mu1_nonlinear(domain, p, ns=256, nt=16, odd=False):
     stagnation, the attainable notion of success for a descent method, and
     mu is an upper estimate of the discrete minimum.  A descent whose first
     line search accepts no step is converged only when its residual is at
-    most RESIDUAL_TOL.  parity is the class
-    searched; gap is None; mesh is the half mesh.  u is mirrored onto the
-    whole strip (numbered like build_mesh(domain, ns, nt)) for the full
-    solve and stays on the half mesh when odd.  At p = 2 it returns the
-    result of solve_mu1_linear, or of solve_mu1_odd_linear when odd, whose
-    converged means a residual of at most RESIDUAL_TOL.
+    most RESIDUAL_TOL.  parity is the class searched; gap, mesh and u are
+    as Eigen2DResult says, u numbered like build_mesh(domain, ns, nt) for
+    the full solve.  At p = 2 it returns the result of solve_mu1_linear, or
+    of solve_mu1_odd_linear when odd.
 
     Each class's descent at each p is kept with the half strip until a
     different strip or mesh is solved (module docstring).  When the odd
@@ -778,24 +785,9 @@ def solve_mu1_nonlinear(domain, p, ns=256, nt=16, odd=False):
     """
     if not 1.0 < p < np.inf:
         raise BadExponent(f"p must exceed 1 and be finite (got {p})")
-    domain.require_valid()
     if p == 2.0:
         return solve_mu1_odd_linear(domain, ns, nt) if odd else solve_mu1_linear(domain, ns, nt)
-
-    half = _half_strip(domain, ns, nt)
-    parity = "odd" if odd else half.lowest()[0].parity
-    run = half.descend(p, parity)
-    return Eigen2DResult(
-        mu=run.mu,
-        u=run.u.copy() if odd else half.mirror(run.u, parity),
-        residual=run.residual,
-        method="descent-odd" if odd else "descent",
-        iterations=run.iterations,
-        converged=run.converged,
-        mesh=half.mesh,
-        parity=parity,
-        gap=None,
-    )
+    return _strip_result(domain, p, ns, nt, odd)
 
 
 # |u| is floored here in the even class's constraint weight m |u|^(p-2).
@@ -807,7 +799,7 @@ TANGENT_FLOOR = 1e-12
 @np.errstate(over="ignore")
 def _descent(half, p, parity):
     """Rayleigh descent at p in one mirror class of half (solve_mu1_nonlinear)."""
-    start = half.solve(parity)
+    start = half.result(2.0, parity)
     mesh = half.mesh
     chol = half.chol[parity]
 
@@ -907,6 +899,7 @@ def _descent(half, p, parity):
         # unless it is already nearly critical.
         converged = residual <= RESIDUAL_TOL
     _read_only(u)
-    return _Descent(
-        mu=float(value), u=u, residual=residual, iterations=iterations, converged=converged,
+    return _ClassResult(
+        parity=parity, mu=float(value), u=u, residual=residual, iterations=iterations,
+        converged=converged, next_mu=None,
     )

@@ -373,14 +373,14 @@ def reference_phi(z, power):
     return r if z > 0.0 else -r
 
 
-def reference_shoot(mu, p, q, w_stage, h, n_steps, record=False):
+def reference_shoot(mu, p, q, w_stage, h, n_steps):
     """The RK4 kernel with one reference_phi call per stage, kept as the reference."""
     pm1 = p - 1.0
     qm1 = q - 1.0
     u = 1.0
     v = 0.0
-    us = [1.0] if record else None
-    vs = [0.0] if record else None
+    us = [1.0]
+    vs = [0.0]
     crossed = False
     for i in range(n_steps):
         j = 2 * i
@@ -407,12 +407,9 @@ def reference_shoot(mu, p, q, w_stage, h, n_steps, record=False):
             raise StiffFailure(f"integration produced non-finite state at mu={mu:.6g}")
         if u <= 0.0:
             crossed = True
-        if record:
-            us.append(u)
-            vs.append(v)
-    if record:
-        return crossed, u, np.array(us), np.array(vs)
-    return crossed, u, None, None
+        us.append(u)
+        vs.append(v)
+    return crossed, u, np.array(us), np.array(vs)
 
 
 def shot_outcome(shoot, mu, problem, n_steps):
@@ -422,7 +419,7 @@ def shot_outcome(shoot, mu, problem, n_steps):
     stage_s = np.linspace(0.0, half, 2 * n_steps + 1)
     w_stage = np.interp(stage_s, problem.s_samples, problem.w_samples).tolist()
     try:
-        crossed, u_end, us, vs = shoot(mu, p, p / (p - 1.0), w_stage, half / n_steps, n_steps, True)
+        crossed, u_end, us, vs = shoot(mu, p, p / (p - 1.0), w_stage, half / n_steps, n_steps)
     except (StiffFailure, OverflowError) as exc:
         return type(exc), str(exc)
     return crossed, u_end, us.tobytes(), vs.tobytes()
@@ -531,8 +528,8 @@ def shots_by_resolution(monkeypatch):
     taken = {}
     shoot = eig1d._shoot
 
-    def recording(mu, p, q, w_stage, h, n_steps, record=False):
-        out = shoot(mu, p, q, w_stage, h, n_steps, record)
+    def recording(mu, p, q, w_stage, h, n_steps):
+        out = shoot(mu, p, q, w_stage, h, n_steps)
         taken.setdefault(n_steps, []).append((mu, out[0], out[2], out[3]))
         return out
 
@@ -569,10 +566,10 @@ class TestTwoLevelShooting:
         want = single_level(problem, monkeypatch)
         shoot = eig1d._shoot
 
-        def coarse_fails(mu, p, q, w_stage, h, n_steps, record=False):
+        def coarse_fails(mu, p, q, w_stage, h, n_steps):
             if n_steps == 512:
                 raise error("coarse shot failed")
-            return shoot(mu, p, q, w_stage, h, n_steps, record)
+            return shoot(mu, p, q, w_stage, h, n_steps)
 
         monkeypatch.setattr(eig1d, "_shoot", coarse_fails)
         assert_same_result(solve_shooting(problem), want)

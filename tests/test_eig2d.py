@@ -449,15 +449,16 @@ class TestLinearSolver:
     def test_very_thin_strip_reaches_limit(self, L, width, kL):
         # L / width up to 7e4: the Ritz value's rounding noise, about
         # eps max K_ii / M_ii, exceeds INVERSE_FLOOR_TOL mu, and the floor
-        # rule must still stop.  Where the residual stays above
-        # RESIDUAL_TOL the solve says so.
+        # rule must still stop.  On L = 20, width 3e-4 the residual stays
+        # above RESIDUAL_TOL but below its rounding level, ritz_floor / mu,
+        # and the solve is converged.
         domain = make_domain(reconstruct_from_curvature(L, kL / L), width_profile(width, L))
         limit = solve_discretized(limit_problem(domain, 2.0), n=2048).mu
         for ns, nt in ((64, 16), (256, 16)):
             for solve in (solve_mu1_linear, solve_mu1_odd_linear):
                 result = solve(domain, ns, nt)
                 assert result.mu == pytest.approx(limit, rel=1e-3)
-                assert result.converged == (result.residual <= eig2d.RESIDUAL_TOL)
+                assert result.converged
 
     def test_annulus_matches_eigsh(self, annulus):
         # The band Cholesky factor behind both solves, checked against an
@@ -724,6 +725,27 @@ class TestKeptHalfStrip:
         for domain, ns in runs:
             solve_mu1_odd_linear(domain, ns, 8)
         assert len(built) == 4
+
+    @pytest.mark.parametrize("odd", [False, True], ids=["full", "odd"])
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    @pytest.mark.parametrize("name, mesh", MEMO_STRIPS)
+    def test_result_contract(self, strips, name, mesh, p, odd):
+        domain = strips[name]
+        ns, nt = mesh
+        result = solve_mu1_nonlinear(domain, p, ns, nt, odd=odd)
+        methods = {
+            (2.0, False): "linear", (2.0, True): "linear-odd",
+            (3.0, False): "descent", (3.0, True): "descent-odd",
+        }
+        assert result.method == methods[p, odd]
+        winner = {"wavy": "odd", "wide": "even"}[name]
+        assert result.parity == ("odd" if odd else winner)
+        assert (result.gap is None) == (p != 2.0)
+        whole = build_mesh(domain, ns, nt)
+        assert len(result.u) == ((ns // 2 + 1) * (nt + 1) if odd else whole.n_nodes)
+        if p == 2.0 and not odd:
+            M = assemble_sparse(whole)[1]
+            assert float(result.u @ (M @ result.u)) == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("p, odd", [(2.0, False), (2.0, True), (3.0, False), (3.0, True)])
     def test_returned_u_is_the_callers(self, wavy, p, odd):
