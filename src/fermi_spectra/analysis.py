@@ -322,11 +322,12 @@ def lyapunov_bound(w_samples, L, p, evenness_tol=1e-8):
     if abs(left[-1] - half) > 1e-12 * L:
         left = np.append(left, half)
         w_left = np.append(w_left, np.interp(half, s, w))
-    # At large p the power leaves double range; the bound is then 0 or
-    # _finite's error, so the overflow is not worth a warning.
+    # At large p the power, or Simpson's weighted sum of it, leaves double
+    # range; the bound is then 0 or _finite's error, so the overflow is not
+    # worth a warning.
     with np.errstate(over="ignore"):
         integrand = (half - left) ** (p - 1.0) * w_left
-    integral = _simpson(integrand, left)
+        integral = _simpson(integrand, left)
     bound = float(np.min(w)) / integral if integral > 0.0 else math.inf
     return _finite(bound, "the Lyapunov bound", L)
 

@@ -20,6 +20,10 @@ hypothesis and are marked not applicable (the Lyapunov bound is one of
 the 1D problem and stays applicable).  solve1d reads only the width
 profile, so it still runs and reports "valid": false.
 
+Each command is one handler, _HANDLERS[command](cfg, domain), that returns
+the report's results, the CSV tables (filename to header and rows) and the
+summary lines main prints.
+
 Reports are deterministic: the same config file and flags produce
 byte-identical report.json and CSV files.  No timestamps, no randomness.
 """
@@ -30,6 +34,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -46,7 +51,7 @@ from .config import COMMANDS, load_config
 from .eig1d import solve_discretized, solve_shooting
 from .eig2d import solve_mu1_nonlinear
 from .errors import FermiSpectraError, ParseError, SchemaError
-from .expressions import as_function, pretty
+from .expressions import as_function, overflows, pretty
 from .geometry import (
     curvature_from_parametric,
     make_domain,
@@ -77,6 +82,13 @@ def build_domain(cfg):
     width = width_profile(
         w, curve.L, cfg.n_samples, evenness_tol=cfg.tolerances["evenness"]
     )
+    # The report prints each expression back, so its number literals must be
+    # finite doubles.  Checked only now, so that a literal that makes a profile
+    # infinite (width "1e400") is named by the profile's own check.
+    trees = {"curve.k": cfg.k, "curve.x": cfg.x, "curve.y": cfg.y, "width": cfg.width}
+    for key, node in trees.items():
+        if overflows(node):
+            raise SchemaError(f"{key}: a number literal overflows a double")
     return make_domain(curve, width)
 
 
@@ -108,13 +120,115 @@ def _bound_dict(report):
     }
 
 
-def run_command(cfg, domain=None):
-    """Dispatch a validated config; returns (report_doc, tables).
+def _figure2(cfg, domain):
+    n = cfg.figure2_n
+    x = np.arange(1, n + 1) / (n + 1.0)
+    table = figure2_data(1.0 / x)
+    gap_min = float(np.min(table[:, 3]))
+    all_positive = bool(np.all(table[:, 3] > 0.0))
+    results = {"points": n, "gap_min": gap_min, "all_positive": all_positive}
+    tables = {"figure2.csv": (",".join(FIGURE2_COLUMNS), table.tolist())}
+    return results, tables, [
+        f"figure2: {n} points, smallest gap {gap_min:.6g}, all positive: {all_positive}"
+    ]
 
-    tables maps CSV filenames to (header, list of rows); every result in
-    the report names the grid and tolerance it was computed with.  The
-    domain may be passed in pre-built (the CLI does, to tell config-data
-    failures from solver failures); otherwise it is built here.
+
+def _bounds(cfg, domain):
+    tol = cfg.tolerances["concavity"]
+    reports = [
+        lower_bound_constant_width(domain, cfg.p, concavity_tol=tol),
+        lower_bound_variable_width(domain, cfg.p, concavity_tol=tol),
+        lyapunov_bound_report(domain, cfg.p),
+    ]
+    lines = [f"{r.label}: value={r.value:.9g} applicable={r.applicable}" for r in reports]
+    return {"bounds": [_bound_dict(r) for r in reports]}, {}, lines
+
+
+def _certify(cfg, domain):
+    cert = certify_odd(domain)
+    return {"certificate": asdict(cert)}, {}, [
+        f"case {cert.case_label}: threshold={cert.threshold:.9g} "
+        f"upper={cert.mu1_upper:.9g} certified={cert.certified}"
+    ]
+
+
+def _solve1d(cfg, domain):
+    problem = limit_problem(domain, cfg.p)
+    shot = solve_shooting(problem, tol=cfg.tolerances["shooting"], n_steps=cfg.mesh["n_steps"])
+    disc = solve_discretized(problem, n=cfg.mesh["n_grid"])
+    cross = abs(shot.mu - disc.mu) / abs(disc.mu)
+    results = {
+        "shooting": _result_dict(shot),
+        "discretized": _result_dict(disc),
+        "cross_rel_diff": cross,
+    }
+    rows = np.column_stack(
+        [problem.s_samples, problem.w_samples, shot.u_samples, shot.du_samples]
+    )
+    return results, {"solve1d.csv": ("s,w,u,du", rows.tolist())}, [
+        f"shooting: mu={shot.mu:.9g}",
+        f"discretized: mu={disc.mu:.9g}",
+        f"cross relative difference: {cross:.3g}",
+    ]
+
+
+def _solve2d(cfg, domain):
+    ns, nt = cfg.mesh["ns"], cfg.mesh["nt"]
+    full = solve_mu1_nonlinear(domain, cfg.p, ns, nt)
+    odd = solve_mu1_nonlinear(domain, cfg.p, ns, nt, odd=True)
+    # full.u holds the whole strip's nodes, t fastest, as build_mesh numbers them.
+    s = np.linspace(0.0, domain.L, ns + 1)
+    t = np.linspace(0.0, 1.0, nt + 1)
+    rows = np.column_stack([np.repeat(s, nt + 1), np.tile(t, ns + 1), full.u])
+    results = {"full": _strip_dict(full), "odd": _strip_dict(odd)}
+    return results, {"solve2d.csv": ("s,t,u", rows.tolist())}, [
+        f"full: mu={full.mu:.9g} parity={full.parity} converged={full.converged}",
+        f"odd:  mu={odd.mu:.9g} converged={odd.converged}",
+    ]
+
+
+def _sweep(cfg, domain):
+    policy = MeshPolicy(ns=cfg.mesh["ns"], nt=cfg.mesh["nt"])
+    sw = epsilon_sweep(domain, cfg.p, cfg.epsilons, policy)
+    entries, rows = [], []
+    lines = [f"mu_star={sw.mu_star:.9g} fitted_rate={sw.fitted_rate}"]
+    for i, eps in enumerate(sw.epsilons):
+        eps, mu, rel_err = float(eps), float(sw.mu_values[i]), float(sw.rel_errors[i])
+        certified, failure = bool(sw.certified[i]), sw.failures[i]
+        entries.append(
+            {
+                "epsilon": eps,
+                "mu": mu,
+                "rel_err": rel_err,
+                "upper_bound": float(sw.upper_bounds[i]),
+                "threshold": float(sw.thresholds[i]),
+                "certified": certified,
+                "refine_estimate": float(sw.refine_estimates[i]),
+                "converged": bool(sw.converged[i]),
+                "parity": sw.parities[i],
+                "gap": float(sw.gaps[i]),
+                "failure": failure,
+            }
+        )
+        rows.append([eps, mu, sw.mu_star, rel_err])
+        if failure:
+            lines.append(f"eps={eps}: failed ({failure})")
+        else:
+            lines.append(f"eps={eps}: mu={mu:.9g} rel_err={rel_err:.3g} certified={certified}")
+    results = {"mu_star": sw.mu_star, "fitted_rate": sw.fitted_rate, "entries": entries}
+    return results, {"sweep.csv": ("epsilon,mu,mu_star,rel_err", rows)}, lines
+
+
+_HANDLERS = {"bounds": _bounds, "certify": _certify, "solve1d": _solve1d,
+             "solve2d": _solve2d, "sweep": _sweep, "figure2": _figure2}
+
+
+def run_command(cfg, domain):
+    """Run a validated config on its built strip; returns (report_doc, tables, lines).
+
+    domain is the strip build_domain made from cfg (None for figure2, which
+    needs none).  Every result in the report names the grid and tolerance
+    it was computed with; lines is the summary the command prints.
     """
     doc = {
         "schema": 1,
@@ -125,113 +239,19 @@ def run_command(cfg, domain=None):
         "n_samples": cfg.n_samples,
         "tolerances": dict(cfg.tolerances),
     }
-    tables = {}
-
-    if cfg.command == "figure2":
-        n = cfg.figure2_n
-        x = np.arange(1, n + 1) / (n + 1.0)
-        table = figure2_data(1.0 / x)
-        doc["results"] = {
-            "points": n,
-            "gap_min": float(np.min(table[:, 3])),
-            "all_positive": bool(np.all(table[:, 3] > 0.0)),
+    if domain is not None:
+        doc["domain"] = {
+            "curve_mode": cfg.curve_mode,
+            "L": domain.L,
+            "jacobian_min": domain.jacobian_min,
+            "valid": domain.valid,
         }
-        tables["figure2.csv"] = (",".join(FIGURE2_COLUMNS), table.tolist())
-        return doc, tables
-
-    if domain is None:
-        domain = build_domain(cfg)
-    doc["domain"] = {
-        "curve_mode": cfg.curve_mode,
-        "L": domain.L,
-        "jacobian_min": domain.jacobian_min,
-        "valid": domain.valid,
-    }
-    if cfg.curve_mode == "curvature" and not isinstance(cfg.k, np.ndarray):
-        doc["domain"]["k"] = pretty(cfg.k)
-    if not isinstance(cfg.width, np.ndarray):
-        doc["domain"]["width"] = pretty(cfg.width)
-
-    if cfg.command == "bounds":
-        reports = [
-            lower_bound_constant_width(domain, cfg.p, concavity_tol=cfg.tolerances["concavity"]),
-            lower_bound_variable_width(domain, cfg.p, concavity_tol=cfg.tolerances["concavity"]),
-            lyapunov_bound_report(domain, cfg.p),
-        ]
-        doc["results"] = {"bounds": [_bound_dict(r) for r in reports]}
-        return doc, tables
-
-    if cfg.command == "certify":
-        cert = certify_odd(domain)
-        doc["results"] = {
-            "certificate": {
-                "case_label": cert.case_label,
-                "threshold": cert.threshold,
-                "mu1_upper": cert.mu1_upper,
-                "certified": cert.certified,
-            }
-        }
-        return doc, tables
-
-    if cfg.command == "solve1d":
-        problem = limit_problem(domain, cfg.p)
-        shot = solve_shooting(
-            problem, tol=cfg.tolerances["shooting"], n_steps=cfg.mesh["n_steps"]
-        )
-        disc = solve_discretized(problem, n=cfg.mesh["n_grid"])
-        doc["results"] = {
-            "shooting": _result_dict(shot),
-            "discretized": _result_dict(disc),
-            "cross_rel_diff": abs(shot.mu - disc.mu) / abs(disc.mu),
-        }
-        s = problem.s_samples
-        rows = np.column_stack([s, problem.w_samples, shot.u_samples, shot.du_samples])
-        tables["solve1d.csv"] = ("s,w,u,du", rows.tolist())
-        return doc, tables
-
-    if cfg.command == "solve2d":
-        ns, nt = cfg.mesh["ns"], cfg.mesh["nt"]
-        full = solve_mu1_nonlinear(domain, cfg.p, ns, nt)
-        odd = solve_mu1_nonlinear(domain, cfg.p, ns, nt, odd=True)
-        doc["results"] = {"full": _strip_dict(full), "odd": _strip_dict(odd)}
-        # full.u holds the whole strip's nodes, t fastest, as build_mesh numbers them.
-        s = np.linspace(0.0, domain.L, ns + 1)
-        t = np.linspace(0.0, 1.0, nt + 1)
-        rows = np.column_stack([np.repeat(s, nt + 1), np.tile(t, ns + 1), full.u])
-        tables["solve2d.csv"] = ("s,t,u", rows.tolist())
-        return doc, tables
-
-    if cfg.command == "sweep":
-        policy = MeshPolicy(ns=cfg.mesh["ns"], nt=cfg.mesh["nt"])
-        sw = epsilon_sweep(domain, cfg.p, cfg.epsilons, policy)
-        entries = []
-        rows = []
-        for i, eps in enumerate(sw.epsilons):
-            entries.append(
-                {
-                    "epsilon": float(eps),
-                    "mu": float(sw.mu_values[i]),
-                    "rel_err": float(sw.rel_errors[i]),
-                    "upper_bound": float(sw.upper_bounds[i]),
-                    "threshold": float(sw.thresholds[i]),
-                    "certified": bool(sw.certified[i]),
-                    "refine_estimate": float(sw.refine_estimates[i]),
-                    "converged": bool(sw.converged[i]),
-                    "parity": sw.parities[i],
-                    "gap": float(sw.gaps[i]),
-                    "failure": sw.failures[i],
-                }
-            )
-            rows.append([float(eps), float(sw.mu_values[i]), sw.mu_star, float(sw.rel_errors[i])])
-        doc["results"] = {
-            "mu_star": sw.mu_star,
-            "fitted_rate": sw.fitted_rate,
-            "entries": entries,
-        }
-        tables["sweep.csv"] = ("epsilon,mu,mu_star,rel_err", rows)
-        return doc, tables
-
-    raise SchemaError(f"unknown command {cfg.command!r}")
+        if cfg.curve_mode == "curvature" and not isinstance(cfg.k, np.ndarray):
+            doc["domain"]["k"] = pretty(cfg.k)
+        if not isinstance(cfg.width, np.ndarray):
+            doc["domain"]["width"] = pretty(cfg.width)
+    doc["results"], tables, lines = _HANDLERS[cfg.command](cfg, domain)
+    return doc, tables, lines
 
 
 def _jsonify(obj):
@@ -300,7 +320,7 @@ def main(argv=None):
         return 1
 
     try:
-        doc, tables = run_command(cfg, domain)
+        doc, tables, lines = run_command(cfg, domain)
     except FermiSpectraError as exc:
         print(f"solver error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
@@ -311,56 +331,11 @@ def main(argv=None):
         print(f"cannot write output: {exc}", file=sys.stderr)
         return 1
 
-    for line in _summary_lines(doc):
+    for line in lines:
         print(line)
     for path in paths:
         print(f"wrote {path}")
     return 0
-
-
-def _summary_lines(doc):
-    res = doc.get("results", {})
-    cmd = doc["command"]
-    if cmd == "figure2":
-        return [
-            f"figure2: {res['points']} points, smallest gap {res['gap_min']:.6g}, "
-            f"all positive: {res['all_positive']}"
-        ]
-    if cmd == "bounds":
-        return [
-            f"{b['label']}: value={b['value']:.9g} applicable={b['applicable']}"
-            for b in res["bounds"]
-        ]
-    if cmd == "certify":
-        c = res["certificate"]
-        return [
-            f"case {c['case_label']}: threshold={c['threshold']:.9g} "
-            f"upper={c['mu1_upper']:.9g} certified={c['certified']}"
-        ]
-    if cmd == "solve1d":
-        return [
-            f"shooting: mu={res['shooting']['mu']:.9g}",
-            f"discretized: mu={res['discretized']['mu']:.9g}",
-            f"cross relative difference: {res['cross_rel_diff']:.3g}",
-        ]
-    if cmd == "solve2d":
-        return [
-            f"full: mu={res['full']['mu']:.9g} parity={res['full']['parity']} "
-            f"converged={res['full']['converged']}",
-            f"odd:  mu={res['odd']['mu']:.9g} converged={res['odd']['converged']}",
-        ]
-    if cmd == "sweep":
-        lines = [f"mu_star={res['mu_star']:.9g} fitted_rate={res['fitted_rate']}"]
-        for e in res["entries"]:
-            if e["failure"]:
-                lines.append(f"eps={e['epsilon']}: failed ({e['failure']})")
-            else:
-                lines.append(
-                    f"eps={e['epsilon']}: mu={e['mu']:.9g} rel_err={e['rel_err']:.3g} "
-                    f"certified={e['certified']}"
-                )
-        return lines
-    return []
 
 
 if __name__ == "__main__":

@@ -117,7 +117,12 @@ def _expression_or_samples(data, key, variables):
         except ParseError as exc:
             raise ParseError(f"{key}: {exc.message}", exc.offset, exc.text) from exc
     if isinstance(data, (list, tuple)):
-        arr = np.asarray(data, dtype=float)
+        try:
+            arr = np.asarray(data, dtype=float)
+        except OverflowError:  # an integer beyond the float range
+            _fail(key, "sample arrays must be finite")
+        except (TypeError, ValueError):  # non-numeric strings, or ragged nesting
+            _fail(key, "sample arrays must hold numbers only")
         if arr.ndim != 1 or len(arr) < 8:
             _fail(key, "sample arrays need at least 8 numbers")
         if not np.all(np.isfinite(arr)):

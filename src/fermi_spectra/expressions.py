@@ -17,6 +17,7 @@ rejected at parse time.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -214,6 +215,19 @@ def parse_expression(text, variables=("s",)):
     if not isinstance(text, str):
         raise ParseError("expression must be a string", 0, repr(text))
     return _Parser(text, variables).parse()
+
+
+def overflows(node):
+    """True when a number literal in the tree overflows a double (reads as inf)."""
+    if isinstance(node, Num):
+        return math.isinf(node.value)
+    if isinstance(node, Neg):
+        return overflows(node.child)
+    if isinstance(node, Call):
+        return overflows(node.arg)
+    if isinstance(node, BinOp):
+        return overflows(node.left) or overflows(node.right)
+    return False
 
 
 def evaluate(node, env):

@@ -260,6 +260,15 @@ class TestLyapunov:
             got = lyapunov_bound(w, L, p)
             assert got == pytest.approx(p * (2.0 / L) ** p, rel=tol)
 
+    @pytest.mark.parametrize("p", [2216.0, 1e5])
+    def test_integral_beyond_double_range_is_zero_bound(self, p):
+        # At p = 2216 on L = pi the integrand stays finite near its maximum,
+        # but Simpson's weighted sum of it overflows; at 1e5 the integrand
+        # itself does.  Either way the bound is 0, with no warning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert lyapunov_bound(np.full(1025, 0.4), math.pi, p) == 0.0
+
     def test_p2_unit_interval_value(self):
         assert lyapunov_bound(np.ones(513), math.pi, 2.0) == pytest.approx(
             8.0 / math.pi**2, rel=1e-9

@@ -6,13 +6,17 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fermi_spectra
-from fermi_spectra.cli import main
+from fermi_spectra.cli import _HANDLERS, main
+from fermi_spectra.config import COMMANDS
 
 RECT = {
     "curve": {"mode": "curvature", "L": math.pi, "k": "0"},
@@ -602,3 +606,109 @@ def test_large_p_bounds_print_no_warning(tmp_path):
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     lyapunov = [b for b in report["results"]["bounds"] if b["label"] == "lyapunov"]
     assert lyapunov[0]["value"] == 0.0
+
+
+# A small curved strip on which every command succeeds; the sweep's first
+# epsilon folds the strip, so its summary shows a failed entry too.
+PIN = {
+    "curve": {"mode": "curvature", "L": math.pi, "k": "-0.5"},
+    "width": "0.5 + 0.1*cos(2*pi*s/L)",
+    "mesh": {"ns": 16, "nt": 16, "n_steps": 512, "n_grid": 64},
+    "epsilons": [5.0, 0.4, 0.2],
+    "figure2_n": 10,
+}
+
+# Each command's summary on PIN, as the two-dispatch CLI printed it.
+PINNED_SUMMARY = {
+    "bounds": [
+        "constant-width: value=1 applicable=False",
+        "variable-width: value=0.5 applicable=False",
+        "lyapunov: value=0.599834798 applicable=True",
+    ],
+    "certify": ["case b: threshold=0.340277778 upper=1.0783103 certified=False"],
+    "solve1d": [
+        "shooting: mu=0.812815437",
+        "discretized: mu=0.813160074",
+        "cross relative difference: 0.000424",
+    ],
+    "solve2d": [
+        "full: mu=1.06337982 parity=odd converged=True",
+        "odd:  mu=1.06337982 converged=True",
+    ],
+    "sweep": [
+        "mu_star=0.812815437 fitted_rate=None",
+        "eps=5.0: failed (InvalidDomain: domain failed validation (jacobian_min=-0.5, collisions=5))",
+        "eps=0.4: mu=0.90020716 rel_err=0.108 certified=True",
+        "eps=0.2: mu=0.854913809 rel_err=0.0518 certified=True",
+    ],
+    "figure2": ["figure2: 10 points, smallest gap 0.00491203, all positive: True"],
+}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_summary_lines_are_pinned(tmp_path, capsys, command):
+    assert sorted(_HANDLERS) == sorted(COMMANDS) == sorted(PINNED_SUMMARY)
+    code, out, _ = run(tmp_path, command, PIN)
+    assert code == 0
+    files = ["report.json"] + ([] if command in ("bounds", "certify") else [f"{command}.csv"])
+    wrote = [f"wrote {os.path.join(str(out), name)}" for name in files]
+    assert capsys.readouterr().out.splitlines() == PINNED_SUMMARY[command] + wrote
+
+
+@pytest.mark.parametrize("command", ["bounds", "certify", "solve1d", "solve2d"])
+@pytest.mark.parametrize(
+    "update, message",
+    [
+        ({"curve": {"mode": "curvature", "L": math.pi, "k": "1/1e999"}}, "curve.k: a number literal"),
+        ({"width": "0.4 + 0*exp(-1e999)"}, "width: a number literal"),
+        ({"width": [10**400] + [0.4] * 8}, "width: sample arrays must be finite"),
+    ],
+)
+def test_number_beyond_double_range_is_config_error(tmp_path, capsys, command, update, message):
+    # Each strip builds from these (1/1e999 is 0), but a literal that reads
+    # as inf cannot be printed back into the report, and numpy cannot read
+    # 10**400 into a float array.
+    code, _, report = run(tmp_path, command, {**RECT, **update})
+    err = capsys.readouterr().err
+    assert code == 1
+    assert report is None
+    assert "config error" in err and message in err
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite number {name} in report.json")
+
+
+@given(
+    command=st.sampled_from(COMMANDS),
+    p=st.floats(math.log(1.001), math.log(1e4)).map(math.exp),
+    p_flag=st.booleans(),
+    k=st.sampled_from(["0", "-0.5", "0.6*cos(2*pi*s/L) - 0.5", "1/1e999"]),
+    width=st.sampled_from(
+        ["0.4", "0.5 + 0.1*cos(2*pi*s/L)", "2.5", "0.4 + 0*exp(-1e999)", [10**400] + [0.4] * 8]
+    ),
+)
+@settings(max_examples=100, derandomize=True, deadline=None)
+def test_every_config_ends_in_an_exit_code(command, p, p_flag, k, width):
+    # The error contract: exit 0, 1 or 2, never an exception, and a report
+    # (written on exit 0 only) that is strict JSON, with no NaN or Infinity.
+    # p comes from the config or from --p.
+    payload = {
+        "curve": {"mode": "curvature", "L": math.pi, "k": k},
+        "width": width,
+        "p": 2.0 if p_flag else p,
+        "mesh": {"ns": 16, "nt": 16, "n_steps": 512, "n_grid": 64},
+        "epsilons": [0.4, 0.2],
+        "figure2_n": 16,
+    }
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "cfg.json"
+        cfg.write_text(json.dumps(payload))
+        out = Path(tmp) / "out"
+        flags = ["--p", repr(p)] if p_flag else []
+        code = main([command, "--config", str(cfg), "--out", str(out), *flags])
+        assert code in (0, 1, 2)
+        report = out / "report.json"
+        assert report.exists() == (code == 0)
+        if code == 0:
+            json.loads(report.read_text(), parse_constant=_reject_constant)

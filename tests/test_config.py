@@ -144,6 +144,20 @@ class TestRejections:
         with pytest.raises(SchemaError):
             load_config(write(tmp_path, "{not json"), command="certify")
 
+    @pytest.mark.parametrize(
+        "samples, message",
+        [
+            ([10**400] + [1] * 8, "sample arrays must be finite"),
+            (["a"] * 9, "sample arrays must hold numbers only"),
+            ([[1, 2], [1]] + [1] * 7, "sample arrays must hold numbers only"),
+        ],
+    )
+    def test_sample_arrays_numpy_cannot_read(self, tmp_path, samples, message):
+        # 10**400 does not fit a double, like the curve.L of 10**400 that
+        # _number rejects; numpy raises OverflowError or ValueError on these.
+        with pytest.raises(SchemaError, match=f"width: {message}"):
+            load_config(write(tmp_path, dict(BASE, width=samples)), command="certify")
+
     def test_negative_length_rejected(self, tmp_path):
         payload = dict(BASE, curve={"mode": "curvature", "L": -1.0, "k": "0"})
         with pytest.raises(SchemaError):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fermi_spectra import ParseError, as_function, evaluate, parse_expression, pretty
+from fermi_spectra.expressions import overflows
 
 
 def ev(text, **env):
@@ -81,6 +82,20 @@ class TestEvaluation:
             out = f(values)
             assert out.shape == np.shape(values)
             assert np.all(out == evaluate(parse_expression(text, ("s", "L")), {"L": 3.0}))
+
+
+class TestOverflowingLiterals:
+    # A literal beyond double range reads as inf; pretty cannot print it back,
+    # so the command line rejects a config whose expressions hold one.
+    @pytest.mark.parametrize("text", ["1e999", "1/1e999", "0.4 + 0*exp(-1e999)", "2^(s - 1e400)"])
+    def test_found_anywhere_in_the_tree(self, text):
+        assert overflows(parse_expression(text, variables=("s",)))
+
+    @pytest.mark.parametrize("text", ["1.7976931348623157e308", "1/0", "exp(1000)", "s"])
+    def test_finite_literals_pass(self, text):
+        # 1/0 and exp(1000) are infinite values, not literals: the profile
+        # checks judge those.
+        assert not overflows(parse_expression(text, variables=("s",)))
 
 
 class TestErrors:
