@@ -16,7 +16,6 @@ import numpy as np
 
 from .analysis import _simpson, certify_odd, fermi_layer_integral
 from .eig1d import OneDimProblem, solve_shooting
-from .eig2d import solve_mu1_nonlinear
 from .errors import FermiSpectraError
 from .geometry import scale_width
 
@@ -95,6 +94,9 @@ def epsilon_sweep(domain, p, epsilons, policy=None):
     convergence rate is fitted on the last three successful entries in
     log-log coordinates.
     """
+    # Imported here, so that the thin limit alone does not load the strip solver.
+    from .eig2d import solve_mu1_nonlinear
+
     domain.require_valid()
     policy = policy or MeshPolicy()
     eps_arr = np.asarray(list(epsilons), dtype=float)

@@ -22,7 +22,8 @@ profile, so it still runs and reports "valid": false.
 
 Each command is one handler, _HANDLERS[command](cfg, domain), that returns
 the report's results, the CSV tables (filename to header and rows) and the
-summary lines main prints.
+summary lines main prints.  The solver handlers import their solvers when
+called, so bounds, certify and figure2 load no solver module.
 
 Reports are deterministic: the same config file and flags produce
 byte-identical report.json and CSV files.  No timestamps, no randomness.
@@ -46,10 +47,7 @@ from .analysis import (
     lower_bound_variable_width,
     lyapunov_bound_report,
 )
-from .asymptotics import MeshPolicy, epsilon_sweep, limit_problem
 from .config import COMMANDS, load_config
-from .eig1d import solve_discretized, solve_shooting
-from .eig2d import solve_mu1_nonlinear
 from .errors import FermiSpectraError, ParseError, SchemaError
 from .expressions import as_function, overflows, pretty
 from .geometry import (
@@ -153,6 +151,9 @@ def _certify(cfg, domain):
 
 
 def _solve1d(cfg, domain):
+    from .asymptotics import limit_problem
+    from .eig1d import solve_discretized, solve_shooting
+
     problem = limit_problem(domain, cfg.p)
     shot = solve_shooting(problem, tol=cfg.tolerances["shooting"], n_steps=cfg.mesh["n_steps"])
     disc = solve_discretized(problem, n=cfg.mesh["n_grid"])
@@ -173,6 +174,8 @@ def _solve1d(cfg, domain):
 
 
 def _solve2d(cfg, domain):
+    from .eig2d import solve_mu1_nonlinear
+
     ns, nt = cfg.mesh["ns"], cfg.mesh["nt"]
     full = solve_mu1_nonlinear(domain, cfg.p, ns, nt)
     odd = solve_mu1_nonlinear(domain, cfg.p, ns, nt, odd=True)
@@ -188,6 +191,8 @@ def _solve2d(cfg, domain):
 
 
 def _sweep(cfg, domain):
+    from .asymptotics import MeshPolicy, epsilon_sweep
+
     policy = MeshPolicy(ns=cfg.mesh["ns"], nt=cfg.mesh["nt"])
     sw = epsilon_sweep(domain, cfg.p, cfg.epsilons, policy)
     entries, rows = [], []

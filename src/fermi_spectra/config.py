@@ -117,13 +117,14 @@ def _expression_or_samples(data, key, variables):
         except ParseError as exc:
             raise ParseError(f"{key}: {exc.message}", exc.offset, exc.text) from exc
     if isinstance(data, (list, tuple)):
+        # As in _number: numpy would read true as 1 and "0.4" as 0.4.
+        if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in data):
+            _fail(key, "sample arrays must hold numbers only")
         try:
             arr = np.asarray(data, dtype=float)
         except OverflowError:  # an integer beyond the float range
             _fail(key, "sample arrays must be finite")
-        except (TypeError, ValueError):  # non-numeric strings, or ragged nesting
-            _fail(key, "sample arrays must hold numbers only")
-        if arr.ndim != 1 or len(arr) < 8:
+        if len(arr) < 8:
             _fail(key, "sample arrays need at least 8 numbers")
         if not np.all(np.isfinite(arr)):
             _fail(key, "sample arrays must be finite")

@@ -766,7 +766,8 @@ def solve_mu1_nonlinear(domain, p, ns=256, nt=16, odd=False):
     direction are computed only at accepted iterates: a rejected candidate
     costs one projection and one quotient value.  residual is the norm of
     the last direction over mu.  It stops converged when 40 step halvings
-    fail to lower the quotient or the quotient drops by at most
+    fail to lower the quotient (fewer once u - step * d rounds to u, since
+    every shorter step repeats that candidate) or the quotient drops by at most
     STALL_TOL = 1e-9 (relative) over STALL_WINDOW = 50 accepted steps, and
     unconverged after DESCENT_MAX_ITER = 20000 steps: converged reports
     stagnation, the attainable notion of success for a descent method, and
@@ -863,10 +864,16 @@ def _descent(half, p, parity):
         trial = step
         accepted = False
         for _ in range(40):
-            cand = project(u - trial * d)
+            raw = u - trial * d
+            cand = project(raw)
             cval, cdirection = evaluate(cand)
             if cval < value:
                 accepted = True
+                break
+            if np.array_equal(raw, u):
+                # The step has collapsed onto the iterate, so every shorter
+                # step gives this candidate again.  The raw step is tested
+                # because the even projection moves u itself.
                 break
             trial *= 0.5
         if not accepted:

@@ -414,7 +414,10 @@ def _boundary_crossings(points, offset):
     m, n = len(poly), len(points)
     head, tail = poly, np.roll(poly, -1, axis=0)
     ends = np.array([n - 1, m - 1])
-    sides = np.setdiff1d(np.arange(m), ends)
+    # A mask rather than np.setdiff1d, whose np.unique imports numpy.ma.
+    side = np.ones(m, dtype=bool)
+    side[ends] = False
+    sides = np.flatnonzero(side)
 
     # Side edges that meet have midpoints at most one longest side edge
     # apart; the max-norm search (a superset, free of squared distances

@@ -675,6 +675,56 @@ def test_number_beyond_double_range_is_config_error(tmp_path, capsys, command, u
     assert "config error" in err and message in err
 
 
+@pytest.mark.parametrize("samples", [[True] * 9, ["0.4"] * 9], ids=["booleans", "strings"])
+def test_sample_array_of_non_numbers_is_config_error(tmp_path, capsys, samples):
+    # numpy would read these as width 1 and 0.4, and certify would exit 0.
+    code, _, report = run(tmp_path, "certify", {**RECT, "width": samples})
+    err = capsys.readouterr().err
+    assert code == 1
+    assert report is None
+    assert "config error" in err and "width: sample arrays must hold numbers only" in err
+
+
+# solve2d at p != 2 on the 64x16 sample strips of CI: the full and odd
+# results, frozen from the line search that halved its step 40 times
+# before giving up.  Ending the search once its step has collapsed onto
+# the iterate must leave them as they were.
+PINNED_DESCENTS = {
+    ("annulus", 1.5): {
+        "full": (1.169968605132103, 2.2416575001972773e-07, 148, True, "odd"),
+        "odd": (1.169968605132103, 2.2416575001972773e-07, 148, True, "odd"),
+    },
+    ("annulus", 3.0): {
+        "full": (1.3835754746745423, 1.3226375860126888e-08, 27, True, "odd"),
+        "odd": (1.3835754746745423, 1.3226375860126888e-08, 27, True, "odd"),
+    },
+    ("annulus", 100.0): {
+        "full": (30612685285.694324, 2018.9237017784928, 1, False, "odd"),
+        "odd": (30612685285.694324, 2018.9237017784928, 1, False, "odd"),
+    },
+    ("wide_sector", 1.5): {
+        "full": (1.0922065523092093, 2.0743691013602123e-07, 46, True, "even"),
+        "odd": (1.5042018216156843, 1.7177543562012654e-08, 71, True, "odd"),
+    },
+}
+
+
+@pytest.mark.parametrize("config, p", list(PINNED_DESCENTS), ids=lambda v: str(v))
+def test_descent_reports_are_pinned(tmp_path, config, p):
+    cfg = Path(__file__).resolve().parents[1] / "configs" / f"{config}.json"
+    out = tmp_path / "out"
+    argv = ["solve2d", "--config", str(cfg), "--out", str(out), "--p", str(p), "--ns", "64", "--nt", "16"]
+    assert main(argv) == 0
+    res = json.loads((out / "report.json").read_text())["results"]
+    for variant, (mu, residual, iterations, converged, parity) in PINNED_DESCENTS[config, p].items():
+        got = res[variant]
+        assert got["mu"] == pytest.approx(mu, rel=1e-12)
+        assert got["residual"] == pytest.approx(residual, rel=1e-6)
+        assert (got["iterations"], got["converged"], got["parity"], got["gap"]) == (
+            iterations, converged, parity, None,
+        )
+
+
 def _reject_constant(name):
     raise ValueError(f"non-finite number {name} in report.json")
 

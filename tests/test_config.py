@@ -150,11 +150,14 @@ class TestRejections:
             ([10**400] + [1] * 8, "sample arrays must be finite"),
             (["a"] * 9, "sample arrays must hold numbers only"),
             ([[1, 2], [1]] + [1] * 7, "sample arrays must hold numbers only"),
+            ([True] * 9, "sample arrays must hold numbers only"),
+            (["0.4"] * 9, "sample arrays must hold numbers only"),
         ],
     )
     def test_sample_arrays_numpy_cannot_read(self, tmp_path, samples, message):
         # 10**400 does not fit a double, like the curve.L of 10**400 that
-        # _number rejects; numpy raises OverflowError or ValueError on these.
+        # _number rejects.  Booleans and numeric strings, which numpy would
+        # read as 1 and 0.4, are refused as _number refuses them.
         with pytest.raises(SchemaError, match=f"width: {message}"):
             load_config(write(tmp_path, dict(BASE, width=samples)), command="certify")
 

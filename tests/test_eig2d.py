@@ -855,6 +855,47 @@ class TestPQuotient:
         assert calls["_p_rayleigh_grad"] <= result.iterations + 1
         assert calls["_p_rayleigh_grad"] < calls["_p_rayleigh"]
 
+    @pytest.mark.parametrize(
+        "strip, p, odd",
+        [("wavy", 1.5, True), ("wide", 3.0, True), ("wide", 1.5, False), ("wide", 3.0, False)],
+        ids=["wavy-1.5-odd", "wide-3-odd", "wide-1.5-even", "wide-3-even"],
+    )
+    def test_line_search_ends_once_step_collapses(self, wavy, monkeypatch, empty_slot, strip, p, odd):
+        # Once u - trial * d rounds to u, every shorter step gives the same
+        # candidate again, so the search ends there rather than after 40
+        # halvings.  An odd iterate is its own projection, so in the odd
+        # class that candidate is the iterate itself, and the quotient is
+        # never evaluated after it.  The even projection moves the iterate
+        # by a p-mean shift; there the last search is only seen to end early.
+        events = []
+        for name in ("_p_rayleigh", "_p_rayleigh_grad"):
+            original = getattr(eig2d, name)
+
+            def recorded(*args, _name=name, _original=original):
+                events.append(args[1].copy() if _name == "_p_rayleigh" else None)
+                return _original(*args)
+
+            monkeypatch.setattr(eig2d, name, recorded)
+        domain = wavy if strip == "wavy" else wide_sector()
+        result = solve_mu1_nonlinear(domain, p, ns=32, nt=8, odd=odd)
+        assert result.parity == ("odd" if odd else "even")
+        # The start's quotient and gradient, then one line search per step:
+        # its candidates, and a gradient (None) after an accepted one.
+        assert events[1] is None
+        iterate, candidates, searches = events[0], [], []
+        for vec in events[2:]:
+            if vec is None:
+                searches.append((iterate, candidates))
+                iterate, candidates = candidates[-1], []
+            else:
+                candidates.append(vec)
+        assert 0 < len(candidates) < 40
+        if odd:
+            for u, cands in searches:
+                assert not any(np.array_equal(c, u) for c in cands)
+            hits = [k for k, c in enumerate(candidates) if np.array_equal(c, iterate)]
+            assert hits == [len(candidates) - 1]
+
     @pytest.mark.parametrize("odd", [False, True], ids=["full", "odd"])
     def test_preconditioned_step_is_mostly_accepted(self, wavy, monkeypatch, empty_slot, odd):
         # The Barzilai-Borwein step is taken in the preconditioner's inner

@@ -1,4 +1,9 @@
-"""Each command imports only the scipy subpackages it calls.
+"""Each command imports only the package modules and scipy subpackages it calls.
+
+`import fermi_spectra` loads none of its submodules: each loads when one
+of its names is first read, and the CLI imports the solvers inside the
+handlers that call them.  So figure2, bounds and certify load no solver
+module, solve1d no strip solver, and no command loads numpy.ma.
 
 The package imports no scipy module: the strip solver loads bare scipy
 and its LAPACK extension module when it first factors, without the
@@ -6,7 +11,7 @@ scipy.linalg package, and the pi_p quadrature oracle imports
 scipy.integrate when called.  So the import floor of a command that needs
 no subpackage is numpy plus, for the strip solves, scipy's own small top
 level.  Each check runs in a fresh interpreter, since this test process
-has loaded scipy in full.
+has loaded scipy in full and every package module.
 """
 
 import json
@@ -19,21 +24,18 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# Prints the scipy modules loaded after body ran, then the public
+# Prints every module loaded after body ran, then the public scipy
 # subpackage names (scipy.__all__).
 PROBE = """
 import json, sys
 {body}
-loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+loaded = sorted(sys.modules)
 import scipy
 print(json.dumps([loaded, scipy.__all__]))
 """
 
 
-def probe(body):
-    """The scipy modules loaded after body ran, and the public subpackages
-    among them.  A subpackage counts by its exact module name, so
-    scipy.linalg._flapack alone does not count as scipy.linalg."""
+def run_probe(body):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
         [sys.executable, "-c", PROBE.format(body=body)],
@@ -41,7 +43,23 @@ def probe(body):
     )
     assert proc.returncode == 0, proc.stderr
     loaded, public = json.loads(proc.stdout.splitlines()[-1])
-    return set(loaded), {m.split(".")[1] for m in loaded if m.count(".") == 1} & set(public)
+    return set(loaded), set(public)
+
+
+def probe(body):
+    """The scipy modules loaded after body ran, and the public subpackages
+    among them.  A subpackage counts by its exact module name, so
+    scipy.linalg._flapack alone does not count as scipy.linalg."""
+    loaded, public = run_probe(body)
+    loaded = {m for m in loaded if m == "scipy" or m.startswith("scipy.")}
+    return loaded, {m.split(".")[1] for m in loaded if m.count(".") == 1} & public
+
+
+def package_probe(body):
+    """The fermi_spectra submodules (without the package prefix) loaded
+    after body ran, and whether numpy.ma was."""
+    loaded, _ = run_probe(body)
+    return {m.split(".", 1)[1] for m in loaded if m.startswith("fermi_spectra.")}, "numpy.ma" in loaded
 
 
 def loaded_subpackages(body):
@@ -131,3 +149,70 @@ def test_root_finding_commands_load_no_optimize(tmp_path, command):
     # Shooting and the p-mean shift find their roots with the package's own
     # Brent method.
     assert "optimize" not in loaded_subpackages(cli_body(command, "wavy_sweep.json", tmp_path))
+
+
+def test_package_import_loads_no_submodule():
+    assert package_probe("import fermi_spectra") == (set(), False)
+
+
+# The modules every command loads: the CLI, its config reader, and what
+# building the strip and evaluating the closed forms need.
+COMMON = {"cli", "config", "errors", "expressions", "geometry", "analysis"}
+
+
+@pytest.mark.parametrize(
+    "command, config, solvers",
+    [
+        ("figure2", "gap_table.json", set()),
+        ("bounds", "wavy_sweep.json", set()),
+        ("certify", "rectangle.json", set()),
+        ("certify", "parabola.json", set()),
+        ("solve1d", "wavy_sweep.json", {"eig1d", "asymptotics"}),
+        ("solve2d", "annulus.json", {"eig1d", "eig2d"}),
+        ("sweep", "wavy_sweep.json", {"eig1d", "eig2d", "asymptotics"}),
+    ],
+)
+def test_command_loads_only_its_modules(tmp_path, command, config, solvers):
+    # The closed-form commands load no solver, solve1d no strip solver; the
+    # strip's boundary check finds its side edges without np.setdiff1d,
+    # whose np.unique imports numpy.ma.
+    loaded, masked = package_probe(cli_body(command, config, tmp_path))
+    assert loaded == COMMON | solvers
+    assert not masked
+
+
+SUBMODULES = sorted(COMMON | {"eig1d", "eig2d", "asymptotics"})
+
+
+def test_public_names_are_their_submodules_objects():
+    body = (
+        "import importlib, fermi_spectra as fs\n"
+        "assert len(fs.__all__) == len(set(fs.__all__)) == 52\n"
+        f"mods = [importlib.import_module(f'fermi_spectra.{{m}}') for m in {SUBMODULES!r}]\n"
+        "for name in fs.__all__:\n"
+        "    obj = getattr(fs, name)\n"
+        "    assert [m for m in mods if getattr(m, name, None) is obj], name\n"
+        "for m in mods:\n"
+        "    assert getattr(fs, m.__name__.split('.')[1]) is m\n"
+        f"assert set(fs.__all__) | set({SUBMODULES!r}) <= set(dir(fs))"
+    )
+    loaded, _ = package_probe(body)
+    assert "eig2d" in loaded
+
+
+def test_star_import_and_unknown_name():
+    body = (
+        "from fermi_spectra import *\n"
+        "from fermi_spectra import eig2d\n"
+        "assert solve_mu1_linear is eig2d.solve_mu1_linear\n"
+        "import fermi_spectra\n"
+        "try:\n"
+        "    fermi_spectra.no_such_name\n"
+        "except AttributeError as exc:\n"
+        "    assert 'no_such_name' in str(exc)\n"
+        "else:\n"
+        "    raise AssertionError('an unknown name resolved')\n"
+        "assert not hasattr(fermi_spectra, 'solve_mu1')"
+    )
+    loaded, _ = package_probe(body)
+    assert loaded >= {"analysis", "asymptotics", "eig1d", "eig2d", "geometry"}
