@@ -10,6 +10,7 @@ one-dimensional minimizer transplanted back onto the strip.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,14 +23,17 @@ from .geometry import scale_width
 
 @dataclass
 class MeshPolicy:
+    """The sweep's mesh: ns an even integer of at least 8, as a config's
+    mesh.ns for the sweep command, and nt at least 16."""
+
     ns: int = 256
     nt: int = 16
 
     def __post_init__(self):
         if self.nt < 16:
             raise ValueError("nt below 16 under-resolves the width direction")
-        if self.ns % 2 != 0:
-            raise ValueError("ns must be even")
+        if isinstance(self.ns, bool) or not isinstance(self.ns, numbers.Integral) or self.ns < 8 or self.ns % 2:
+            raise ValueError(f"ns must be an even integer of at least 8 (got {self.ns!r})")
 
 
 @dataclass

@@ -22,12 +22,29 @@ K + sigma M, and its Cholesky factor is the leading columns of the
 band factor.  The full p = 2 solve is the lower of the two classes; its
 eigenvector is mirrored onto the whole strip, u(L - s) = +-u(s).
 
-One system is factored per strip and mesh at any p: the half band's K + sigma M,
+One system is kept per strip and mesh at any p: the half band's K + sigma M,
 symmetric positive definite with every entry within nt + 2 of the
-diagonal, by banded Cholesky (LAPACK pbtrf) at O(ns nt^3) cost.  The band
-is narrow because every mesh in use has ns >= nt.  The LAPACK routines
-come from scipy's LAPACK extension module, loaded without the
+diagonal, factored by banded Cholesky (LAPACK pbtrf) at O(ns nt^3) cost.
+The band is narrow because every mesh in use has ns >= nt.  The LAPACK
+routines come from scipy's LAPACK extension module, loaded without the
 scipy.linalg package (_lapack).
+
+The p = 2 class solves are two-level on a half mesh of at least
+_COARSE_MIN_NODES = 4096 nodes (from 512 x 32 on; 256 x 16 has 2193).
+A coarse half strip of the same domain, about _COARSE_RATIO = 4 times
+coarser each way, is built, factored and solved in both classes, and
+each class's two lowest Ritz vectors are interpolated bilinearly onto the
+fine half mesh as that class's start block.  The fine stop rule is
+unchanged; what the start saves is the iterations that would recover
+what the coarse solve knows (its vectors are within O(h^2) of the fine
+ones), up to three quarters of them (BENCH_26.json).
+The coarse level is solved like any half strip, so a coarse mesh still
+above the threshold has a coarse level of its own.  It is transient: it
+is dropped once its Ritz vectors are taken, is never kept between solves,
+and a coarse level that fails (any FermiSpectraError) leaves the analytic
+start, a missed hint and not a failed solve.  Below the threshold every
+solve starts from the analytic block, and a result's iterations count
+fine-level iterations only.
 
 The mesh's cell tables (conn, shape, shape_grad, metric, gauss_weight)
 are the one discrete representation of the strip.  assemble contracts
@@ -55,9 +72,10 @@ iteration and the descent at each other p.  The half strip is found by
 content (ns, nt, L and the exact bytes of the curvature, width and
 width-derivative samples), not by the domain object.  So a full and an
 odd request on one strip and mesh, in either order, or a sweep over p,
-cost one mesh, one assembly, one factorization, one p = 2 solve per class
-and one descent per (p, class).  The state is held until a strip or mesh
-that differs is solved, and is dropped before the new one is built; at
+cost one mesh, one assembly, one kept factorization (and one transient
+coarse one above the threshold), one p = 2 solve per class and one
+descent per (p, class).  The state is held until a strip or mesh that
+differs is solved, and is dropped before the new one is built; at
 1024 x 64 it is about 29 MiB.  Its arrays are read-only: results share
 the mesh, and every returned u is the caller's own array.  A failed solve
 is not kept.  Every request, full or odd at any p, becomes its
@@ -77,7 +95,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eig1d import pmean_shift
-from .errors import BadExponent, DegenerateCell, SolveFailure
+from .errors import BadExponent, DegenerateCell, FermiSpectraError, SolveFailure
 
 _GPTS = np.array([-1.0, 1.0]) / np.sqrt(3.0)
 
@@ -108,7 +126,8 @@ class Eigen2DResult:
     runs on.  u holds the mode at the nodes of the whole strip for the
     full solves (mirrored from the half strip; at p = 2 unit in the whole
     strip's mass norm) and of the half mesh for the odd ones.  iterations
-    counts every class solve behind the result.  At p = 2, converged holds
+    counts every class solve behind the result, on the result's own mesh
+    only (not a coarse level's).  At p = 2, converged holds
     when each class's residual is at most RESIDUAL_TOL or its rounding
     level eps max(K_ii / M_ii) / mu, whichever is larger; at other p it is
     the descent's (solve_mu1_nonlinear).
@@ -443,6 +462,12 @@ RESIDUAL_TOL = 1e-5
 # cos(pi s / L): positive, so the matrix is definite with the constant
 # mode included, and small, so the odd class converges as fast as unshifted.
 SHIFT = 1e-3
+# A half strip of at least _COARSE_MIN_NODES nodes starts its p = 2 class
+# solves from a coarse half strip's Ritz vectors (_coarse_ritz), on a mesh
+# with about _COARSE_RATIO times fewer cells each way.  Below it the coarse
+# solve costs more than the fine iterations it saves.
+_COARSE_MIN_NODES = 4096
+_COARSE_RATIO = 4
 
 
 @dataclass
@@ -450,9 +475,10 @@ class _ClassResult:
     """One mirror class's solve at one p, on the half mesh.
 
     At p = 2 it is the inverse iteration: next_mu is the class's second
-    Ritz value, and converged only says the stop rule fired, since the
-    residual is judged when a result is made (_strip_result).  At other p
-    it is the Rayleigh descent, with its own converged and no next_mu.
+    Ritz value and next_u its vector, and converged only says the stop rule
+    fired, since the residual is judged when a result is made
+    (_strip_result).  At other p it is the Rayleigh descent, with its own
+    converged and no next_mu or next_u.
     """
 
     parity: str
@@ -462,6 +488,7 @@ class _ClassResult:
     iterations: int
     converged: bool
     next_mu: float | None
+    next_u: np.ndarray | None
 
 
 def _read_only(*arrays):
@@ -482,10 +509,16 @@ class _HalfStrip:
     columns of the band factor.  Odd-class vectors keep all nodes, with
     zeros on the midline.
 
+    At p = 2 each class runs block inverse iteration from _start: on a
+    half mesh of at least _COARSE_MIN_NODES nodes the interpolated Ritz
+    vectors of a transient coarse half strip, built, solved and dropped in
+    __init__ (_coarse_ritz), and otherwise, or when that coarse level
+    fails, the analytic block.
+
     An instance also keeps what was solved on it: each class's result at
     each p (result), computed on first request.  Its mesh, matrices, factor
     and kept vectors are read-only.  Instances come from _half_strip, which
-    keeps the latest one.
+    keeps the latest one, and from _coarse_ritz, which keeps none.
     """
 
     def __init__(self, domain, ns, nt):
@@ -514,23 +547,31 @@ class _HalfStrip:
         k_main, m_main = self.pencil[:, np.searchsorted(self.offsets, 0)]
         self.ritz_floor = np.finfo(float).eps * float(np.max(k_main / m_main))
         self._results = {}
+        self._coarse = _coarse_ritz(domain, ns, nt) if mesh.n_nodes >= _COARSE_MIN_NODES else None
 
     def _start(self, parity):
-        """Deterministic start block with components along the low modes of
+        """Start block of the class: the coarse level's two Ritz vectors
+        (_coarse_ritz) interpolated onto the half mesh, or, without a coarse
+        level, a deterministic block with components along the low modes of
         the class in both directions: a block that varies only in s is
         M-orthogonal to the rectangle's even mode cos(pi t).  The even
-        block's other columns start M-orthogonal to its constant column:
-        the solve amplifies a constant component by 1 / sigma, and one left
-        in the start would swamp the modes sought."""
+        block's first column is the constant, and its other columns start
+        M-orthogonal to it: the solve amplifies a constant component by
+        1 / sigma, and one left in the start would swamp the modes sought."""
         s = self.mesh.node_s / self.L
-        ramp = (1.0 + s) * (1.0 + np.cos(np.pi * self.mesh.node_t))
+        if self._coarse is not None:
+            cells = self.mesh.n_nodes // (self.nt + 1) - 1
+            V = _interpolate(_interpolate(self._coarse[parity], cells, 1), self.nt, 2)
+            V = np.ascontiguousarray(V.reshape(len(V), -1).T)
+        else:
+            ramp = (1.0 + s) * (1.0 + np.cos(np.pi * self.mesh.node_t))
+            cos = np.cos(np.pi * s)
+            V = np.column_stack([np.cos(2.0 * np.pi * s), ramp] if parity == "even" else [cos, ramp * cos])
         if parity == "even":
-            V = np.column_stack([np.ones_like(s), np.cos(2.0 * np.pi * s), ramp])
+            V = np.column_stack([np.ones_like(s), V])
             mass = _stencil_product(self.offsets, self.pencil[1], V[:, 0])
             V[:, 1:] -= np.outer(V[:, 0], (mass @ V[:, 1:]) / (mass @ V[:, 0]))
             return V
-        cos = np.cos(np.pi * s)
-        V = np.column_stack([cos, ramp * cos])
         V[self.free["odd"]:] = 0.0
         return V
 
@@ -600,10 +641,11 @@ class _HalfStrip:
         residual = float(np.linalg.norm(Ku - mu * MV[:m, target]) / max(np.linalg.norm(Ku), 1e-300))
         if u[np.argmax(np.abs(u))] < 0.0:
             u = -u
-        _read_only(u)
+        next_u = W @ Y[:, target + 1]
+        _read_only(u, next_u)
         return _ClassResult(
             parity=parity, mu=mu, u=u, residual=residual, iterations=it,
-            converged=True, next_mu=float(theta[target + 1]),
+            converged=True, next_mu=float(theta[target + 1]), next_u=next_u,
         )
 
     def lowest(self):
@@ -617,6 +659,32 @@ class _HalfStrip:
         rows = u.reshape(-1, self.nt + 1)
         sign = 1.0 if parity == "even" else -1.0
         return np.concatenate([rows, sign * rows[-2::-1]]).ravel()
+
+
+def _coarse_ritz(domain, ns, nt):
+    """The coarse level of a half strip's p = 2 class solves: each class's
+    two lowest Ritz vectors (its target and the next) on a half strip about
+    _COARSE_RATIO times coarser each way, ns kept even, as an array
+    (vector, s node, t node); None when the coarse level fails, a missed
+    hint and not a failed solve.  The coarse half strip is solved as any
+    other, from a coarser level of its own when it is large enough, and is
+    dropped on return: it is never kept (_slot)."""
+    try:
+        coarse = _HalfStrip(domain, 2 * max(2, ns // (2 * _COARSE_RATIO)), max(1, nt // _COARSE_RATIO))
+        results = [coarse.result(2.0, parity) for parity in ("even", "odd")]
+        return {c.parity: np.stack([c.u, c.next_u]).reshape(2, -1, coarse.nt + 1) for c in results}
+    except FermiSpectraError:
+        return None
+
+
+def _interpolate(values, cells, axis):
+    """Linear interpolation of values along axis, from its nodes to cells + 1
+    nodes, both uniform on one interval with the same ends."""
+    n = values.shape[axis] - 1
+    x = np.arange(cells + 1) * n / cells  # in units of the old spacing, exact at the ends
+    i = np.minimum(x.astype(np.intp), n - 1)
+    w = (x - i).reshape((-1,) + (1,) * (values.ndim - axis - 1))
+    return (1.0 - w) * np.take(values, i, axis) + w * np.take(values, i + 1, axis)
 
 
 # The latest half strip, with its key: nothing else is kept between solves.
@@ -676,8 +744,10 @@ def solve_mu1_linear(domain, ns=256, nt=16):
     Solved by mirror parity on the half strip s in [0, L/2] (ns even):
     K + sigma M is assembled and factored by banded Cholesky once, and
     each class (even: free midline; odd: midline held at zero) runs block
-    inverse iteration with Rayleigh-Ritz on the shared factor.  mu is the
-    smaller class eigenvalue, odd on a tie, and parity names its class.
+    inverse iteration with Rayleigh-Ritz on the shared factor, started
+    from a coarse mesh's Ritz vectors on large meshes (module docstring).
+    mu is the smaller class eigenvalue, odd on a tie, and parity names its
+    class.
     gap is (mu_next - mu) / mu, with mu_next the smaller of the other
     class's eigenvalue and the winning class's second Ritz value (an
     upper estimate of its second eigenvalue, converged only as far as the
@@ -908,5 +978,5 @@ def _descent(half, p, parity):
     _read_only(u)
     return _ClassResult(
         parity=parity, mu=float(value), u=u, residual=residual, iterations=iterations,
-        converged=converged, next_mu=None,
+        converged=converged, next_mu=None, next_u=None,
     )

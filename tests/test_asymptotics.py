@@ -127,3 +127,14 @@ class TestFailureHandling:
             MeshPolicy(ns=63, nt=16)
         with pytest.raises(ValueError):
             MeshPolicy(ns=64, nt=8)
+
+    @pytest.mark.parametrize("ns", [2, 0, -4, 6, 63, 64.0, True])
+    def test_mesh_policy_rejects_ns_below_the_config_floor(self, ns):
+        # An even ns below 8 used to pass and end the sweep in a bare
+        # ValueError from build_mesh instead of per-entry failures.
+        with pytest.raises(ValueError, match="even integer of at least 8"):
+            MeshPolicy(ns=ns, nt=16)
+
+    def test_mesh_policy_accepts_the_config_floor(self):
+        assert MeshPolicy(ns=8, nt=16).ns == 8
+        assert MeshPolicy(ns=np.int64(64), nt=16).ns == 64

@@ -11,7 +11,7 @@ import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fermi_spectra
@@ -729,6 +729,14 @@ def _reject_constant(name):
     raise ValueError(f"non-finite number {name} in report.json")
 
 
+# --ns and --nt values: absent (the config's 16 x 16), at the floors of 8
+# (every mesh size) and 16 (the sweep's nt), odd, below those floors, zero
+# and negative.  A drawn mesh is no finer than the config's, so a descent
+# at a drawn p costs no more than without the flags.
+NS_FLAGS = [None, 8, 9, 7, 6, 0, -4]
+NT_FLAGS = [None, 16, 9, 8, 7, 0, -2]
+
+
 @given(
     command=st.sampled_from(COMMANDS),
     p=st.floats(math.log(1.001), math.log(1e4)).map(math.exp),
@@ -737,12 +745,18 @@ def _reject_constant(name):
     width=st.sampled_from(
         ["0.4", "0.5 + 0.1*cos(2*pi*s/L)", "2.5", "0.4 + 0*exp(-1e999)", [10**400] + [0.4] * 8]
     ),
+    ns=st.sampled_from(NS_FLAGS),
+    nt=st.sampled_from(NT_FLAGS),
 )
-@settings(max_examples=100, derandomize=True, deadline=None)
-def test_every_config_ends_in_an_exit_code(command, p, p_flag, k, width):
+# A p = 2 solve2d whose half mesh is above eig2d._COARSE_MIN_NODES: its
+# class solves start from a coarse mesh's Ritz vectors.
+@example(command="solve2d", p=2.0, p_flag=False, k="-0.5", width="0.5 + 0.1*cos(2*pi*s/L)", ns=256, nt=32)
+@settings(max_examples=250, derandomize=True, deadline=None)
+def test_every_config_ends_in_an_exit_code(command, p, p_flag, k, width, ns, nt):
     # The error contract: exit 0, 1 or 2, never an exception, and a report
     # (written on exit 0 only) that is strict JSON, with no NaN or Infinity.
-    # p comes from the config or from --p.
+    # p comes from the config or from --p, the mesh from the config or from
+    # --ns and --nt.
     payload = {
         "curve": {"mode": "curvature", "L": math.pi, "k": k},
         "width": width,
@@ -756,6 +770,9 @@ def test_every_config_ends_in_an_exit_code(command, p, p_flag, k, width):
         cfg.write_text(json.dumps(payload))
         out = Path(tmp) / "out"
         flags = ["--p", repr(p)] if p_flag else []
+        for flag, n in (("--ns", ns), ("--nt", nt)):
+            if n is not None:
+                flags += [flag, str(n)]
         code = main([command, "--config", str(cfg), "--out", str(out), *flags])
         assert code in (0, 1, 2)
         report = out / "report.json"

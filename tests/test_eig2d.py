@@ -9,7 +9,9 @@ the constant cannot drift from its derivation.  annular_sector_mu gives
 the same eigenvalues exactly, as roots of a Bessel cross product.
 """
 
+import gc
 import math
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -769,6 +771,134 @@ class TestKeptHalfStrip:
         monkeypatch.setattr(eig2d, "INVERSE_MAX_ITER", limit)
         result = solve_mu1_odd_linear(wavy, 32, 8)
         assert result.converged and result.iterations > 1
+
+
+def config_strip(name):
+    return build_domain(load_config(CONFIG_DIR / f"{name}.json", command="solve2d"))
+
+
+def class_solves(domain, ns, nt):
+    """Both p = 2 class results on a fresh half strip, and the half strip."""
+    eig2d._slot = None
+    half = eig2d._half_strip(domain, ns, nt)
+    return {c: half.result(2.0, c) for c in ("even", "odd")}, half
+
+
+class TestTwoLevelStart:
+    """Half strips of at least _COARSE_MIN_NODES nodes start their p = 2
+    class solves from a coarse half strip's Ritz vectors."""
+
+    MESH = (512, 32)  # 8481 half-mesh nodes
+
+    @pytest.fixture(autouse=True)
+    def restore_slot(self, monkeypatch):
+        monkeypatch.setattr(eig2d, "_slot", None)
+
+    def test_benchmark_meshes_straddle_the_threshold(self):
+        def nodes(ns, nt):
+            return (ns // 2 + 1) * (nt + 1)
+
+        assert nodes(256, 16) < eig2d._COARSE_MIN_NODES <= nodes(*self.MESH)
+
+    @pytest.mark.parametrize("name", ["annulus", "wide_sector", "wavy_sweep", "thin_strip"])
+    def test_matches_the_analytic_start(self, monkeypatch, name):
+        # The same eigenvalue from either start.  On the thin strip
+        # (L / width = 2e4) each class stops at its rounding floor, so the
+        # two starts agree to that level, ritz_floor / mu (1e-5 here), not
+        # to 1e-12.  The second Ritz value is an upper estimate, which the
+        # prolonged second vector makes no worse.
+        domain = config_strip(name)
+        two, half = class_solves(domain, *self.MESH)
+        assert half._coarse is not None
+        full = solve_mu1_linear(domain, *self.MESH)
+        monkeypatch.setattr(eig2d, "_COARSE_MIN_NODES", math.inf)
+        one, analytic = class_solves(domain, *self.MESH)
+        assert analytic._coarse is None
+        reference = solve_mu1_linear(domain, *self.MESH)
+        assert (full.parity, full.converged) == (reference.parity, True)
+        for parity in ("even", "odd"):
+            a, b = one[parity], two[parity]
+            rel = max(1e-12, half.ritz_floor / a.mu if name == "thin_strip" else 0.0)
+            assert b.mu == pytest.approx(a.mu, rel=rel)
+            assert b.next_mu <= a.next_mu * (1.0 + rel)
+            assert b.residual <= max(eig2d.RESIDUAL_TOL, half.ritz_floor / b.mu)
+            if name != "thin_strip":
+                assert b.residual <= eig2d.RESIDUAL_TOL
+                assert b.iterations < a.iterations
+
+    def test_results_do_not_depend_on_earlier_solves(self, wavy, annulus):
+        def solve():
+            return [result_fields(solver(wavy, *self.MESH)) for solver in (solve_mu1_linear, solve_mu1_odd_linear)]
+
+        fresh = solve()
+        for domain, mesh in ((annulus, self.MESH), (wavy, (256, 16)), (wavy, (768, 48)), (annulus, (128, 8))):
+            solve_mu1_linear(domain, *mesh)
+        assert solve() == fresh
+
+    @pytest.mark.parametrize("mesh, sizes", [((256, 16), [2193]), ((512, 32), [8481, 585])])
+    def test_one_kept_factor_and_one_transient_coarse_factor(self, wavy, monkeypatch, mesh, sizes):
+        built, strips = [], []
+
+        class Counted(eig2d._BandCholesky):
+            def __init__(self, A):
+                built.append(A.data.shape[1])
+                super().__init__(A)
+
+        class Tracked(eig2d._HalfStrip):
+            def __init__(self, *args):
+                strips.append(weakref.ref(self))
+                super().__init__(*args)
+
+        monkeypatch.setattr(eig2d, "_BandCholesky", Counted)
+        monkeypatch.setattr(eig2d, "_HalfStrip", Tracked)
+        for p in (2.0, 3.0):
+            for odd in (False, True):
+                solve_mu1_nonlinear(wavy, p, *mesh, odd=odd)
+        assert built == sizes
+        gc.collect()
+        kept = eig2d._slot[1]
+        assert eig2d._slot[0][:2] == mesh and kept.mesh.n_nodes == sizes[0]
+        assert [ref() for ref in strips] == [kept] + [None] * (len(sizes) - 1)
+
+    def test_failed_coarse_level_is_the_analytic_start(self, wavy, monkeypatch):
+        def solve():
+            return [result_fields(solver(wavy, *self.MESH)) for solver in (solve_mu1_linear, solve_mu1_odd_linear)]
+
+        threshold = eig2d._COARSE_MIN_NODES
+        monkeypatch.setattr(eig2d, "_COARSE_MIN_NODES", math.inf)
+        analytic = solve()
+        monkeypatch.setattr(eig2d, "_COARSE_MIN_NODES", threshold)
+        inverse_iteration = eig2d._HalfStrip._inverse_iteration
+        coarse_calls = []
+
+        def failing(half, parity):
+            if half.mesh.n_nodes < eig2d._COARSE_MIN_NODES:
+                coarse_calls.append(parity)
+                raise SolveFailure("coarse level made to fail")
+            return inverse_iteration(half, parity)
+
+        monkeypatch.setattr(eig2d, "_slot", None)
+        monkeypatch.setattr(eig2d._HalfStrip, "_inverse_iteration", failing)
+        fallback = solve()
+        assert coarse_calls == ["even"]
+        assert eig2d._slot[1]._coarse is None
+        assert fallback == analytic
+
+    @pytest.mark.parametrize("cells", [(4, 2), (3, 5), (8, 8), (13, 7)])
+    def test_interpolation_is_exact_on_bilinear_fields(self, cells):
+        # From a 5 x 3 node grid on [0, 1]^2, to cells[0] x cells[1] cells.
+        def field(s, t):
+            return 1.0 - 2.0 * s + 3.0 * t + 0.5 * s * t
+
+        s, t = np.meshgrid(np.linspace(0.0, 1.0, 5), np.linspace(0.0, 1.0, 3), indexing="ij")
+        coarse = np.stack([field(s, t), -field(s, t)])
+        fine = eig2d._interpolate(eig2d._interpolate(coarse, cells[0], 1), cells[1], 2)
+        s, t = np.meshgrid(*(np.linspace(0.0, 1.0, n + 1) for n in cells), indexing="ij")
+        np.testing.assert_allclose(fine, np.stack([field(s, t), -field(s, t)]), rtol=0, atol=1e-14)
+        # the end nodes are copied, so an odd vector's zero midline stays zero
+        coarse[:, -1] = 0.0
+        fine = eig2d._interpolate(eig2d._interpolate(coarse, cells[0], 1), cells[1], 2)
+        assert not fine[:, -1].any()
 
 
 def loop_quotient(mesh, u, p):
