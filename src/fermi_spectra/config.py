@@ -17,9 +17,9 @@ Schema (keys exactly as below; all tolerances optional):
     }
 
 Mesh sizes are at least 8, and mesh.n_grid (the cells of solve1d's
-discrete route) at least 32.  solve2d and sweep also need an even mesh.ns
-(the odd-mode solve halves the strip at its midline), and sweep needs
-mesh.nt of at least 16.
+discrete route) at least 32.  solve2d and sweep also need an even mesh.ns,
+and solve1d an even mesh.n_grid: each solver halves its grid at the
+midline.  sweep needs mesh.nt of at least 16.
 
 Curvature and width accept either an expression string or an array of
 samples (uniform in s, first sample at s = 0, last at s = L).  Expressions
@@ -227,6 +227,8 @@ def load_config(path, command=None, overrides=None):
             source[flag] = f"--{flag}"
     if effective_command in ("solve2d", "sweep") and mesh["ns"] % 2 != 0:
         _fail(source["ns"], f"must be even for {effective_command} (got {mesh['ns']})")
+    if effective_command == "solve1d" and mesh["n_grid"] % 2 != 0:
+        _fail(source["n_grid"], f"must be even for solve1d (got {mesh['n_grid']})")
     if effective_command == "sweep" and mesh["nt"] < 16:
         _fail(source["nt"], f"must be at least 16 for sweep (got {mesh['nt']})")
 

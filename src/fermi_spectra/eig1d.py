@@ -10,11 +10,13 @@ target at L/2.  Shooting runs at two levels: the root on an eighth of the
 RK4 steps places a bracket about 1e-7 wide in which the full-resolution
 root takes 3 or 4 shots; when the coarse level fails, the full level
 brackets by doubling from the Lyapunov bound as a single level would.
-Only full-resolution shots enter the result.  A discretized route
+Only full-resolution shots enter the result.  A discretized route on the
+same half interval, with u(L/2) = 0 in place of the constant mode,
 provides the independent cross-check: Sturm counts and Rayleigh quotient
 iteration on the tridiagonal finite-element pencil at p = 2, inverse
-power iteration from its eigenvector otherwise.  Both routes run on numpy
-and pure Python; neither loads a scipy subpackage.
+power iteration from its eigenvector otherwise.  Both routes extend their
+half-interval function oddly to [0, L] by one helper, and both run on
+numpy and pure Python; neither loads a scipy subpackage.
 """
 
 from __future__ import annotations
@@ -398,34 +400,37 @@ def solve_shooting(problem, tol=1e-10, n_steps=4096):
     residual = abs(us[-1]) / np.max(np.abs(us))
     q = problem.p / (problem.p - 1.0)
     dus = np.array(_signed_powers((vs / np.array(w_stage[::2])).tolist(), q - 1.0))
-
-    L = problem.L
-    half = 0.5 * L
-    node_s = np.linspace(0.0, half, n_steps + 1)
-    s_grid = problem.s_samples
-    n = len(s_grid)
-    left = s_grid[s_grid <= half + 1e-12 * L]
-    u_left = np.interp(left, node_s, us)
-    du_left = np.interp(left, node_s, dus)
-    u_full = np.empty(n)
-    du_full = np.empty(n)
-    u_full[: len(left)] = u_left
-    du_full[: len(left)] = du_left
-    # left ends at or before the midpoint, so the mirror reads only left.
-    u_full[len(left) :] = -u_full[: n - len(left)][::-1]
-    du_full[len(left) :] = du_full[: n - len(left)][::-1]
-    if n % 2 == 1:
-        u_full[n // 2] = 0.0
+    node_s = np.linspace(0.0, 0.5 * problem.L, n_steps + 1)
 
     return EigenResult(
         mu=mu,
-        u_samples=u_full,
+        u_samples=_mirror_extend(problem, node_s, us, -1),
         residual=float(residual),
         method="shooting",
         iterations=len(shots),
         converged=bool(converged),
-        du_samples=du_full,
+        du_samples=_mirror_extend(problem, node_s, dus, 1),
     )
+
+
+def _mirror_extend(problem, half_s, values, sign):
+    """values, given on half_s (a grid of [0, L/2]), sampled on problem.s_samples.
+
+    The samples up to the midpoint interpolate values; the rest mirror
+    them about L/2 times sign, -1 for an odd function (whose sample at the
+    midpoint itself is then zero) and +1 for an even one.
+    """
+    L = problem.L
+    s_grid = problem.s_samples
+    n = len(s_grid)
+    left = s_grid[s_grid <= 0.5 * L + 1e-12 * L]
+    out = np.empty(n)
+    out[: len(left)] = np.interp(left, half_s, values)
+    # left ends at or before the midpoint, so the mirror reads only left.
+    out[len(left) :] = sign * out[: n - len(left)][::-1]
+    if sign < 0 and n % 2 == 1:
+        out[n // 2] = 0.0
+    return out
 
 
 def pmean_shift(values, weights, p):
@@ -485,13 +490,14 @@ def _pencil_ldl(c, m_diag, m_off, sigma):
     """Pivots of K - sigma M = L D L^T and how many of them are negative.
 
     K = D^T diag(c) D is the stiffness matrix of the edge conductances c
-    (D the difference matrix), so K has the constants in its null space;
-    M is the tridiagonal mass matrix with diagonal m_diag and off-diagonal
+    (D the difference matrix) on the nodes left of a pinned midpoint:
+    every node has a conductance to its right, the last one to the
+    midpoint, where the function is zero, so K is positive definite.  M is
+    the tridiagonal mass matrix with diagonal m_diag and off-diagonal
     m_off.  M is positive definite, so by Sylvester's law of inertia the
     count of negative pivots is the number of pencil eigenvalues below
     sigma.  Pivot i is carried as c_i + e_i, the conductance to its right
-    (none at the last node) plus an excess that obeys, with
-    t = sigma m_off[i - 1],
+    plus an excess that obeys, with t = sigma m_off[i - 1],
 
         e_0 = -sigma m_diag[0],
         e_i = (c_{i-1} (e_{i-1} - 2 t) - t^2) / d_{i-1} - sigma m_diag[i].
@@ -500,8 +506,8 @@ def _pencil_ldl(c, m_diag, m_off, sigma):
     of K - sigma M with the conductances cancelled by hand: the excesses
     are of the size of sigma M, not of K, so they keep their digits where
     forming K - sigma M first loses them on fine grids, and at sigma = 0
-    they all vanish, K's null space kept exactly.  A pivot that is zero
-    is replaced by eps max c.  Pure Python, linear in the grid size.
+    they all vanish, so the count there is 0 exactly.  A pivot that is
+    zero is replaced by eps max c.  Pure Python, linear in the grid size.
     """
     cl = c.tolist()
     tl = (sigma * m_off).tolist()
@@ -511,7 +517,7 @@ def _pencil_ldl(c, m_diag, m_off, sigma):
     d = cl[0] + e
     pivots = [d]
     negative = d < 0.0
-    for c_left, c_right, t, s in zip(cl, cl[1:] + [0.0], tl, sl[1:]):
+    for c_left, c_right, t, s in zip(cl, cl[1:], tl, sl[1:]):
         e = (c_left * (e - 2.0 * t) - t * t) / d - s
         d = c_right + e
         if d == 0.0:
@@ -529,7 +535,7 @@ def _pencil_solve(c, m_off, sigma, pivots, f):
     and the back substitution are one multiply-add per node each.
     """
     d = np.array(pivots)
-    g = ((c + sigma * m_off) / d[:-1]).tolist()
+    g = ((c[:-1] + sigma * m_off) / d[:-1]).tolist()
     z = float(f[0])
     zs = [z]
     for gi, fi in zip(g, f[1:].tolist()):
@@ -544,58 +550,57 @@ def _pencil_solve(c, m_off, sigma, pivots, f):
     return np.array(out[::-1])
 
 
-def _second_pair(c, m_diag, m_off):
-    """The second eigenpair (lam, x) of the pencil of _pencil_ldl, x^T M x = 1.
+def _lowest_pair(c, m_diag, m_off):
+    """The lowest eigenpair (lam, x) of the pencil of _pencil_ldl, x^T M x = 1.
 
-    The first pair is the constant mode at zero.  Sturm counts (the
-    inertia of _pencil_ldl) isolate the second eigenvalue: bisection from
-    [0, rho], rho the Rayleigh quotient of cos(pi t) made M-orthogonal to
-    the constants, which is at least lam, stops as soon as exactly one
-    eigenvalue lies below the lower end and exactly two below the upper.
-    Rayleigh quotient iteration from that cosine then converges on the
-    pair; each step factors K - sigma M at the current quotient, or at
-    the bracket's midpoint when the quotient has left the bracket, and
-    that factor's inertia also narrows the bracket, so the iteration can
-    only settle on the second eigenvalue.  It stops when two quotients
-    agree to PENCIL_TOL (relative) inside the bracket.  The start vector
-    is fixed, so reruns repeat every digit.  Raises SolveFailure when a
-    quotient is not a finite double or the iteration does not settle
-    within PENCIL_MAX_ITER bisection or iteration steps.
+    Sturm counts (the inertia of _pencil_ldl) isolate the eigenvalue:
+    bisection from [0, rho], rho the Rayleigh quotient of cos(pi t) on
+    t = 0, 1/n, ..., 1/2 - 1/n (it vanishes at the pinned midpoint t = 1/2),
+    which is at least lam, stops as soon as exactly one eigenvalue lies
+    below the upper end; none lies below 0.  Rayleigh quotient iteration
+    from that cosine then converges on the pair; each step factors
+    K - sigma M at the current quotient, or at the bracket's midpoint when
+    the quotient has left the bracket, and that factor's inertia also
+    narrows the bracket, so the iteration can only settle on the lowest
+    eigenvalue.  It stops when two quotients agree to PENCIL_TOL
+    (relative) inside the bracket.  The start vector is fixed, so reruns
+    repeat every digit.  Raises SolveFailure when a quotient is not a
+    finite double or the iteration does not settle within PENCIL_MAX_ITER
+    bisection or iteration steps.
     """
 
     def quotient(x):
-        return float(np.sum(c * np.diff(x) ** 2) / (x @ _tridiag_mul(m_diag, m_off, x)))
+        return float(np.sum(c * np.diff(x, append=0.0) ** 2) / (x @ _tridiag_mul(m_diag, m_off, x)))
 
     def count(sigma):
         return _pencil_ldl(c, m_diag, m_off, sigma)[1]
 
-    x = np.cos(np.pi * np.linspace(0.0, 1.0, len(m_diag)))
-    x -= np.sum(_tridiag_mul(m_diag, m_off, x)) / (np.sum(m_diag) + 2.0 * np.sum(m_off))
+    x = np.cos(np.pi * np.linspace(0.0, 0.5, len(m_diag) + 1)[:-1])
     rho = quotient(x)
     if not 0.0 < rho < np.inf:
         raise SolveFailure("discrete eigenvalues are not finite doubles")
 
-    lo, n_lo, hi, n_hi = 0.0, 0, rho, count(rho)
+    lo, hi, n_hi = 0.0, rho, count(rho)
     for _ in range(PENCIL_MAX_ITER):
-        if n_lo == 1 and n_hi == 2:
+        if n_hi == 1:
             break
-        if n_hi < 2:  # rho at or below the second eigenvalue in rounding
-            lo, n_lo, hi = hi, n_hi, 2.0 * hi
+        if n_hi == 0:  # rho at or below the lowest eigenvalue in rounding
+            lo, hi = hi, 2.0 * hi
             n_hi = count(hi)
             continue
         mid = 0.5 * (lo + hi)
         n_mid = count(mid)
-        if n_mid >= 2:
+        if n_mid >= 1:
             hi, n_hi = mid, n_mid
         else:
-            lo, n_lo = mid, n_mid
+            lo = mid
     else:
-        raise SolveFailure("discrete eigensolve did not isolate the second eigenvalue")
+        raise SolveFailure("discrete eigensolve did not isolate the lowest eigenvalue")
 
     for _ in range(PENCIL_MAX_ITER):
         sigma = rho if lo < rho <= hi else 0.5 * (lo + hi)
         pivots, n_sigma = _pencil_ldl(c, m_diag, m_off, sigma)
-        if n_sigma >= 2:
+        if n_sigma >= 1:
             hi = sigma
         else:
             lo = sigma
@@ -614,29 +619,32 @@ DISCRETIZED_MAX_ITER, DISCRETIZED_TOL = 400, 1e-8
 
 
 def solve_discretized(problem, n=512):
-    """Independent discrete route on a uniform grid.
+    """Independent discrete route on a uniform grid of n cells, n even.
 
-    For p = 2 this is the generalized eigenproblem of the assembled
-    piecewise-linear stiffness and mass matrices (second eigenvalue; the
-    first is the constant mode at zero).  Both matrices stay tridiagonal:
-    Sturm counts isolate the second eigenvalue and Rayleigh quotient
-    iteration with tridiagonal LDL^T solves converges on it (_second_pair),
-    so time and memory are linear in n.  For p != 2 it runs inverse power
-    iteration from that p = 2 eigenvector: each step solves -(w phi_p(v'))' = mu w phi_p(u)
-    by integrating the flux from the left Neumann end, inverting phi_p,
-    and integrating again, then restores the weighted p-mean-zero
-    constraint with a scalar shift.  The solve is exact up to trapezoid quadrature
-    because the flux has an explicit antiderivative in one dimension.  It
-    stops once an update moves u by at most 1e-8 or the last five quotients
-    agree to DISCRETIZED_TOL = 1e-8 (relative), and stops unconverged
-    after DISCRETIZED_MAX_ITER = 400 updates.  mu is the quotient of the
-    last iterate, the function returned in u_samples.
+    The eigenfunction is odd about L/2, so the route solves on the n/2
+    cells of [0, L/2] with u(L/2) = 0, which takes the place of the
+    constant mode, and extends the result oddly to [0, L].  For p = 2 the
+    lowest eigenpair of the piecewise-linear stiffness and mass matrices,
+    both tridiagonal, comes from Sturm counts and Rayleigh quotient
+    iteration with LDL^T solves (_lowest_pair), linear in n.  For p != 2
+    inverse power iteration starts from that eigenvector: each step solves
+    -(w phi_p(v'))' = mu w phi_p(u) by integrating the flux from the
+    Neumann end at 0, inverting phi_p and integrating again, with
+    v(L/2) = 0; the flux has an explicit antiderivative in one dimension,
+    so the solve is exact up to trapezoid quadrature.  It stops once an
+    update moves u by at most 1e-8 or the last five quotients agree to
+    DISCRETIZED_TOL = 1e-8 (relative), and stops unconverged after
+    DISCRETIZED_MAX_ITER = 400 updates.  mu is the quotient of the last
+    iterate, the function returned in u_samples.  An iterate that is not
+    finite raises SolveFailure.
     """
-    if n < 32:
-        raise ValueError("n must be at least 32")
+    if n < 32 or n % 2:
+        raise ValueError(f"n must be even and at least 32 (got {n})")
     p = problem.p
     L = problem.L
-    s = np.linspace(0.0, L, n + 1)
+    half = n // 2
+    # The left half of the uniform grid on [0, L]; its last node is L/2.
+    s = np.linspace(0.0, L, n + 1)[: half + 1]
     h = L / n
     w = np.interp(s, problem.s_samples, problem.w_samples)
     w_mid = 0.5 * (w[:-1] + w[1:])
@@ -645,70 +653,58 @@ def solve_discretized(problem, n=512):
     # maximum, so its entries are finite and its eigenvalues stay near
     # pi^2 whatever L and the weight's scale; those on (0, L) are the
     # same over L^2.
-    # Exact element integrals for linear v: stiffness n v_mid, mass by rows.
+    # Exact element integrals for linear v: stiffness n v_mid, mass by rows;
+    # the pinned midpoint has no row or column.
     v = w / np.max(w)
-    v_mid = 0.5 * (v[:-1] + v[1:])
-    c = n * v_mid
-    m_main = np.zeros(n + 1)
-    m_main[:-1] += (3.0 * v[:-1] + v[1:]) / (12.0 * n)
-    m_main[1:] += (v[:-1] + 3.0 * v[1:]) / (12.0 * n)
-    m_upper = (v[:-1] + v[1:]) / (12.0 * n)
-    lam, u2 = _second_pair(c, m_main, m_upper)
+    c = n * (0.5 * (v[:-1] + v[1:]))
+    m_diag = (3.0 * v[:-1] + v[1:]) / (12.0 * n)
+    m_diag[1:] += (v[:-2] + 3.0 * v[1:-1]) / (12.0 * n)
+    m_off = (v[:-2] + v[1:-1]) / (12.0 * n)
+    lam, x = _lowest_pair(c, m_diag, m_off)
     with np.errstate(over="ignore", under="ignore"):
         mu = lam / L / L
     if not np.isfinite(mu):
         # on an interval this short the eigenvalues leave double range
         raise SolveFailure(f"discrete eigenvalues are not finite doubles (L = {L:.6g})")
-    if abs(u2[0]) > 1e-12 * np.max(np.abs(u2)):
-        u2 = u2 / u2[0]
+    # The lowest eigenvector keeps one sign; scale it to u(0) = 1.
+    u = np.append(x / x[0], 0.0)
 
     if p == 2.0:
         if mu == 0.0:
             raise SolveFailure(f"discrete eigenvalue underflows to zero (L = {L:.6g})")
-        main = np.zeros(n + 1)
-        main[:-1] += c
-        main[1:] += c
-        ku = _tridiag_mul(main, -c, u2)
-        r = ku - lam * _tridiag_mul(m_main, m_upper, u2)
-        residual = float(np.linalg.norm(r) / np.linalg.norm(ku))
-        u_out = np.interp(problem.s_samples, s, u2)
+        ku = -np.diff(c * np.diff(x, append=0.0), prepend=0.0)
+        r = ku - lam * _tridiag_mul(m_diag, m_off, x)
         return EigenResult(
             mu=float(mu),
-            u_samples=u_out,
-            residual=residual,
+            u_samples=_mirror_extend(problem, s, u, -1),
+            residual=float(np.linalg.norm(r) / np.linalg.norm(ku)),
             method="discretized",
             iterations=1,
             converged=True,
         )
 
-    # Lumped weights keep the p-mean constraint a clean nodal sum.
-    m_lumped = np.zeros(n + 1)
+    m_lumped = np.zeros(half + 1)
     m_lumped[:-1] += 0.5 * h * w_mid
     m_lumped[1:] += 0.5 * h * w_mid
     pm1 = p - 1.0
-
-    def project(u):
-        u = u - pmean_shift(u, m_lumped, p)
-        return u / np.max(np.abs(u))
-
-    u = project(u2.copy())
     num, den = _discrete_quotient(u, h, w_mid, m_lumped, p)
     value = num / den
     converged = False
-    iterations = 0
-    shift = 0.0
     window = []
-    # Near p = 1 an update can overflow; project's pmean_shift turns the
+    # Near p = 1 an update can overflow; the check on its maximum turns the
     # non-finite iterate into SolveFailure, so numpy need not warn first.
     with np.errstate(over="ignore", invalid="ignore"):
         for iterations in range(1, DISCRETIZED_MAX_ITER + 1):
             f = value * w * np.abs(u) ** pm1 * np.sign(u)
             flux = -_cumtrap(f, h)
-            # The weighted p-mean of u vanishes, so the total load does too up
-            # to quadrature; recenter the flux so both ends are exact Neumann.
-            flux -= flux[-1] * np.linspace(0.0, 1.0, n + 1)
             dv = np.abs(flux / w) ** (1.0 / pm1) * np.sign(flux)
-            v = project(_cumtrap(dv, h))
+            v = _cumtrap(dv, h)
+            v -= v[-1]
+            scale = np.max(np.abs(v))
+            # max propagates NaN, which fails every comparison.
+            if not 0.0 < scale < np.inf:
+                raise SolveFailure(f"iterate is not finite and nonzero (max |u| = {scale})")
+            v /= scale
             shift = float(np.max(np.abs(v - u)))
             num, den = _discrete_quotient(v, h, w_mid, m_lumped, p)
             u = v
@@ -723,10 +719,9 @@ def solve_discretized(problem, n=512):
                 converged = True
                 break
 
-    u_out = np.interp(problem.s_samples, s, u)
     return EigenResult(
         mu=float(value),
-        u_samples=u_out,
+        u_samples=_mirror_extend(problem, s, u, -1),
         residual=shift,
         method="discretized",
         iterations=iterations,

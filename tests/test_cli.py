@@ -171,6 +171,7 @@ class TestExitCodes:
             ("sweep", {"ns": 64, "nt": 8}, [], "mesh.nt"),
             ("sweep", {"ns": 64, "nt": 16}, ["--nt", "8"], "--nt"),
             ("solve1d", {"ns": 64, "nt": 16, "n_grid": 16}, [], "mesh.n_grid"),
+            ("solve1d", {"ns": 64, "nt": 16, "n_grid": 65}, [], "mesh.n_grid"),
         ],
     )
     def test_mesh_solver_cannot_take_is_one(self, tmp_path, capsys, command, mesh, extra, key):

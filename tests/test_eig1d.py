@@ -116,6 +116,16 @@ class TestEigenfunctionShape:
         assert np.count_nonzero(np.diff(signs)) == 1
         assert result.residual < 1e-8
 
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_discretized_is_odd_with_one_sign_change(self, p):
+        L = math.pi
+        s = np.linspace(0.0, L, 513)
+        problem = OneDimProblem(L=L, p=p, w_samples=1.0 + 0.3 * np.cos(2 * s))
+        u = solve_discretized(problem, n=512).u_samples
+        assert np.array_equal(u, -u[::-1])
+        signs = np.sign(u[np.abs(u) > 1e-10 * np.max(np.abs(u))])
+        assert np.count_nonzero(np.diff(signs)) == 1
+
     def test_du_vanishes_at_ends(self):
         result = solve_shooting(constant_problem(3.0, math.pi))
         assert abs(result.du_samples[0]) < 1e-10
@@ -181,19 +191,23 @@ class TestWeightedProperties:
 
     @pytest.mark.parametrize("p", [1.5, 3.0, 4.0])
     def test_nonlinear_mu_is_quotient_of_returned_iterate(self, p):
-        # The problem grid is the solver's grid, so u_samples is the last
-        # iterate itself and mu must be its discrete quotient.
+        # The problem grid is the solver's grid, so u_samples up to L/2 is
+        # the last iterate on the solver's half grid itself, zero at the
+        # midpoint, and mu must be its discrete quotient.
         L, n = math.pi, 512
+        half = n // 2
         s = np.linspace(0.0, L, n + 1)
         w = 1.0 + 0.3 * np.cos(2.0 * s) + 0.1 * np.cos(4.0 * s)
         result = solve_discretized(OneDimProblem(L=L, p=p, w_samples=w), n=n)
         assert result.converged and result.iterations > 5
+        u = result.u_samples[: half + 1]
+        assert u[-1] == 0.0
         h = L / n
-        w_mid = 0.5 * (w[:-1] + w[1:])
-        m_lumped = np.zeros(n + 1)
+        w_mid = 0.5 * (w[:half] + w[1 : half + 1])
+        m_lumped = np.zeros(half + 1)
         m_lumped[:-1] += 0.5 * h * w_mid
         m_lumped[1:] += 0.5 * h * w_mid
-        num, den = eig1d._discrete_quotient(result.u_samples, h, w_mid, m_lumped, p)
+        num, den = eig1d._discrete_quotient(u, h, w_mid, m_lumped, p)
         assert result.mu == num / den
 
 
@@ -211,6 +225,14 @@ def unit_pencil(problem, n):
     m_diag[:-1] += (3.0 * v[:-1] + v[1:]) / (12.0 * n)
     m_diag[1:] += (v[:-1] + 3.0 * v[1:]) / (12.0 * n)
     return n * (0.5 * (v[:-1] + v[1:])), m_diag, (v[:-1] + v[1:]) / (12.0 * n)
+
+
+def half_pencil(problem, n):
+    """The pencil solve_discretized solves: unit_pencil's nodes left of the
+    midpoint, each with its conductance to the right, the last one to the
+    pinned midpoint."""
+    c, m_diag, m_off = unit_pencil(problem, n)
+    return c[: n // 2], m_diag[: n // 2], m_off[: n // 2 - 1]
 
 
 class TestDiscretizedPencil:
@@ -270,14 +292,14 @@ class TestDiscretizedPencil:
     def test_inertia_puts_one_eigenvalue_below_mu(self):
         problem = wavy_problem(2.0)
         lam = solve_discretized(problem, n=512).mu * problem.L**2
-        c, m_diag, m_off = unit_pencil(problem, 512)
-        assert eig1d._pencil_ldl(c, m_diag, m_off, lam * (1.0 - 1e-9))[1] == 1
-        assert eig1d._pencil_ldl(c, m_diag, m_off, lam * (1.0 + 1e-9))[1] == 2
+        c, m_diag, m_off = half_pencil(problem, 512)
+        assert eig1d._pencil_ldl(c, m_diag, m_off, lam * (1.0 - 1e-9))[1] == 0
+        assert eig1d._pencil_ldl(c, m_diag, m_off, lam * (1.0 + 1e-9))[1] == 1
 
     def test_inertia_counts_dense_eigenvalues(self):
         problem = wavy_problem(2.0)
-        c, m_diag, m_off = unit_pencil(problem, 64)
-        K = np.diag(np.append(c, 0.0) + np.insert(c, 0, 0.0)) - np.diag(c, 1) - np.diag(c, -1)
+        c, m_diag, m_off = half_pencil(problem, 64)
+        K = np.diag(c + np.insert(c[:-1], 0, 0.0)) - np.diag(c[:-1], 1) - np.diag(c[:-1], -1)
         M = np.diag(m_diag) + np.diag(m_off, 1) + np.diag(m_off, -1)
         dense = scipy.linalg.eigh(K, M, eigvals_only=True)
         rng = np.random.default_rng(4)
@@ -312,6 +334,10 @@ class TestDiscretizedPencil:
         mu = solve_discretized(OneDimProblem(1.0, 2.0, np.ones(65)), n=n).mu
         assert mu == pytest.approx(exact, rel=1e-13)
 
+    def test_odd_grid_is_value_error(self):
+        with pytest.raises(ValueError, match="even"):
+            solve_discretized(wavy_problem(2.0), n=65)
+
     @pytest.mark.parametrize(
         "L, p, match",
         [(1e-200, 1.5, "not finite doubles"), (1e-200, 2.0, "not finite doubles"),
@@ -322,6 +348,21 @@ class TestDiscretizedPencil:
         problem = OneDimProblem(L, p, np.full(65, 0.4))
         with pytest.raises(SolveFailure, match=match):
             solve_discretized(problem)
+
+
+class TestDiscretizedNearOne:
+    """Near p = 1 the inverse power iteration converges in a few updates."""
+
+    @pytest.mark.parametrize("p, rel", [(1.01, 1e-4), (1.001, 1e-3)])
+    def test_constant_weight_closed_form(self, p, rel):
+        result = solve_discretized(constant_problem(p, math.pi), n=512)
+        assert result.converged
+        assert result.mu == pytest.approx((pi_p(p) / math.pi) ** p, rel=rel)
+
+    def test_varying_weight_converges(self):
+        s = np.linspace(0.0, math.pi, 513)
+        problem = OneDimProblem(L=math.pi, p=1.01, w_samples=1.0 + 0.3 * np.cos(2.0 * s))
+        assert solve_discretized(problem, n=512).converged
 
 
 def criterion4_problems():
