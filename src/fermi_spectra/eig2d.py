@@ -56,7 +56,14 @@ routine (_stencil_product) multiplies by them.  The descent's p-quotient
 (p != 2) gathers each cell's nodal values through conn and contracts them
 with the shape tables at the Gauss points; its gradient scatters the
 per-cell terms back to the nodes with one bincount.  No matrix is built
-for it.
+for it.  Both read the tables in the layout they use, which the mesh
+derives from its fields on its first quotient evaluation and keeps,
+read-only, in its __dict__ (Mesh2D's cached properties): each metric
+component, the transposed shape tables and the shape gradients as
+contiguous arrays, and conn flattened.  A mesh solved only at p = 2 never
+builds them.  Every term keeps the floating-point operations, and their
+order, of the formulas read straight from the fields, so the quotient,
+its gradient and every descent are the same to the bit.
 
 The descent (p != 2) runs on the same half band, in one mirror class,
 and preconditions its direction by that factor, the p = 2 operator P.
@@ -91,6 +98,7 @@ import importlib.util
 import os
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -102,6 +110,14 @@ _GPTS = np.array([-1.0, 1.0]) / np.sqrt(3.0)
 
 @dataclass
 class Mesh2D:
+    """A tensor mesh of the reference band with its cell tables (build_mesh).
+
+    The p-quotient (_p_rayleigh, _p_rayleigh_grad) reads the tables in a
+    layout of its own: the private cached properties below, built from the
+    fields on the first quotient evaluation and then kept, read-only, in
+    the instance's __dict__.  A mesh only solved at p = 2 never builds them.
+    """
+
     conn: np.ndarray
     node_s: np.ndarray
     node_t: np.ndarray
@@ -113,6 +129,36 @@ class Mesh2D:
     @property
     def n_nodes(self):
         return len(self.node_s)
+
+    @cached_property
+    def _metric_terms(self):
+        """metric[..., i, j] as one contiguous (cells, 4) array per (i, j):
+        g_ss, g_st, g_ts and g_tt."""
+        return _frozen(np.moveaxis(self.metric.reshape(-1, 4, 4), 2, 0))
+
+    @cached_property
+    def _gauss_tables(self):
+        """dN/ds, dN/dt and N, each transposed: U @ _gauss_tables is
+        (du/ds, du/dt, u) at the Gauss points of cells with nodal values U."""
+        dN = self.shape_grad
+        return _frozen(np.stack([dN[:, :, 0].T, dN[:, :, 1].T, self.shape.T]))
+
+    @cached_property
+    def _shape_grad_terms(self):
+        """dN/ds and dN/dt, each a contiguous (Gauss point, node) table."""
+        return _frozen(np.moveaxis(self.shape_grad, 2, 0))
+
+    @cached_property
+    def _conn_flat(self):
+        """conn flattened, the node of each term the gradient scatters."""
+        return _frozen(self.conn.ravel())
+
+
+def _frozen(a):
+    """a as a read-only C-contiguous array (a copy unless a already is one)."""
+    a = np.ascontiguousarray(a)
+    a.flags.writeable = False
+    return a
 
 
 @dataclass
@@ -418,7 +464,9 @@ class _BandCholesky:
         for offset, diagonal in zip(A.offsets.tolist(), A.data):
             if offset >= 0:
                 band[self.bandwidth - offset] = diagonal
-        self._factor, info = _lapack().dpbtrf(band, overwrite_ab=1)
+        lapack = _lapack()
+        self._factor, info = lapack.dpbtrf(band, overwrite_ab=1)
+        self._dpbtrs = lapack.dpbtrs
         if info != 0:
             raise SolveFailure(
                 f"band Cholesky failed: the leading minor of order {info} is not positive definite"
@@ -437,7 +485,7 @@ class _BandCholesky:
     def solve(self, b):
         """A^-1 b for a vector or for each column of a block, returned in
         Fortran order."""
-        return _lapack().dpbtrs(self._factor, b)[0]
+        return self._dpbtrs(self._factor, b)[0]
 
 
 # Inverse iteration stops when mu changes by at most INVERSE_TOL (relative),
@@ -783,31 +831,27 @@ ENERGY_FLOOR = 1e-60  # keeps energy^(p/2 - 1) finite for p < 2
 
 
 def _p_rayleigh(mesh, u, p):
-    U = u[mesh.conn]
-    gs, gt = U @ mesh.shape_grad[:, :, 0].T, U @ mesh.shape_grad[:, :, 1].T
-    ug = U @ mesh.shape.T
-    G = mesh.metric
-    g_ss, g_st, g_ts, g_tt = G[..., 0, 0], G[..., 0, 1], G[..., 1, 0], G[..., 1, 1]
+    gs, gt, ug = u[mesh.conn] @ mesh._gauss_tables
+    g_ss, g_st, g_ts, g_tt = mesh._metric_terms
     # grad . G grad as four terms in row-major order of G, which rounds like
     # the per-cell contraction.
     energy = gs * g_ss * gs + gs * g_st * gt + gt * g_ts * gs + gt * g_tt * gt
-    energy = np.maximum(energy, ENERGY_FLOOR)
-    num = float(np.sum(mesh.gauss_weight * energy ** (0.5 * p)))
-    den = float(np.sum(mesh.gauss_weight * np.abs(ug) ** p))
+    np.maximum(energy, ENERGY_FLOOR, out=energy)
+    num = float((mesh.gauss_weight * energy ** (0.5 * p)).sum())
+    den = float((mesh.gauss_weight * np.abs(ug) ** p).sum())
     return num, den, (gs, gt), energy, ug
 
 
 def _p_rayleigh_grad(mesh, p, num, den, grad, energy, ug):
     gs, gt = grad
-    G = mesh.metric
-    g_ss, g_st, g_ts, g_tt = G[..., 0, 0], G[..., 0, 1], G[..., 1, 0], G[..., 1, 1]
+    g_ss, g_st, g_ts, g_tt = mesh._metric_terms
     s1 = mesh.gauss_weight * energy ** (0.5 * p - 1.0)
     s2 = mesh.gauss_weight * np.abs(ug) ** (p - 1.0) * np.sign(ug)
     flux_s = s1 * (g_ss * gs + g_st * gt)
     flux_t = s1 * (g_ts * gs + g_tt * gt)
-    dN = mesh.shape_grad
-    cells = flux_s @ dN[:, :, 0] + flux_t @ dN[:, :, 1] - (num / den) * (s2 @ mesh.shape)
-    return p * np.bincount(mesh.conn.ravel(), cells.ravel(), minlength=mesh.n_nodes) / den
+    dN_s, dN_t = mesh._shape_grad_terms
+    cells = flux_s @ dN_s + flux_t @ dN_t - (num / den) * (s2 @ mesh.shape)
+    return p * np.bincount(mesh._conn_flat, cells.ravel(), minlength=mesh.n_nodes) / den
 
 
 DESCENT_MAX_ITER = 20000
@@ -890,17 +934,23 @@ def _descent(half, p, parity):
 
     else:
         free = half.free["odd"]
-        midline = np.zeros(mesh.n_nodes - free)
 
         def constrain(vec):
-            return np.concatenate([vec[:free], midline])
+            # In place: vec is the descent's own array, a copy of the start
+            # or the line search's raw step u - trial * d, whose midline is
+            # already zero when trial is finite (and which equals u neither
+            # way when it is not), so the collapse test is unchanged.
+            vec[free:] = 0.0
+            return vec
 
         def precondition(g, vec):
-            return np.concatenate([chol.solve(g[:free]), midline])
+            d = np.zeros(mesh.n_nodes)
+            d[:free] = chol.solve(g[:free])
+            return d
 
     def project(vec):
         vec = constrain(vec)
-        return vec / np.max(np.abs(vec))
+        return vec / np.abs(vec).max()
 
     def evaluate(vec):
         """The quotient at vec and a function computing its gradient g and
@@ -918,7 +968,7 @@ def _descent(half, p, parity):
             return np.inf, direction
         return num / den, direction
 
-    u = project(start.u)
+    u = project(start.u.copy())
     value, direction = evaluate(u)
     if not value < np.inf:
         raise SolveFailure(
@@ -940,7 +990,7 @@ def _descent(half, p, parity):
             if cval < value:
                 accepted = True
                 break
-            if np.array_equal(raw, u):
+            if (raw == u).all():
                 # The step has collapsed onto the iterate, so every shorter
                 # step gives this candidate again.  The raw step is tested
                 # because the even projection moves u itself.

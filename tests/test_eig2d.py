@@ -9,6 +9,7 @@ the constant cannot drift from its derivation.  annular_sector_mu gives
 the same eigenvalues exactly, as roots of a Bessel cross product.
 """
 
+import dataclasses
 import gc
 import math
 import weakref
@@ -915,6 +916,35 @@ def loop_quotient(mesh, u, p):
     return num, den
 
 
+def reference_quotient(mesh, u, p):
+    """_p_rayleigh as first written: the metric read through
+    mesh.metric[..., i, j] and each sum taken by np.sum."""
+    U = u[mesh.conn]
+    gs, gt = U @ mesh.shape_grad[:, :, 0].T, U @ mesh.shape_grad[:, :, 1].T
+    ug = U @ mesh.shape.T
+    G = mesh.metric
+    energy = (
+        gs * G[..., 0, 0] * gs + gs * G[..., 0, 1] * gt + gt * G[..., 1, 0] * gs + gt * G[..., 1, 1] * gt
+    )
+    energy = np.maximum(energy, eig2d.ENERGY_FLOOR)
+    num = float(np.sum(mesh.gauss_weight * energy ** (0.5 * p)))
+    den = float(np.sum(mesh.gauss_weight * np.abs(ug) ** p))
+    return num, den, (gs, gt), energy, ug
+
+
+def reference_gradient(mesh, p, num, den, grad, energy, ug):
+    """_p_rayleigh_grad as first written, like reference_quotient."""
+    gs, gt = grad
+    G = mesh.metric
+    s1 = mesh.gauss_weight * energy ** (0.5 * p - 1.0)
+    s2 = mesh.gauss_weight * np.abs(ug) ** (p - 1.0) * np.sign(ug)
+    flux_s = s1 * (G[..., 0, 0] * gs + G[..., 0, 1] * gt)
+    flux_t = s1 * (G[..., 1, 0] * gs + G[..., 1, 1] * gt)
+    dN = mesh.shape_grad
+    cells = flux_s @ dN[:, :, 0] + flux_t @ dN[:, :, 1] - (num / den) * (s2 @ mesh.shape)
+    return p * np.bincount(mesh.conn.ravel(), cells.ravel(), minlength=mesh.n_nodes) / den
+
+
 # (mesh, p) pairs for the quotient checks; full-mesh cases keep the bare p
 # as their id.
 QUOTIENT_CASES = [
@@ -1053,3 +1083,71 @@ class TestPQuotient:
         full = solve_mu1_nonlinear(wavy, p, ns=32, nt=8)
         odd = solve_mu1_nonlinear(wavy, p, ns=32, nt=8, odd=True)
         assert full.mu <= odd.mu * (1.0 + 1e-6)
+
+
+def kernel_mesh(kind, wavy, annulus):
+    """A mesh of the kernel checks."""
+    if kind == "wavy-whole":
+        return build_mesh(wavy, 16, 8)
+    domain = wavy if kind == "wavy-half" else annulus
+    nt = 8 if kind == "wavy-half" else 16
+    return build_mesh(domain, 8, nt, s_range=(0.0, 0.5 * domain.L))
+
+
+def parity_vector(mesh, L, parity, seed=3):
+    """A smooth mode of the parity plus noise of the same parity about
+    s = L/2; on a half mesh an odd vector is zero on the midline."""
+    rng = np.random.default_rng(seed)
+    column = int(np.sum(mesh.node_s == 0.0))  # nodes are numbered t-fastest
+    noise = rng.normal(size=(mesh.n_nodes // column, column))
+    s = mesh.node_s / L
+    half = mesh.node_s[-1] < L - 1e-12 * L
+    if parity == "odd":
+        noise = noise if half else noise - noise[::-1]
+        u = np.cos(np.pi * s) + 0.2 * noise.ravel()
+        if half:
+            u[-noise.shape[1]:] = 0.0
+    else:
+        u = np.cos(2.0 * np.pi * s) + 0.2 * (noise if half else noise + noise[::-1]).ravel()
+    return u
+
+
+class TestQuotientKernel:
+    """The quotient and its gradient read the mesh's own tables and keep
+    every bit of the formulas as first written."""
+
+    @pytest.mark.parametrize("p", [1.2, 1.5, 3.0, 8.0])
+    @pytest.mark.parametrize("parity", ["odd", "even"])
+    @pytest.mark.parametrize("kind", ["wavy-whole", "wavy-half", "annulus-half-16x16"])
+    def test_bit_identical_to_reference(self, wavy, annulus, kind, parity, p):
+        mesh = kernel_mesh(kind, wavy, annulus)
+        u = parity_vector(mesh, math.pi, parity)
+        got, want = _p_rayleigh(mesh, u, p), reference_quotient(mesh, u, p)
+        assert got[:2] == want[:2]
+        for a, b in zip((*got[2], *got[3:]), (*want[2], *want[3:])):
+            np.testing.assert_array_equal(a, b, strict=True)
+        np.testing.assert_array_equal(
+            _p_rayleigh_grad(mesh, p, *got), reference_gradient(mesh, p, *want), strict=True
+        )
+
+    def test_tables_come_with_the_descent_alone(self, wavy, monkeypatch, empty_slot):
+        # A p = 2 solve builds no quotient table, on the mesh or on its
+        # transient coarse level; a descent builds them read-only.
+        strips = []
+        init = eig2d._HalfStrip.__init__
+
+        def recorded(self, *args):
+            init(self, *args)
+            strips.append(self)
+
+        monkeypatch.setattr(eig2d._HalfStrip, "__init__", recorded)
+        fields = {field.name for field in dataclasses.fields(eig2d.Mesh2D)}
+        solve_mu1_linear(wavy, 512, 32)
+        assert len(strips) == 2  # the fine half strip and its coarse level
+        for half in strips:
+            assert set(vars(half.mesh)) == fields
+        mesh = solve_mu1_nonlinear(wavy, 3.0, 32, 8).mesh
+        assert set(vars(mesh)) > fields
+        for array in vars(mesh).values():
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0.0
