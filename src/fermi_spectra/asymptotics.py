@@ -36,7 +36,7 @@ class MeshPolicy:
             raise ValueError(f"ns must be an even integer of at least 8 (got {self.ns!r})")
 
 
-@dataclass
+@dataclass(eq=False)
 class SweepResult:
     p: float
     epsilons: np.ndarray

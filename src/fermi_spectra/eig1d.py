@@ -6,17 +6,22 @@ The problem on (0, L) with positive even weight w reads
 
 Evenness of w makes the first nonzero eigenfunction odd about L/2 and
 strictly monotone, so shooting only needs the half interval with a zero
-target at L/2.  Shooting runs at two levels: the root on an eighth of the
-RK4 steps places a bracket about 1e-7 wide in which the full-resolution
-root takes 3 or 4 shots; when the coarse level fails, the full level
-brackets by doubling from the Lyapunov bound as a single level would.
-Only full-resolution shots enter the result.  A discretized route on the
-same half interval, with u(L/2) = 0 in place of the constant mode,
-provides the independent cross-check: Sturm counts and Rayleigh quotient
-iteration on the tridiagonal finite-element pencil at p = 2, inverse
-power iteration from its eigenvector otherwise.  Both routes extend their
-half-interval function oddly to [0, L] by one helper, and both run on
-numpy and pure Python; neither loads a scipy subpackage.
+target at L/2.  Shooting runs on a chain of RK4 resolutions, n_steps / 64,
+n_steps / 8 and n_steps, each coarser one only with at least 64 steps.
+The coarsest brackets by doubling from the Lyapunov bound and runs Brent's
+method; each finer one starts from the root and slope of the one below
+and takes Newton and secant steps: 2 shots on the intermediate level and,
+on the sample configs, 2 at p = 2 and 3 otherwise on the full one, whose
+last shot lies just past the root so that two shots bracket it within
+tol.  A level that fails is skipped, and the next finer one brackets by
+doubling as a single level would.  Only full-resolution shots enter the
+result.  A discretized route on the same half interval, with u(L/2) = 0
+in place of the constant mode, provides the independent cross-check:
+Sturm counts and Rayleigh quotient iteration on the tridiagonal
+finite-element pencil at p = 2, inverse power iteration from its
+eigenvector otherwise.  Both routes extend their half-interval function
+oddly to [0, L] by one helper, and both run on numpy and pure Python;
+neither loads a scipy subpackage.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from .geometry import _check_weight
 PHI_FLOOR = 1e-14
 
 
-@dataclass
+@dataclass(eq=False)
 class OneDimProblem:
     L: float
     p: float
@@ -56,7 +61,7 @@ class OneDimProblem:
         return np.linspace(0.0, self.L, len(self.w_samples))
 
 
-@dataclass
+@dataclass(eq=False)
 class EigenResult:
     mu: float
     u_samples: np.ndarray
@@ -83,7 +88,8 @@ def _shoot(mu, p, q, w_stage, h, n_steps):
 
     Integrates the whole half interval and returns (crossed, u_end, us, vs):
     whether u became nonpositive at some step, the terminal value u(L/2),
-    and the sampled trajectory as arrays.
+    and the sampled trajectory as lists.  w_stage is a _StageWeights, so
+    -mu w is one numpy multiply of its array.
 
     Each _phi is inlined with its float operations in the same order, so
     the state matches step-by-step calls of _phi to the bit: -mu * w
@@ -99,7 +105,7 @@ def _shoot(mu, p, q, w_stage, h, n_steps):
     floor = PHI_FLOOR
     hh = 0.5 * h
     nmu = -mu
-    a_stage = [nmu * w for w in w_stage]
+    a_stage = (nmu * w_stage.array).tolist()
     u = 1.0
     v = 0.0
     us = [1.0]
@@ -175,7 +181,7 @@ def _shoot(mu, p, q, w_stage, h, n_steps):
             crossed = True
         us.append(u)
         vs.append(v)
-    return crossed, u, np.array(us), np.array(vs)
+    return crossed, u, us, vs
 
 
 BRENT_RTOL = 4.0 * float(np.finfo(float).eps)
@@ -253,102 +259,199 @@ def _brentq(f, a, b, xtol, rtol=BRENT_RTOL, maxiter=100):
     return xcur, False
 
 
-# solve_shooting's coarse level: n_steps // _COARSE_DIVISOR RK4 steps, run
-# when there are at least _COARSE_MIN_STEPS, to Brent rtol _COARSE_RTOL.
-# _root brackets about its root with eta from _START_ETA, times
-# _ETA_GROWTH on each miss.
-_COARSE_DIVISOR, _COARSE_MIN_STEPS, _COARSE_RTOL = 8, 64, 1e-12
+# solve_shooting's chain of levels: n_steps // _LEVEL_RATIO**2 and
+# n_steps // _LEVEL_RATIO RK4 steps below the full n_steps, a coarser level
+# only when it has at least _COARSE_MIN_STEPS.  A level with no estimate
+# from below brackets by doubling and runs Brent's method, to _COARSE_RTOL
+# below the full level.  The full level shoots _NUDGE tol mu past a Newton
+# or secant point that moved its last shot by at most _CLOSE tol mu; after
+# _REFINE_SHOTS shots past its first one without a bracket it runs Brent's
+# method on its shots' tightest bracket, or brackets about its last shot
+# with eta from _START_ETA, times _ETA_GROWTH on each miss.  On the sample
+# configs and the benchmark's limit problems at n_steps = 4096 the chain
+# takes 7 or 8 shots of 64 steps, 2 of 512 and 2 (p = 2) or 3 of 4096.
+_LEVEL_RATIO, _COARSE_MIN_STEPS, _COARSE_RTOL = 8, 64, 1e-8
+_CLOSE, _NUDGE, _REFINE_SHOTS = 0.5, 0.25, 3
 _START_ETA, _ETA_GROWTH = 1e-7, 16.0
 
 
-def _root(problem, tol, n_steps, start=None):
-    """Brent's root of u(L/2; mu) on n_steps RK4 steps, and the shots it took.
+class _StageWeights(list):
+    """The weight at the RK4 stage points: a list for _shoot's loop, and the same values as an array."""
 
-    With start None the bracket comes from doubling from the Lyapunov lower
-    bound with the crossing predicate, which is monotone in mu; with a
-    start, from shots at start (1 + eta)^(+-1) away from start's side of the
-    root (dividing keeps mu positive).  A crossed end whose shot crossed
-    back is then shrunk until the terminal value changes sign, and Brent's
-    method runs to rtol max(tol, BRENT_RTOL).  Returns (mu, root_converged,
-    shots, uncrossed, w_stage): shots maps each mu shot to (crossed, u_end),
-    uncrossed is (mu, us, vs) of the largest uncrossed shot, and w_stage
-    holds the weight at the RK4 stage points.
+    def __init__(self, array):
+        super().__init__(array.tolist())
+        self.array = array
+
+
+def _newton(x, fx, slope):
+    """The Newton point x - fx / slope, or None unless it is positive and finite."""
+    r = x - _divide(fx, slope)
+    return r if 0.0 < r < math.inf else None
+
+
+class _Level:
+    """Shots on n_steps RK4 steps of the half interval, each mu integrated once.
+
+    shots maps each mu shot to (crossed, u_end), and uncrossed is
+    (mu, us, vs) of the largest uncrossed shot: its trajectory samples the
+    eigenfunction, so no shot is integrated twice.
     """
-    p = problem.p
-    q = p / (p - 1.0)
-    half = 0.5 * problem.L
-    h = half / n_steps
-    stage_s = np.linspace(0.0, half, 2 * n_steps + 1)
-    w_stage = np.interp(stage_s, problem.s_samples, problem.w_samples).tolist()
 
-    shots = {}
-    # (mu, us, vs) of the largest uncrossed mu shot so far: its trajectory
-    # samples the eigenfunction, so no shot is integrated twice.
-    uncrossed = (-math.inf, None, None)
+    def __init__(self, problem, n_steps):
+        p = problem.p
+        half = 0.5 * problem.L
+        self.problem = problem
+        self.p, self.q = p, p / (p - 1.0)
+        self.n_steps, self.h = n_steps, half / n_steps
+        stage_s = np.linspace(0.0, half, 2 * n_steps + 1)
+        self.w_stage = _StageWeights(np.interp(stage_s, problem.s_samples, problem.w_samples))
+        self.shots = {}
+        self.uncrossed = (-math.inf, None, None)
 
-    def shoot(mu):
-        """(crossed, u(L/2)) at mu; each mu is integrated once."""
-        nonlocal uncrossed
-        if mu not in shots:
+    def shoot(self, mu):
+        """(crossed, u(L/2)) at mu."""
+        if mu not in self.shots:
             try:
-                crossed, u_end, us, vs = _shoot(mu, p, q, w_stage, h, n_steps)
+                crossed, u_end, us, vs = _shoot(mu, self.p, self.q, self.w_stage, self.h, self.n_steps)
             except OverflowError as exc:  # a float power in _phi overflowed
                 raise StiffFailure(f"integration overflowed at mu={mu:.6g}") from exc
-            shots[mu] = crossed, u_end
-            if not crossed and mu > uncrossed[0]:
-                uncrossed = mu, us, vs
-        return shots[mu]
+            self.shots[mu] = crossed, u_end
+            if not crossed and mu > self.uncrossed[0]:
+                self.uncrossed = mu, us, vs
+        return self.shots[mu]
 
-    if start is None:
-        lo = lyapunov_bound(problem.w_samples, problem.L, p, evenness_tol=problem.evenness_tol)
+    def root(self, tol, start=None):
+        """Brent's root of u(L/2; mu) and whether Brent's method converged.
+
+        With start None the bracket comes from doubling from the Lyapunov
+        lower bound with the crossing predicate, which is monotone in mu;
+        with a start, from shots at start (1 + eta)^(+-1) away from start's
+        side of the root (dividing keeps mu positive).  A crossed end whose
+        shot crossed back is then shrunk until the terminal value changes
+        sign, and Brent's method runs to rtol max(tol, BRENT_RTOL).
+        """
+        shoot = self.shoot
+        if start is None:
+            problem = self.problem
+            lo = lyapunov_bound(problem.w_samples, problem.L, self.p, evenness_tol=problem.evenness_tol)
+            guard = 0
+            while shoot(lo)[0]:
+                lo *= 0.5
+                guard += 1
+                if guard > 60:
+                    raise NoCrossing("no uncrossed lower bracket found")
+            hi = 2.0 * lo
+            guard = 0
+            while not shoot(hi)[0]:
+                lo = hi
+                hi *= 2.0
+                guard += 1
+                if guard > 60:
+                    raise NoCrossing("doubling never produced a crossing")
+        else:
+            crossed = shoot(start)[0]
+            near, eta = start, _START_ETA
+            for _ in range(61):
+                far = start / (1.0 + eta) if crossed else start * (1.0 + eta)
+                if shoot(far)[0] != crossed:
+                    break
+                near, eta = far, eta * _ETA_GROWTH
+            else:
+                raise NoCrossing(f"no bracket found about mu={start:.6g}")
+            lo, hi = (far, near) if crossed else (near, far)
+        return self.brent(tol, lo, hi)
+
+    def brent(self, tol, lo, hi):
+        """Brent's method on the bracket [lo, hi] of the crossing predicate, as root runs it."""
+        shoot = self.shoot
+        # A crossed shot ends below zero unless it crossed back; shrink such an
+        # end with the crossing predicate until the terminal value changes sign.
         guard = 0
-        while shoot(lo)[0]:
-            lo *= 0.5
+        while shoot(hi)[1] >= 0.0:
+            mid = 0.5 * (lo + hi)
+            if shoot(mid)[0]:
+                hi = mid
+            else:
+                lo = mid
             guard += 1
             if guard > 60:
-                raise NoCrossing("no uncrossed lower bracket found")
-        hi = 2.0 * lo
-        guard = 0
-        while not shoot(hi)[0]:
-            lo = hi
-            hi *= 2.0
-            guard += 1
-            if guard > 60:
-                raise NoCrossing("doubling never produced a crossing")
-    else:
-        crossed = shoot(start)[0]
-        near, eta = start, _START_ETA
-        for _ in range(61):
-            far = start / (1.0 + eta) if crossed else start * (1.0 + eta)
-            if shoot(far)[0] != crossed:
+                raise NoCrossing("no crossed bracket end with a negative terminal value")
+
+        # xtol > 0 and rtol >= 4 eps keep Brent's stop test meaningful; tol
+        # alone sets the width.
+        return _brentq(
+            lambda m: shoot(m)[1],
+            lo,
+            hi,
+            xtol=np.finfo(float).tiny,
+            rtol=max(tol, BRENT_RTOL),
+        )
+
+    def bracket(self):
+        """The tightest bracket of the shots taken: the largest uncrossed mu and
+        the smallest mu ending below zero, -inf and inf where there is none."""
+        hi = min((m for m, (_, u_end) in self.shots.items() if u_end < 0.0), default=math.inf)
+        return self.uncrossed[0], hi
+
+    def estimate(self, below):
+        """(mu, slope): this level's root of u(L/2; mu) and the slope of u(L/2; mu).
+
+        below is the same pair from the next coarser level, or None.  With
+        None the level runs root to _COARSE_RTOL; the pair is then the secant
+        through its final bracket (the largest uncrossed shot and the
+        smallest one ending below zero).  Otherwise it shoots at below's mu
+        and at the Newton point of below's slope, and the pair is the secant
+        through those two shots.  Raises SolveFailure when a point is not
+        positive and finite.
+        """
+        if below is None:
+            self.root(_COARSE_RTOL)
+            a, b = self.bracket()
+        else:
+            a, slope = below
+            b = _newton(a, self.shoot(a)[1], slope)
+            if b is None:
+                raise SolveFailure(f"no Newton step from mu={a:.6g}")
+        fb = self.shoot(b)[1]
+        slope = _divide(fb - self.shots[a][1], b - a)
+        mu = _newton(b, fb, slope)
+        if mu is None:
+            raise SolveFailure(f"no secant step from mu={b:.6g}")
+        return mu, slope
+
+    def refine(self, tol, below):
+        """Root of u(L/2; mu) from a coarser level's (mu, slope), and whether it converged.
+
+        The level shoots at below's mu, then steps by Newton with below's
+        slope and by secants through its own shots.  Once a step from the
+        last shot x to r moves at most _CLOSE tol x, the next shot y lies
+        _NUDGE tol x past r, away from x; when x and y bracket the root
+        (one uncrossed, the other ending below zero), the bracket is at
+        most tol r wide and r is the root.  After _REFINE_SHOTS shots
+        without such a bracket, Brent's method runs on the tightest bracket
+        among the shots taken, or, when they do not bracket the root, root
+        brackets about x with eta.
+        """
+        x, slope = below
+        crossed, fx = self.shoot(x)
+        for _ in range(_REFINE_SHOTS):
+            r = _newton(x, fx, slope)
+            # A crossed shot ending at or above zero crossed back, and a
+            # step away from the root has a slope of the wrong sign.
+            if r is None or (crossed and fx >= 0.0) or (r < x) != crossed:
                 break
-            near, eta = far, eta * _ETA_GROWTH
-        else:
-            raise NoCrossing(f"no bracket found about mu={start:.6g}")
-        lo, hi = (far, near) if crossed else (near, far)
-    # A crossed shot ends below zero unless it crossed back; shrink such an
-    # end with the crossing predicate until the terminal value changes sign.
-    guard = 0
-    while shoot(hi)[1] >= 0.0:
-        mid = 0.5 * (lo + hi)
-        if shoot(mid)[0]:
-            hi = mid
-        else:
-            lo = mid
-        guard += 1
-        if guard > 60:
-            raise NoCrossing("no crossed bracket end with a negative terminal value")
-
-    # xtol > 0 and rtol >= 4 eps keep Brent's stop test meaningful; tol
-    # alone sets the width.
-    mu, root_converged = _brentq(
-        lambda m: shoot(m)[1],
-        lo,
-        hi,
-        xtol=np.finfo(float).tiny,
-        rtol=max(tol, BRENT_RTOL),
-    )
-    return mu, root_converged, shots, uncrossed, w_stage
+            close = abs(r - x) <= _CLOSE * tol * x
+            nudge = _NUDGE * tol * x if close else 0.0
+            y = r - nudge if crossed else r + nudge
+            crossed_y, fy = self.shoot(y)
+            if close and crossed_y != crossed and min(fx, fy) < 0.0:
+                return r, True
+            slope = _divide(fy - fx, y - x)
+            x, crossed, fx = y, crossed_y, fy
+        lo, hi = self.bracket()
+        if -math.inf < lo and hi < math.inf:
+            return self.brent(tol, lo, hi)
+        return self.root(tol, start=x)
 
 
 def _signed_powers(zs, power):
@@ -365,41 +468,52 @@ def _signed_powers(zs, power):
 def solve_shooting(problem, tol=1e-10, n_steps=4096):
     """Locate the smallest mu whose shot from s = 0 vanishes by L/2.
 
-    Runs at two levels.  The coarse level shoots with n_steps // 8 RK4
-    steps (only when that is at least 64): it brackets by doubling from the
-    Lyapunov lower bound with the crossing predicate, which is monotone in
-    mu, and runs Brent's method on the terminal value u(L/2; mu), which is
-    continuous in mu and changes sign across the bracket, to rtol 1e-12.
-    The full level, with n_steps steps, then brackets its own root within
-    about 1e-7 of that estimate and runs Brent's method to tol, relative on
-    mu, so it takes 3 or 4 shots where doubling takes 7 or 8; the 7 to 11
-    coarse shots together cost about one full-resolution shot.  A coarse
-    level that raises (StiffFailure, NoCrossing, SolveFailure) is dropped
-    and the full level brackets by doubling itself.
+    Runs on a chain of levels of n_steps // 64, n_steps // 8 and n_steps
+    RK4 steps; a coarser level joins only with at least 64 steps.  The
+    coarsest brackets by doubling from the Lyapunov lower bound with the
+    crossing predicate, which is monotone in mu, and runs Brent's method
+    on the terminal value u(L/2; mu), which is continuous in mu and changes
+    sign across the bracket, to rtol 1e-8.  It passes its root and the
+    slope of u(L/2; mu) up the chain.  An intermediate level shoots at that
+    root and at the Newton point of that slope, and passes the secant root
+    and slope of its two shots.  The full level shoots at the root from
+    below, then steps by Newton and secants until a step moves at most
+    tol mu / 2; its next shot, tol mu / 4 past the new point, brackets the
+    root within tol mu, and that Newton or secant point is mu.  On the
+    sample configs and the benchmark's limit problems that takes 2 shots on
+    the intermediate level and 2 (p = 2) or 3 on the full one, against 8
+    and 3 or 4 for two levels.  A full level with no such bracket after
+    three more shots runs Brent's method to tol on the tightest bracket of
+    its shots, or on one it finds about its last shot.  A level that raises
+    (StiffFailure, NoCrossing, SolveFailure) is skipped, and the next finer
+    level brackets by doubling itself.
 
-    Only full-resolution shots count: converged says that Brent's method
-    converged and that the final bracket of the crossing predicate (the
-    largest uncrossed and the smallest crossed mu shot) is at most tol * mu
-    wide, iterations counts the n_steps shots, and the eigenfunction is
-    the trajectory of the largest uncrossed one, extended oddly to [0, L]
-    and sampled on the problem grid; its boundary defect is the residual.
+    Only full-resolution shots count: converged says that the root
+    converged (a bracket within tol mu, or Brent's method) and that the
+    final bracket of the crossing predicate (the largest uncrossed and the
+    smallest crossed mu shot) is at most tol * mu wide, iterations counts
+    the n_steps shots, and the eigenfunction is the trajectory of the
+    largest uncrossed one, extended oddly to [0, L] and sampled on the
+    problem grid; its boundary defect is the residual.
     """
-    start = None
-    if n_steps // _COARSE_DIVISOR >= _COARSE_MIN_STEPS:
-        try:
-            start = _root(problem, _COARSE_RTOL, n_steps // _COARSE_DIVISOR)[0]
-        except FermiSpectraError:
-            pass  # a missed hint, not a failed solve: the full level doubles
-    mu, root_converged, shots, uncrossed, w_stage = _root(problem, tol, n_steps, start)
-    lo, us, vs = uncrossed
-    hi = min(m for m, (c, _) in shots.items() if c)
+    below = None
+    for n in (n_steps // _LEVEL_RATIO**2, n_steps // _LEVEL_RATIO):
+        if n >= _COARSE_MIN_STEPS:
+            try:
+                below = _Level(problem, n).estimate(below)
+            except FermiSpectraError:
+                below = None  # a missed hint, not a failed solve: the next level doubles
+    level = _Level(problem, n_steps)
+    mu, root_converged = level.root(tol) if below is None else level.refine(tol, below)
+    lo, us, vs = level.uncrossed
+    hi = min(m for m, (c, _) in level.shots.items() if c)
     converged = root_converged and hi - lo <= tol * mu
 
     # Sample the eigenfunction at the largest uncrossed mu shot so it stays
     # positive up to the midpoint; the boundary defect goes into residual.
+    us = np.array(us)
     residual = abs(us[-1]) / np.max(np.abs(us))
-    q = problem.p / (problem.p - 1.0)
-    dus = np.array(_signed_powers((vs / np.array(w_stage[::2])).tolist(), q - 1.0))
+    dus = np.array(_signed_powers((np.array(vs) / level.w_stage.array[::2]).tolist(), level.q - 1.0))
     node_s = np.linspace(0.0, 0.5 * problem.L, n_steps + 1)
 
     return EigenResult(
@@ -407,7 +521,7 @@ def solve_shooting(problem, tol=1e-10, n_steps=4096):
         u_samples=_mirror_extend(problem, node_s, us, -1),
         residual=float(residual),
         method="shooting",
-        iterations=len(shots),
+        iterations=len(level.shots),
         converged=bool(converged),
         du_samples=_mirror_extend(problem, node_s, dus, 1),
     )

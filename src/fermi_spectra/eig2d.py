@@ -108,7 +108,7 @@ from .errors import BadExponent, DegenerateCell, FermiSpectraError, SolveFailure
 _GPTS = np.array([-1.0, 1.0]) / np.sqrt(3.0)
 
 
-@dataclass
+@dataclass(eq=False)
 class Mesh2D:
     """A tensor mesh of the reference band with its cell tables (build_mesh).
 
@@ -161,7 +161,7 @@ def _frozen(a):
     return a
 
 
-@dataclass
+@dataclass(eq=False)
 class Eigen2DResult:
     """One strip eigenvalue, as every strip solver returns it (_strip_result).
 
@@ -308,7 +308,7 @@ def _lapack():
     return module
 
 
-@dataclass
+@dataclass(eq=False)
 class Stencil:
     """A square matrix on the 9-point stencil of build_mesh's t-fastest
     numbering, stored by diagonals: data[k, j] = A[j - offsets[k], j], with
@@ -518,7 +518,7 @@ _COARSE_MIN_NODES = 4096
 _COARSE_RATIO = 4
 
 
-@dataclass
+@dataclass(eq=False)
 class _ClassResult:
     """One mirror class's solve at one p, on the half mesh.
 

@@ -33,7 +33,7 @@ from .errors import (
 )
 
 
-@dataclass
+@dataclass(eq=False)
 class CurveSpec:
     """Arc-length samples of a symmetric planar curve."""
 
@@ -52,7 +52,7 @@ class CurveSpec:
         return np.linspace(0.0, self.L, self.n)
 
 
-@dataclass
+@dataclass(eq=False)
 class WidthProfile:
     """Positive even width samples and their arc-length derivative."""
 
@@ -61,7 +61,7 @@ class WidthProfile:
     evenness_tol: float = 1e-8
 
 
-@dataclass
+@dataclass(eq=False)
 class FermiDomain:
     """A strip: curve, width, and the outcome of validation (see make_domain)."""
 

@@ -386,7 +386,7 @@ def bisect_crossing(problem, n_steps, rtol=1e-13):
     q = p / (p - 1.0)
     half = 0.5 * problem.L
     stage_s = np.linspace(0.0, half, 2 * n_steps + 1)
-    w_stage = np.interp(stage_s, problem.s_samples, problem.w_samples).tolist()
+    w_stage = eig1d._StageWeights(np.interp(stage_s, problem.s_samples, problem.w_samples))
 
     def crossed(mu):
         return eig1d._shoot(mu, p, q, w_stage, half / n_steps, n_steps)[0]
@@ -458,12 +458,12 @@ def shot_outcome(shoot, mu, problem, n_steps):
     p = problem.p
     half = 0.5 * problem.L
     stage_s = np.linspace(0.0, half, 2 * n_steps + 1)
-    w_stage = np.interp(stage_s, problem.s_samples, problem.w_samples).tolist()
+    w_stage = eig1d._StageWeights(np.interp(stage_s, problem.s_samples, problem.w_samples))
     try:
         crossed, u_end, us, vs = shoot(mu, p, p / (p - 1.0), w_stage, half / n_steps, n_steps)
     except (StiffFailure, OverflowError) as exc:
         return type(exc), str(exc)
-    return crossed, u_end, us.tobytes(), vs.tobytes()
+    return crossed, u_end, np.array(us).tobytes(), np.array(vs).tobytes()
 
 
 def assert_same_result(got, want):
@@ -558,10 +558,15 @@ def config_limit_problem(name, p):
 
 
 def single_level(problem, monkeypatch, **kwargs):
-    """solve_shooting with the coarse level switched off."""
+    """solve_shooting with the coarser levels switched off."""
     with monkeypatch.context() as m:
         m.setattr(eig1d, "_COARSE_MIN_STEPS", math.inf)
         return solve_shooting(problem, **kwargs)
+
+
+def full_root(problem, n_steps=4096):
+    """Brent's root on n_steps RK4 steps alone, to rtol BRENT_RTOL."""
+    return eig1d._Level(problem, n_steps).root(0.0)[0]
 
 
 def shots_by_resolution(monkeypatch):
@@ -578,42 +583,69 @@ def shots_by_resolution(monkeypatch):
     return taken
 
 
+def failing_below(error, n_full, monkeypatch, failing=None):
+    """Make every shot on fewer than n_full steps raise error (only on n_steps in failing, if given)."""
+    shoot = eig1d._shoot
+
+    def fails(mu, p, q, w_stage, h, n_steps):
+        if n_steps < n_full and (failing is None or n_steps in failing):
+            raise error("coarse shot failed")
+        return shoot(mu, p, q, w_stage, h, n_steps)
+
+    monkeypatch.setattr(eig1d, "_shoot", fails)
+
+
 class TestTwoLevelShooting:
-    """The coarse RK4 level only places the full-resolution bracket."""
+    """The coarser RK4 levels only place the full-resolution shots."""
 
     @pytest.mark.parametrize("index", range(8))
     def test_criterion4_agrees_with_single_level(self, index, monkeypatch):
         problem = criterion4_problems()[index]
+        want = single_level(problem, monkeypatch)
         taken = shots_by_resolution(monkeypatch)
         got = solve_shooting(problem)
-        assert len(taken[4096]) == got.iterations <= 5
-        assert len(taken[512]) <= 12
-        want = single_level(problem, monkeypatch)
+        assert sorted(taken) == [64, 512, 4096]
+        assert len(taken[4096]) == got.iterations == (2 if problem.p == 2.0 else 3)
+        assert len(taken[512]) == 2
+        assert len(taken[64]) <= 12
         assert got.converged and want.converged
-        assert abs(got.mu - want.mu) <= 1e-10 * want.mu
+        assert abs(got.mu - full_root(problem)) <= 1e-12 * got.mu
 
     @pytest.mark.parametrize("name", STRIP_CONFIGS)
     def test_config_limits_agree_with_single_level(self, name, monkeypatch):
-        for p in (1.5, 2.0, 4.0):
+        for p in (1.5, 2.0, 3.0, 4.0):
             problem = config_limit_problem(name, p)
             got = solve_shooting(problem)
             want = single_level(problem, monkeypatch)
-            assert got.converged and got.iterations <= 5, p
-            assert abs(got.mu - want.mu) <= 1e-10 * want.mu, p
+            assert got.converged and want.converged, p
+            assert got.iterations == (2 if p == 2.0 else 3), p
+            assert abs(got.mu - full_root(problem)) <= 1e-12 * got.mu, p
 
     @pytest.mark.parametrize("error", [StiffFailure, NoCrossing, SolveFailure])
     def test_failed_coarse_level_is_single_level(self, error, monkeypatch):
+        # Every coarser level fails: the full level brackets by doubling.
         problem = criterion4_problems()[2]
         want = single_level(problem, monkeypatch)
-        shoot = eig1d._shoot
-
-        def coarse_fails(mu, p, q, w_stage, h, n_steps):
-            if n_steps == 512:
-                raise error("coarse shot failed")
-            return shoot(mu, p, q, w_stage, h, n_steps)
-
-        monkeypatch.setattr(eig1d, "_shoot", coarse_fails)
+        failing_below(error, 4096, monkeypatch)
         assert_same_result(solve_shooting(problem), want)
+
+    def test_failed_intermediate_level_is_single_level(self, monkeypatch):
+        # The coarsest level's estimate is dropped with the level above it.
+        problem = criterion4_problems()[3]
+        want = single_level(problem, monkeypatch)
+        failing_below(StiffFailure, 4096, monkeypatch, failing=(512,))
+        assert_same_result(solve_shooting(problem), want)
+
+    def test_failed_coarsest_level_is_skipped(self, monkeypatch):
+        # The 512-step level brackets by doubling in its place.
+        problem = criterion4_problems()[3]
+        want = solve_shooting(problem)
+        failing_below(StiffFailure, 4096, monkeypatch, failing=(64,))
+        taken = shots_by_resolution(monkeypatch)
+        got = solve_shooting(problem)
+        assert len(taken[512]) > 2 and len(taken[4096]) == got.iterations <= 3
+        assert got.converged
+        assert abs(got.mu - want.mu) <= 1e-12 * want.mu
 
     @pytest.mark.parametrize("n_steps", [8, 256, 511])
     def test_short_integrations_run_one_level(self, n_steps, monkeypatch):
@@ -621,6 +653,28 @@ class TestTwoLevelShooting:
         taken = shots_by_resolution(monkeypatch)
         solve_shooting(problem, n_steps=n_steps)
         assert list(taken) == [n_steps]
+
+    @pytest.mark.parametrize(
+        "n_steps, levels", [(512, [64, 512]), (1024, [128, 1024]), (4095, [511, 4095]), (8192, [128, 1024, 8192])]
+    )
+    def test_levels_of_at_least_64_steps_join_the_chain(self, n_steps, levels, monkeypatch):
+        problem = criterion4_problems()[2]
+        taken = shots_by_resolution(monkeypatch)
+        result = solve_shooting(problem, n_steps=n_steps)
+        assert list(taken) == levels
+        assert result.converged
+
+    def test_missed_bracket_ends_in_brent(self, monkeypatch):
+        # A nudge towards the last shot never brackets the root, so the full
+        # level runs out of refining shots and goes on from the shots taken,
+        # a few shots more where doubling would take 7 or 8.
+        problem = criterion4_problems()[3]
+        monkeypatch.setattr(eig1d, "_NUDGE", -eig1d._NUDGE)
+        taken = shots_by_resolution(monkeypatch)
+        got = solve_shooting(problem)
+        assert 1 + eig1d._REFINE_SHOTS < len(taken[4096]) == got.iterations <= 4 + eig1d._REFINE_SHOTS
+        assert got.converged
+        assert abs(got.mu - full_root(problem)) <= 1e-10 * got.mu
 
     @pytest.mark.parametrize("index", range(8))
     def test_samples_come_from_a_full_resolution_shot(self, index, monkeypatch):
@@ -648,6 +702,24 @@ class TestTwoLevelShooting:
         got = eig1d._signed_powers(zs, power)
         want = [eig1d._phi(z, power) for z in zs]
         assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
+@given(
+    st.floats(min_value=2.0, max_value=5.0),
+    st.floats(min_value=-0.5, max_value=0.5),
+    st.floats(min_value=-0.4, max_value=0.4),
+    st.floats(min_value=math.log(1.05), max_value=math.log(10.0)),
+)
+@settings(max_examples=30, deadline=None)
+def test_chain_matches_single_level_on_two_harmonic_weights(L, a, b, log_p):
+    s = np.linspace(0.0, L, 257)
+    w = 1.0 + a * np.cos(2.0 * np.pi * s / L) + b * np.cos(4.0 * np.pi * s / L)
+    problem = OneDimProblem(L=L, p=math.exp(log_p), w_samples=w)
+    got = solve_shooting(problem)
+    with pytest.MonkeyPatch.context() as m:
+        want = single_level(problem, m)
+    assert got.converged == want.converged
+    assert abs(got.mu - full_root(problem)) <= 1e-12 * got.mu
 
 
 def brent_case(rng, kind):

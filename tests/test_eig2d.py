@@ -152,6 +152,13 @@ class TestMesh:
         mesh = build_mesh(annulus, 64, 8)
         assert np.sum(mesh.gauss_weight) == pytest.approx(0.4375 * math.pi, rel=1e-9)
 
+    def test_equality_is_identity(self, annulus):
+        # Field-wise == would compare arrays and raise ValueError.
+        mesh = build_mesh(annulus, 4, 4)
+        assert (build_mesh(annulus, 4, 4) == build_mesh(annulus, 4, 4)) is False
+        assert (mesh == mesh) is True
+        assert len({mesh, mesh, annulus}) == 2
+
     def test_folding_domain_degenerate(self):
         curve = reconstruct_from_curvature(math.pi, lambda s: -2.0)
         width = width_profile(1.0, math.pi)
