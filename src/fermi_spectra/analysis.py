@@ -8,7 +8,7 @@ and the one-dimensional reference eigenvalue (pi_p / L)^p.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -17,9 +17,9 @@ tol.  A level that fails is skipped, and the next finer one brackets by
 doubling as a single level would.  Only full-resolution shots enter the
 result.  A discretized route on the same half interval, with u(L/2) = 0
 in place of the constant mode, provides the independent cross-check:
-Sturm counts and Rayleigh quotient iteration on the tridiagonal
-finite-element pencil at p = 2, inverse power iteration from its
-eigenvector otherwise.  Both routes extend their half-interval function
+unshifted inverse iteration on the tridiagonal finite-element pencil at
+p = 2, each solve two cumulative sums, and inverse power iteration from
+its eigenvector otherwise.  Both routes extend their half-interval function
 oddly to [0, L] by one helper, and both run on numpy and pure Python;
 neither loads a scipy subpackage.
 """
@@ -588,8 +588,7 @@ def _cumtrap(f, h):
     return out
 
 
-EPS = float(np.finfo(float).eps)
-PENCIL_MAX_ITER, PENCIL_TOL = 60, 1e-14
+PENCIL_MAX_ITER, PENCIL_TOL = 60, 1e-13
 
 
 def _tridiag_mul(diag, off, x):
@@ -600,132 +599,40 @@ def _tridiag_mul(diag, off, x):
     return y
 
 
-def _pencil_ldl(c, m_diag, m_off, sigma):
-    """Pivots of K - sigma M = L D L^T and how many of them are negative.
+def _lowest_pair(c, m_diag, m_off):
+    """The lowest eigenpair (lam, x) of K x = lam M x, x^T M x = 1, and its update count.
 
     K = D^T diag(c) D is the stiffness matrix of the edge conductances c
     (D the difference matrix) on the nodes left of a pinned midpoint:
     every node has a conductance to its right, the last one to the
-    midpoint, where the function is zero, so K is positive definite.  M is
-    the tridiagonal mass matrix with diagonal m_diag and off-diagonal
-    m_off.  M is positive definite, so by Sylvester's law of inertia the
-    count of negative pivots is the number of pencil eigenvalues below
-    sigma.  Pivot i is carried as c_i + e_i, the conductance to its right
-    plus an excess that obeys, with t = sigma m_off[i - 1],
-
-        e_0 = -sigma m_diag[0],
-        e_i = (c_{i-1} (e_{i-1} - 2 t) - t^2) / d_{i-1} - sigma m_diag[i].
-
-    This is the recurrence d_i = a_i - b_{i-1}^2 / d_{i-1} on the entries
-    of K - sigma M with the conductances cancelled by hand: the excesses
-    are of the size of sigma M, not of K, so they keep their digits where
-    forming K - sigma M first loses them on fine grids, and at sigma = 0
-    they all vanish, so the count there is 0 exactly.  A pivot that is
-    zero is replaced by eps max c.  Pure Python, linear in the grid size.
-    """
-    cl = c.tolist()
-    tl = (sigma * m_off).tolist()
-    sl = (sigma * m_diag).tolist()
-    tiny = EPS * max(cl)
-    e = -sl[0]
-    d = cl[0] + e
-    pivots = [d]
-    negative = d < 0.0
-    for c_left, c_right, t, s in zip(cl, cl[1:], tl, sl[1:]):
-        e = (c_left * (e - 2.0 * t) - t * t) / d - s
-        d = c_right + e
-        if d == 0.0:
-            d = tiny
-            e = d - c_right
-        negative += d < 0.0
-        pivots.append(d)
-    return pivots, int(negative)
-
-
-def _pencil_solve(c, m_off, sigma, pivots, f):
-    """(K - sigma M)^-1 f from the pivots that _pencil_ldl returned at sigma.
-
-    L has -(c_i + sigma m_off[i]) / d_i below its diagonal, so the forward
-    and the back substitution are one multiply-add per node each.
-    """
-    d = np.array(pivots)
-    g = ((c[:-1] + sigma * m_off) / d[:-1]).tolist()
-    z = float(f[0])
-    zs = [z]
-    for gi, fi in zip(g, f[1:].tolist()):
-        z = fi + gi * z
-        zs.append(z)
-    ys = (np.array(zs) / d).tolist()
-    y = ys[-1]
-    out = [y]
-    for gi, yi in zip(reversed(g), reversed(ys[:-1])):
-        y = yi + gi * y
-        out.append(y)
-    return np.array(out[::-1])
-
-
-def _lowest_pair(c, m_diag, m_off):
-    """The lowest eigenpair (lam, x) of the pencil of _pencil_ldl, x^T M x = 1.
-
-    Sturm counts (the inertia of _pencil_ldl) isolate the eigenvalue:
-    bisection from [0, rho], rho the Rayleigh quotient of cos(pi t) on
-    t = 0, 1/n, ..., 1/2 - 1/n (it vanishes at the pinned midpoint t = 1/2),
-    which is at least lam, stops as soon as exactly one eigenvalue lies
-    below the upper end; none lies below 0.  Rayleigh quotient iteration
-    from that cosine then converges on the pair; each step factors
-    K - sigma M at the current quotient, or at the bracket's midpoint when
-    the quotient has left the bracket, and that factor's inertia also
-    narrows the bracket, so the iteration can only settle on the lowest
-    eigenvalue.  It stops when two quotients agree to PENCIL_TOL
-    (relative) inside the bracket.  The start vector is fixed, so reruns
-    repeat every digit.  Raises SolveFailure when a quotient is not a
-    finite double or the iteration does not settle within PENCIL_MAX_ITER
-    bisection or iteration steps.
+    midpoint, where the function is zero.  M is the tridiagonal mass
+    matrix with diagonal m_diag and off-diagonal m_off.  K is a
+    nonsingular Stieltjes matrix, so K^-1 has only positive entries, and
+    K^-1 f is two cumulative sums: the flux from the free end, divided by
+    the conductance, summed back from the pinned end.  By Perron-Frobenius
+    unshifted inverse iteration, x <- K^-1 M x scaled to max |x| = 1, from
+    the positive cos(pi t) on t = 0, 1/n, ..., 1/2 - 1/n converges on the
+    lowest pair.  It stops once an update moves x by at most PENCIL_TOL,
+    and lam is the Rayleigh quotient of that x.  Raises SolveFailure when
+    a quotient is not a finite double or after PENCIL_MAX_ITER updates.
     """
 
-    def quotient(x):
-        return float(np.sum(c * np.diff(x, append=0.0) ** 2) / (x @ _tridiag_mul(m_diag, m_off, x)))
-
-    def count(sigma):
-        return _pencil_ldl(c, m_diag, m_off, sigma)[1]
+    def mass(x):
+        return _tridiag_mul(m_diag, m_off, x)
 
     x = np.cos(np.pi * np.linspace(0.0, 0.5, len(m_diag) + 1)[:-1])
-    rho = quotient(x)
-    if not 0.0 < rho < np.inf:
-        raise SolveFailure("discrete eigenvalues are not finite doubles")
-
-    lo, hi, n_hi = 0.0, rho, count(rho)
-    for _ in range(PENCIL_MAX_ITER):
-        if n_hi == 1:
-            break
-        if n_hi == 0:  # rho at or below the lowest eigenvalue in rounding
-            lo, hi = hi, 2.0 * hi
-            n_hi = count(hi)
-            continue
-        mid = 0.5 * (lo + hi)
-        n_mid = count(mid)
-        if n_mid >= 1:
-            hi, n_hi = mid, n_mid
-        else:
-            lo = mid
-    else:
-        raise SolveFailure("discrete eigensolve did not isolate the lowest eigenvalue")
-
-    for _ in range(PENCIL_MAX_ITER):
-        sigma = rho if lo < rho <= hi else 0.5 * (lo + hi)
-        pivots, n_sigma = _pencil_ldl(c, m_diag, m_off, sigma)
-        if n_sigma >= 1:
-            hi = sigma
-        else:
-            lo = sigma
-        x = _pencil_solve(c, m_off, sigma, pivots, _tridiag_mul(m_diag, m_off, x))
-        x /= np.max(np.abs(x))
-        previous, rho = rho, quotient(x)
-        if not 0.0 < rho < np.inf:
+    mx = mass(x)
+    for iterations in range(1, PENCIL_MAX_ITER + 1):
+        y = np.cumsum((np.cumsum(mx) / c)[::-1])[::-1]
+        y /= np.max(np.abs(y))
+        my = mass(y)
+        lam = float(np.sum(c * np.diff(y, append=0.0) ** 2) / (y @ my))
+        if not 0.0 < lam < np.inf:
             raise SolveFailure("discrete eigenvalues are not finite doubles")
-        settled = abs(rho - previous) <= PENCIL_TOL * rho
-        if settled and lo * (1.0 - PENCIL_TOL) <= rho <= hi * (1.0 + PENCIL_TOL):
-            return rho, x / math.sqrt(x @ _tridiag_mul(m_diag, m_off, x))
+        shift = np.max(np.abs(y - x))
+        x, mx = y, my
+        if shift <= PENCIL_TOL:
+            return lam, x / math.sqrt(x @ mx), iterations
     raise SolveFailure("discrete eigensolve did not converge")
 
 
@@ -739,8 +646,8 @@ def solve_discretized(problem, n=512):
     cells of [0, L/2] with u(L/2) = 0, which takes the place of the
     constant mode, and extends the result oddly to [0, L].  For p = 2 the
     lowest eigenpair of the piecewise-linear stiffness and mass matrices,
-    both tridiagonal, comes from Sturm counts and Rayleigh quotient
-    iteration with LDL^T solves (_lowest_pair), linear in n.  For p != 2
+    both tridiagonal, comes from unshifted inverse iteration
+    (_lowest_pair), linear in n per update.  For p != 2
     inverse power iteration starts from that eigenvector: each step solves
     -(w phi_p(v'))' = mu w phi_p(u) by integrating the flux from the
     Neumann end at 0, inverting phi_p and integrating again, with
@@ -751,6 +658,11 @@ def solve_discretized(problem, n=512):
     DISCRETIZED_MAX_ITER = 400 updates.  mu is the quotient of the last
     iterate, the function returned in u_samples.  An iterate that is not
     finite raises SolveFailure.
+
+    iterations counts the inverse-iteration updates at p = 2 and the
+    p-updates after that start otherwise.  residual is ||K x - lam M x|| /
+    ||K x|| of the pencil's eigenpair at p = 2 and the size of the last
+    update (max |v - u|, u scaled to max |u| = 1) otherwise.
     """
     if n < 32 or n % 2:
         raise ValueError(f"n must be even and at least 32 (got {n})")
@@ -774,7 +686,7 @@ def solve_discretized(problem, n=512):
     m_diag = (3.0 * v[:-1] + v[1:]) / (12.0 * n)
     m_diag[1:] += (v[:-2] + 3.0 * v[1:-1]) / (12.0 * n)
     m_off = (v[:-2] + v[1:-1]) / (12.0 * n)
-    lam, x = _lowest_pair(c, m_diag, m_off)
+    lam, x, updates = _lowest_pair(c, m_diag, m_off)
     with np.errstate(over="ignore", under="ignore"):
         mu = lam / L / L
     if not np.isfinite(mu):
@@ -793,7 +705,7 @@ def solve_discretized(problem, n=512):
             u_samples=_mirror_extend(problem, s, u, -1),
             residual=float(np.linalg.norm(r) / np.linalg.norm(ku)),
             method="discretized",
-            iterations=1,
+            iterations=updates,
             converged=True,
         )
 

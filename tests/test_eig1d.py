@@ -227,35 +227,71 @@ def unit_pencil(problem, n):
     return n * (0.5 * (v[:-1] + v[1:])), m_diag, (v[:-1] + v[1:]) / (12.0 * n)
 
 
-def half_pencil(problem, n):
-    """The pencil solve_discretized solves: unit_pencil's nodes left of the
-    midpoint, each with its conductance to the right, the last one to the
-    pinned midpoint."""
-    c, m_diag, m_off = unit_pencil(problem, n)
-    return c[: n // 2], m_diag[: n // 2], m_off[: n // 2 - 1]
+def flat_neck_problem(L=6.0, n=3073):
+    """Weight 1e-6 on four necks of width 0.1, at s = 1, 2 and their mirror
+    images, and 1 elsewhere: at n = 512 the pencil's lowest eigenvalue sits
+    about 1e10 below its largest, and inverse iteration takes 16 updates."""
+    s = np.linspace(0.0, L, n)
+    w = np.ones(n)
+    for c in (1.0, 2.0, L - 2.0, L - 1.0):
+        w[np.abs(s - c) < 0.05] = 1e-6
+    return OneDimProblem(L=L, p=2.0, w_samples=w)
+
+
+def dense_pencil(problem, n):
+    """The whole-interval stiffness and mass matrices, dense, element by element."""
+    L = problem.L
+    s = np.linspace(0.0, L, n + 1)
+    h = L / n
+    w = np.interp(s, problem.s_samples, problem.w_samples)
+    w_mid = 0.5 * (w[:-1] + w[1:])
+    K = np.zeros((n + 1, n + 1))
+    M = np.zeros((n + 1, n + 1))
+    for e in range(n):
+        K[e : e + 2, e : e + 2] += w_mid[e] / h * np.array([[1.0, -1.0], [-1.0, 1.0]])
+        M[e : e + 2, e : e + 2] += h / 12.0 * np.array(
+            [[3.0 * w[e] + w[e + 1], w[e] + w[e + 1]], [w[e] + w[e + 1], w[e] + 3.0 * w[e + 1]]]
+        )
+    return K, M, w_mid / h
+
+
+def grid_values(result, problem, n):
+    """u_samples on the n-cell solver grid, whose nodes are problem samples."""
+    return result.u_samples[:: (len(problem.w_samples) - 1) // n]
 
 
 class TestDiscretizedPencil:
-    """The p = 2 step of solve_discretized: Sturm counts and Rayleigh quotient
-    iteration on the tridiagonal pencil, without scipy."""
+    """The p = 2 step of solve_discretized: unshifted inverse iteration on
+    the tridiagonal pencil, each solve two cumulative sums, without scipy."""
 
     @pytest.mark.parametrize("n", [64, 512])
     def test_matches_dense_pencil(self, n):
+        # The wavy weight against the whole-interval pencil, whose second
+        # pair is the odd one.
         problem = wavy_problem(2.0)
-        L = problem.L
-        s = np.linspace(0.0, L, n + 1)
-        h = L / n
-        w = np.interp(s, problem.s_samples, problem.w_samples)
-        w_mid = 0.5 * (w[:-1] + w[1:])
-        K = np.zeros((n + 1, n + 1))
-        M = np.zeros((n + 1, n + 1))
-        for e in range(n):
-            K[e : e + 2, e : e + 2] += w_mid[e] / h * np.array([[1.0, -1.0], [-1.0, 1.0]])
-            M[e : e + 2, e : e + 2] += h / 12.0 * np.array(
-                [[3.0 * w[e] + w[e + 1], w[e] + w[e + 1]], [w[e] + w[e + 1], w[e] + 3.0 * w[e + 1]]]
-            )
-        dense = scipy.linalg.eigh(K, M, subset_by_index=(0, 2), eigvals_only=True)
-        assert solve_discretized(problem, n=n).mu == pytest.approx(dense[1], rel=1e-10)
+        K, M, _ = dense_pencil(problem, n)
+        vals, vecs = scipy.linalg.eigh(K, M, subset_by_index=(0, 2))
+        result = solve_discretized(problem, n=n)
+        assert result.mu == pytest.approx(vals[1], rel=1e-10)
+        x = vecs[:, 1] / vecs[0, 1]
+        assert np.max(np.abs(grid_values(result, problem, n) - x)) < 1e-10
+
+        # On the flat neck dense eigh of K and M keeps only eps lam_max /
+        # lam of the lowest eigenvalue, 5e-8 relative at n = 512.  So its
+        # reference is the largest eigenvalue of the inverse pencil: on the
+        # nodes left of the pinned midpoint K = D^T diag(c) D, and D^-1 is
+        # the upper triangle of ones, so B^-T M B^-1 with B^-1 = D^-1
+        # diag(c)^(-1/2) has eigenvalues 1 / lam and only positive entries.
+        problem = flat_neck_problem()
+        half = n // 2
+        K, M, c = dense_pencil(problem, n)
+        b_inv = np.triu(np.ones((half, half))) / np.sqrt(c[:half])
+        inverse = b_inv.T @ M[:half, :half] @ b_inv
+        vals, vecs = scipy.linalg.eigh(inverse, subset_by_index=(half - 1, half - 1))
+        result = solve_discretized(problem, n=n)
+        assert result.mu == pytest.approx(1.0 / vals[0], rel=1e-10)
+        x = b_inv @ vecs[:, 0]
+        assert np.max(np.abs(grid_values(result, problem, n)[:half] - x / x[0])) < 1e-10
 
     @pytest.mark.parametrize("p", [2.0, 3.0])
     def test_fine_grid_is_fast(self, p):
@@ -276,36 +312,25 @@ class TestDiscretizedPencil:
         ]
         assert scaled == pytest.approx([scaled[1]] * 3, rel=1e-12)
 
-    def test_failed_factorization_is_solve_failure(self, monkeypatch):
-        # A factorization whose pivots are NaN: the counts stay valid, the
-        # solves return NaN and the quotient of the iterate is no double.
-        ldl = eig1d._pencil_ldl
+    def test_non_finite_iterate_is_solve_failure(self, monkeypatch):
+        # A mass product that is NaN makes the quotient of the iterate no double.
+        def nan_product(diag, off, x):
+            return np.full(len(x), math.nan)
 
-        def nan_pivots(*args):
-            pivots, negative = ldl(*args)
-            return [math.nan] * len(pivots), negative
-
-        monkeypatch.setattr(eig1d, "_pencil_ldl", nan_pivots)
+        monkeypatch.setattr(eig1d, "_tridiag_mul", nan_product)
         with pytest.raises(SolveFailure, match="not finite doubles"):
             solve_discretized(wavy_problem(2.0), n=64)
 
-    def test_inertia_puts_one_eigenvalue_below_mu(self):
-        problem = wavy_problem(2.0)
-        lam = solve_discretized(problem, n=512).mu * problem.L**2
-        c, m_diag, m_off = half_pencil(problem, 512)
-        assert eig1d._pencil_ldl(c, m_diag, m_off, lam * (1.0 - 1e-9))[1] == 0
-        assert eig1d._pencil_ldl(c, m_diag, m_off, lam * (1.0 + 1e-9))[1] == 1
+    def test_update_cap_is_solve_failure(self, monkeypatch):
+        monkeypatch.setattr(eig1d, "PENCIL_MAX_ITER", 1)
+        with pytest.raises(SolveFailure, match="did not converge"):
+            solve_discretized(wavy_problem(2.0), n=512)
 
-    def test_inertia_counts_dense_eigenvalues(self):
-        problem = wavy_problem(2.0)
-        c, m_diag, m_off = half_pencil(problem, 64)
-        K = np.diag(c + np.insert(c[:-1], 0, 0.0)) - np.diag(c[:-1], 1) - np.diag(c[:-1], -1)
-        M = np.diag(m_diag) + np.diag(m_off, 1) + np.diag(m_off, -1)
-        dense = scipy.linalg.eigh(K, M, eigvals_only=True)
-        rng = np.random.default_rng(4)
-        for sigma in np.concatenate([[0.0], 10.0 ** rng.uniform(-3.0, 4.5, 200)]):
-            if np.min(np.abs(dense - sigma)) > 1e-8 * max(sigma, 1.0):
-                assert eig1d._pencil_ldl(c, m_diag, m_off, sigma)[1] == np.sum(dense < sigma)
+    def test_iterations_count_the_updates(self):
+        # The cosine start is an exact discrete eigenvector of a constant
+        # weight, so one update settles it; the wavy weight takes more.
+        assert solve_discretized(OneDimProblem(1.0, 2.0, np.ones(65)), n=512).iterations == 1
+        assert solve_discretized(wavy_problem(2.0), n=512).iterations > 1
 
     @pytest.mark.parametrize("n", [64, 512, 2048, 4096])
     def test_matches_eigsh(self, n):

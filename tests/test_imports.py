@@ -12,8 +12,11 @@ scipy.integrate when called.  So the import floor of a command that needs
 no subpackage is numpy plus, for the strip solves, scipy's own small top
 level.  Each check runs in a fresh interpreter, since this test process
 has loaded scipy in full and every package module.
+
+Each package module also reads every name it imports, checked on its AST.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -216,3 +219,34 @@ def test_star_import_and_unknown_name():
     )
     loaded, _ = package_probe(body)
     assert loaded >= {"analysis", "asymptotics", "eig1d", "eig2d", "geometry"}
+
+
+def unread_imports(source):
+    """Names a module imports but never reads, from __future__ imports aside."""
+    tree = ast.parse(source)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    return imported - read
+
+
+def test_unread_imports_are_found():
+    source = (
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "from dataclasses import dataclass, field\n"
+        "@dataclass\n"
+        "class A:\n"
+        "    x: int\n"
+    )
+    assert unread_imports(source) == {"os", "field"}
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in (ROOT / "src" / "fermi_spectra").glob("*.py")))
+def test_module_reads_every_name_it_imports(module):
+    source = (ROOT / "src" / "fermi_spectra" / module).read_text(encoding="utf-8")
+    assert unread_imports(source) == set()
