@@ -660,9 +660,12 @@ def solve_discretized(problem, n=512):
     finite raises SolveFailure.
 
     iterations counts the inverse-iteration updates at p = 2 and the
-    p-updates after that start otherwise.  residual is ||K x - lam M x|| /
-    ||K x|| of the pencil's eigenpair at p = 2 and the size of the last
-    update (max |v - u|, u scaled to max |u| = 1) otherwise.
+    p-updates after that start otherwise.  residual at p = 2 is the
+    normwise backward error of the pencil's eigenpair, ||K x - lam M x|| /
+    (|| |K| |x| || + lam || |M| |x| ||), the residual against the size of
+    the terms that form it, so it stays at rounding level where the
+    entries of K x cancel.  Otherwise it is the size of the last update
+    (max |v - u|, u scaled to max |u| = 1).
     """
     if n < 32 or n % 2:
         raise ValueError(f"n must be even and at least 32 (got {n})")
@@ -699,11 +702,18 @@ def solve_discretized(problem, n=512):
         if mu == 0.0:
             raise SolveFailure(f"discrete eigenvalue underflows to zero (L = {L:.6g})")
         ku = -np.diff(c * np.diff(x, append=0.0), prepend=0.0)
-        r = ku - lam * _tridiag_mul(m_diag, m_off, x)
+        mx = _tridiag_mul(m_diag, m_off, x)
+        r = ku - lam * mx
+        # |K| |x| edge by edge: c_i (|x_i| + |x_i+1|) to both ends of edge i.
+        ax = np.abs(x)
+        edge = c * (ax + np.append(ax[1:], 0.0))
+        k_abs = edge + np.append(0.0, edge[:-1])
+        # M has positive entries and x one sign, so |M| |x| = |M x|.
+        scale = np.linalg.norm(k_abs) + lam * np.linalg.norm(mx)
         return EigenResult(
             mu=float(mu),
             u_samples=_mirror_extend(problem, s, u, -1),
-            residual=float(np.linalg.norm(r) / np.linalg.norm(ku)),
+            residual=float(np.linalg.norm(r) / scale),
             method="discretized",
             iterations=updates,
             converged=True,

@@ -70,7 +70,11 @@ and preconditions its direction by that factor, the p = 2 operator P.
 It measures its Barzilai-Borwein step in P's inner product, the metric
 the direction lives in: with y the change of gradient between accepted
 iterates and du the change of iterate, the step is (du . y) / (P^-1 y . y),
-and P^-1 y is the change of direction, already at hand.
+and P^-1 y is the change of direction, already at hand.  It stops on
+the first accepted step where ||P^-1 g|| / mu is at most DESCENT_TOL,
+the usual exit of a Barzilai-Borwein descent; below it the steps lower
+the quotient by rounding only.  Short of it, it stops on stagnation
+(solve_mu1_nonlinear).
 
 Solves on one strip share their work.  The module keeps one half strip,
 the latest solved: its mesh, K and M, band factor, and one memo of class
@@ -855,6 +859,7 @@ def _p_rayleigh_grad(mesh, p, num, den, grad, energy, ug):
 
 
 DESCENT_MAX_ITER = 20000
+DESCENT_TOL = 1e-6
 STALL_WINDOW = 50
 STALL_TOL = 1e-9
 
@@ -878,12 +883,16 @@ def solve_mu1_nonlinear(domain, p, ns=256, nt=16, odd=False):
     doubled from the last accepted trial step when either of its products
     is not positive, with a backtracking safeguard.  The gradient and its
     direction are computed only at accepted iterates: a rejected candidate
-    costs one projection and one quotient value.  residual is the norm of
-    the last direction over mu.  It stops converged when 40 step halvings
-    fail to lower the quotient (fewer once u - step * d rounds to u, since
-    every shorter step repeats that candidate) or the quotient drops by at most
-    STALL_TOL = 1e-9 (relative) over STALL_WINDOW = 50 accepted steps, and
-    unconverged after DESCENT_MAX_ITER = 20000 steps: converged reports
+    costs one projection and one quotient value.  residual is ||P^-1 g|| /
+    mu at the last iterate: the 2-norm of its direction over the half mesh's
+    nodes, over mu, so it grows with the node count.  The residual stop
+    comes first: the descent stops converged on the first accepted step
+    whose residual is at most DESCENT_TOL = 1e-6.  Short of it, it stops
+    converged when 40 step halvings fail to lower the quotient (fewer once
+    u - step * d rounds to u, since every shorter step repeats that
+    candidate) or the quotient drops by at most STALL_TOL = 1e-9
+    (relative) over STALL_WINDOW = 50 accepted steps, and unconverged
+    after DESCENT_MAX_ITER = 20000 steps: converged reports
     stagnation, the attainable notion of success for a descent method, and
     mu is an upper estimate of the discrete minimum.  A descent whose first
     line search accepts no step is converged only when its residual is at
@@ -976,6 +985,7 @@ def _descent(half, p, parity):
             "p is too large for double precision"
         )
     g, d = direction()
+    residual = float(np.linalg.norm(d) / value)
     step = 1.0
     history = [value]
     converged = False
@@ -1008,14 +1018,17 @@ def _descent(half, p, parity):
         yy = float((cd - d) @ y)
         step = sy / yy if sy > 0 and yy > 0 else trial * 2.0
         u, g, d, value = cand, cg, cd, cval
+        residual = float(np.linalg.norm(d) / value)
         history.append(value)
+        if residual <= DESCENT_TOL:
+            converged = True
+            break
         if len(history) > STALL_WINDOW:
             drop = history[-STALL_WINDOW - 1] - value
             if drop <= STALL_TOL * value:
                 converged = True
                 break
 
-    residual = float(np.linalg.norm(d) / value)
     if not residual < np.inf:
         raise SolveFailure(
             f"the p-quotient's gradient at p={p:.9g} is not finite; "

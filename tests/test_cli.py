@@ -692,20 +692,20 @@ def test_sample_array_of_non_numbers_is_config_error(tmp_path, capsys, samples):
 # the iterate must leave them as they were.
 PINNED_DESCENTS = {
     ("annulus", 1.5): {
-        "full": (1.169968605132103, 2.2416575001972773e-07, 148, True, "odd"),
-        "odd": (1.169968605132103, 2.2416575001972773e-07, 148, True, "odd"),
+        "full": (1.169968605132103, 2.3597494500384998e-07, 145, True, "odd"),
+        "odd": (1.169968605132103, 2.3597494500384998e-07, 145, True, "odd"),
     },
     ("annulus", 3.0): {
-        "full": (1.3835754746745423, 1.3226375860126888e-08, 27, True, "odd"),
-        "odd": (1.3835754746745423, 1.3226375860126888e-08, 27, True, "odd"),
+        "full": (1.3835754746745423, 6.174725754888805e-07, 20, True, "odd"),
+        "odd": (1.3835754746745423, 6.174725754888805e-07, 20, True, "odd"),
     },
     ("annulus", 100.0): {
         "full": (30612685285.694324, 2018.9237017784928, 1, False, "odd"),
         "odd": (30612685285.694324, 2018.9237017784928, 1, False, "odd"),
     },
     ("wide_sector", 1.5): {
-        "full": (1.0922065523092093, 2.0743691013602123e-07, 46, True, "even"),
-        "odd": (1.5042018216156843, 1.7177543562012654e-08, 71, True, "odd"),
+        "full": (1.0922065523092093, 8.250225140026497e-07, 38, True, "even"),
+        "odd": (1.5042018216156843, 2.3175837827467158e-07, 62, True, "odd"),
     },
 }
 

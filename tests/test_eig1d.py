@@ -293,6 +293,16 @@ class TestDiscretizedPencil:
         x = b_inv @ vecs[:, 0]
         assert np.max(np.abs(grid_values(result, problem, n)[:half] - x / x[0])) < 1e-10
 
+    @pytest.mark.parametrize("n", [512, 4096])
+    def test_residual_is_backward_error_on_flat_neck(self, n):
+        # On the flat neck the entries of K x are about lam M x, far below
+        # the conductance terms they cancel from, so ||K x - lam M x|| /
+        # ||K x|| read the rounding of K x: 2.7e-7 at n = 512 and 1.8e-5 at
+        # n = 4096, where mu is right to 5e-16.  The backward error divides
+        # by || |K| |x| || + lam || |M| |x| || and stays at rounding level.
+        result = solve_discretized(flat_neck_problem(), n=n)
+        assert result.residual <= 1e-15
+
     @pytest.mark.parametrize("p", [2.0, 3.0])
     def test_fine_grid_is_fast(self, p):
         # A dense pencil at n = 4096 holds two 128 MiB matrices and takes

@@ -961,6 +961,26 @@ QUOTIENT_CASES = [
 ]
 
 
+def traced_descent(monkeypatch, domain, p, mesh, odd, tol):
+    """A solve from an empty slot at eig2d.DESCENT_TOL = tol, and its
+    p-quotient calls in order: a quotient's vector, or None for a gradient.
+    The patches are undone on return."""
+    monkeypatch.setattr(eig2d, "_slot", None)
+    monkeypatch.setattr(eig2d, "DESCENT_TOL", tol)
+    events = []
+    for name in ("_p_rayleigh", "_p_rayleigh_grad"):
+        original = getattr(eig2d, name)
+
+        def recorded(*args, _name=name, _original=original):
+            events.append(args[1].copy() if _name == "_p_rayleigh" else None)
+            return _original(*args)
+
+        monkeypatch.setattr(eig2d, name, recorded)
+    result = solve_mu1_nonlinear(domain, p, *mesh, odd=odd)
+    monkeypatch.undo()
+    return result, events
+
+
 class TestPQuotient:
     """The p-quotient on a curved, variable-width strip, on the full mesh
     and on the odd half mesh."""
@@ -1027,24 +1047,17 @@ class TestPQuotient:
         [("wavy", 1.5, True), ("wide", 3.0, True), ("wide", 1.5, False), ("wide", 3.0, False)],
         ids=["wavy-1.5-odd", "wide-3-odd", "wide-1.5-even", "wide-3-even"],
     )
-    def test_line_search_ends_once_step_collapses(self, wavy, monkeypatch, empty_slot, strip, p, odd):
+    def test_line_search_ends_once_step_collapses(self, wavy, monkeypatch, strip, p, odd):
         # Once u - trial * d rounds to u, every shorter step gives the same
         # candidate again, so the search ends there rather than after 40
         # halvings.  An odd iterate is its own projection, so in the odd
         # class that candidate is the iterate itself, and the quotient is
         # never evaluated after it.  The even projection moves the iterate
         # by a p-mean shift; there the last search is only seen to end early.
-        events = []
-        for name in ("_p_rayleigh", "_p_rayleigh_grad"):
-            original = getattr(eig2d, name)
-
-            def recorded(*args, _name=name, _original=original):
-                events.append(args[1].copy() if _name == "_p_rayleigh" else None)
-                return _original(*args)
-
-            monkeypatch.setattr(eig2d, name, recorded)
+        # The residual stop is switched off, so the descent goes on to that
+        # collapse.
         domain = wavy if strip == "wavy" else wide_sector()
-        result = solve_mu1_nonlinear(domain, p, ns=32, nt=8, odd=odd)
+        result, events = traced_descent(monkeypatch, domain, p, (32, 8), odd, tol=0.0)
         assert result.parity == ("odd" if odd else "even")
         # The start's quotient and gradient, then one line search per step:
         # its candidates, and a gradient (None) after an accepted one.
@@ -1062,6 +1075,39 @@ class TestPQuotient:
                 assert not any(np.array_equal(c, u) for c in cands)
             hits = [k for k, c in enumerate(candidates) if np.array_equal(c, iterate)]
             assert hits == [len(candidates) - 1]
+
+    @pytest.mark.parametrize(
+        "strip, p, odd",
+        [("wavy", 1.5, True), ("wavy", 3.0, True), ("wide", 3.0, False)],
+        ids=["wavy-1.5-odd", "wavy-3-odd", "wide-3-even"],
+    )
+    def test_descent_stops_at_residual_tolerance(self, wavy, monkeypatch, strip, p, odd):
+        # The descent stops on the first accepted step whose residual is at
+        # most DESCENT_TOL, short of the line search that collapses onto the
+        # iterate, and the steps it leaves out move mu by rounding only.
+        domain = wavy if strip == "wavy" else wide_sector()
+        stopped, events = traced_descent(monkeypatch, domain, p, (32, 8), odd, eig2d.DESCENT_TOL)
+        unstopped, unstopped_events = traced_descent(monkeypatch, domain, p, (32, 8), odd, 0.0)
+        assert stopped.parity == unstopped.parity == ("odd" if odd else "even")
+        assert stopped.converged and stopped.residual <= eig2d.DESCENT_TOL
+        # An accepted step ends with its gradient; a search that accepts
+        # nothing ends with a quotient.
+        assert events[-1] is None and unstopped_events[-1] is not None
+        quotients = sum(e is not None for e in events)
+        assert quotients < sum(e is not None for e in unstopped_events)
+        assert stopped.mu == pytest.approx(unstopped.mu, rel=1e-12)
+
+    def test_descent_short_of_tolerance_is_unchanged(self, monkeypatch):
+        # On the thin strip the descent never reaches DESCENT_TOL, so its
+        # result is the one without the residual stop, bit for bit.
+        domain = config_strip("thin_strip")
+        stopped, _ = traced_descent(monkeypatch, domain, 3.0, (64, 16), False, eig2d.DESCENT_TOL)
+        unstopped, _ = traced_descent(monkeypatch, domain, 3.0, (64, 16), False, 0.0)
+        assert stopped.residual > eig2d.DESCENT_TOL
+        assert (stopped.mu, stopped.residual, stopped.iterations, stopped.converged) == (
+            unstopped.mu, unstopped.residual, unstopped.iterations, unstopped.converged,
+        )
+        np.testing.assert_array_equal(stopped.u, unstopped.u)
 
     @pytest.mark.parametrize("odd", [False, True], ids=["full", "odd"])
     def test_preconditioned_step_is_mostly_accepted(self, wavy, monkeypatch, empty_slot, odd):
