@@ -93,10 +93,12 @@ def epsilon_sweep(domain, p, epsilons, policy=None):
     transplant upper bound can fall inside the discretization error of a
     thin entry, which would make a valid inequality look violated.  The
     stopping rules are fixed: the strip solves stop at eig2d.INVERSE_TOL =
-    1e-12 (p = 2) or, by descent, first at a residual (||P^-1 g|| over the
-    half mesh's nodes, over mu) of at most DESCENT_TOL = 1e-6 and else at
-    STALL_TOL = 1e-9 over STALL_WINDOW = 50 steps, and the limit value at
-    solve_shooting's default tol = 1e-10.  The
+    1e-12 (p = 2) or, by descent, first at a residual
+    (||(K + sigma M)^-1 g|| over the half mesh's nodes, over mu) of at most
+    DESCENT_TOL = 1e-6 and else at STALL_TOL = 1e-9 over STALL_WINDOW = 50
+    steps, and the limit value at solve_shooting's default tol = 1e-10.
+    An entry is converged when both of its strip solves are, so a descent
+    that stalls above its residual tolerance leaves it unconverged.  The
     convergence rate is fitted on the last three successful entries in
     log-log coordinates.
     """

@@ -22,12 +22,13 @@ K + sigma M, and its Cholesky factor is the leading columns of the
 band factor.  The full p = 2 solve is the lower of the two classes; its
 eigenvector is mirrored onto the whole strip, u(L - s) = +-u(s).
 
-One system is kept per strip and mesh at any p: the half band's K + sigma M,
+One p = 2 system is kept per strip and mesh: the half band's K + sigma M,
 symmetric positive definite with every entry within nt + 2 of the
 diagonal, factored by banded Cholesky (LAPACK pbtrf) at O(ns nt^3) cost.
-The band is narrow because every mesh in use has ns >= nt.  The LAPACK
-routines come from scipy's LAPACK extension module, loaded without the
-scipy.linalg package (_lapack).
+The descent at p != 2 factors its own reweighted matrices of the same
+band (below) and keeps none of them.  The band is narrow because every
+mesh in use has ns >= nt.  The LAPACK routines come from scipy's LAPACK
+extension module, loaded without the scipy.linalg package (_lapack).
 
 The p = 2 class solves are two-level on a half mesh of at least
 _COARSE_MIN_NODES = 4096 nodes (from 512 x 32 on; 256 x 16 has 2193).
@@ -62,19 +63,35 @@ read-only, in its __dict__ (Mesh2D's cached properties): each metric
 component, the transposed shape tables and the shape gradients as
 contiguous arrays, and conn flattened.  A mesh solved only at p = 2 never
 builds them.  Every term keeps the floating-point operations, and their
-order, of the formulas read straight from the fields, so the quotient,
-its gradient and every descent are the same to the bit.
+order, of the formulas read straight from the fields, so the quotient and
+its gradient are the same to the bit.
 
 The descent (p != 2) runs on the same half band, in one mirror class,
-and preconditions its direction by that factor, the p = 2 operator P.
-It measures its Barzilai-Borwein step in P's inner product, the metric
-the direction lives in: with y the change of gradient between accepted
-iterates and du the change of iterate, the step is (du . y) / (P^-1 y . y),
-and P^-1 y is the change of direction, already at hand.  It stops on
-the first accepted step where ||P^-1 g|| / mu is at most DESCENT_TOL,
-the usual exit of a Barzilai-Borwein descent; below it the steps lower
-the quotient by rounding only.  Short of it, it stops on stagnation
-(solve_mu1_nonlinear).
+and preconditions its direction by P = K_w + sigma M, sigma = SHIFT mu:
+the stiffness with the weight (E / max E)^(p/2 - 1) on the energy
+E = grad u . G grad u at each Gauss point, E floored at WEIGHT_FLOOR
+max E.  K_w is the isotropic part of the numerator's second variation,
+whose weight is |grad u|^(p-2) (its rank-one term along grad u is left
+out), as in the relaxed Kacanov iteration (Diening, Fornasier, Tomasi &
+Wank, Numer. Math. 145, 2020).  P is factored at the start and again
+whenever a log-weight has moved by more than REFACTOR_LOG_MOVE = log 1.5
+since the last factorization: 3 or 4 times per descent on a 16 x 16
+strip, more often where the weights keep moving (13 times in 20 steps at
+p = 1.5 on a 128 x 12 one).  A refresh reads the mesh's per-Gauss-point
+stiffness terms and their places in the LAPACK band (Mesh2D's
+_stiffness_terms and _band_index, built on the first descent), so it is
+one matrix product, one bincount and pbtrf, with no assembly.  The
+descent measures its Barzilai-Borwein step in P's inner product, the
+metric the direction lives in: with y the change of gradient between
+accepted iterates and du the change of iterate, the step is
+(du . y) / (P^-1 y . y), and P^-1 y is the change of direction (after a
+refresh, the old direction is solved again with the new factor).  Its
+residual is ||(K + sigma M)^-1 g|| / mu on the p = 2 factor, whatever P
+is, one more band solve per accepted step.  It stops on the first
+accepted step where the residual is at most DESCENT_TOL, the usual exit
+of a Barzilai-Borwein descent; below it the steps lower the quotient by
+rounding only.  Short of it, it stops on stagnation, and is converged
+only if its residual says so (solve_mu1_nonlinear).
 
 Solves on one strip share their work.  The module keeps one half strip,
 the latest solved: its mesh, K and M, band factor, and one memo of class
@@ -87,7 +104,9 @@ cost one mesh, one assembly, one kept factorization (and one transient
 coarse one above the threshold), one p = 2 solve per class and one
 descent per (p, class).  The state is held until a strip or mesh that
 differs is solved, and is dropped before the new one is built; at
-1024 x 64 it is about 29 MiB.  Its arrays are read-only: results share
+1024 x 64 it is about 29 MiB after the p = 2 solves, and a descent adds
+its mesh tables (12.5 MiB of them for the reweighted stiffness alone).
+Its arrays are read-only: results share
 the mesh, and every returned u is the caller's own array.  A failed solve
 is not kept.  Every request, full or odd at any p, becomes its
 Eigen2DResult in one place (_strip_result), which judges a p = 2
@@ -110,16 +129,20 @@ from .eig1d import pmean_shift
 from .errors import BadExponent, DegenerateCell, FermiSpectraError, SolveFailure
 
 _GPTS = np.array([-1.0, 1.0]) / np.sqrt(3.0)
+# A cell's ten local node pairs a <= b (the upper triangle of its matrix).
+_PAIR_A = np.array([0, 0, 0, 0, 1, 1, 1, 2, 2, 3])
+_PAIR_B = np.array([0, 1, 2, 3, 1, 2, 3, 2, 3, 3])
 
 
 @dataclass(eq=False)
 class Mesh2D:
     """A tensor mesh of the reference band with its cell tables (build_mesh).
 
-    The p-quotient (_p_rayleigh, _p_rayleigh_grad) reads the tables in a
-    layout of its own: the private cached properties below, built from the
-    fields on the first quotient evaluation and then kept, read-only, in
-    the instance's __dict__.  A mesh only solved at p = 2 never builds them.
+    The p-quotient (_p_rayleigh, _p_rayleigh_grad) and the descent's
+    reweighted preconditioner (_weighted_band) read the tables in a layout
+    of their own: the private cached properties below, built from the
+    fields on first use and then kept, read-only, in the instance's
+    __dict__.  A mesh only solved at p = 2 never builds them.
     """
 
     conn: np.ndarray
@@ -157,6 +180,29 @@ class Mesh2D:
         """conn flattened, the node of each term the gradient scatters."""
         return _frozen(self.conn.ravel())
 
+    @cached_property
+    def _stiffness_terms(self):
+        """The stiffness by Gauss point, for the descent's reweighted
+        preconditioner (_weighted_band): [c, g, k] is the integrand
+        w grad N_a . G grad N_b of cell c's k-th local pair a <= b at its
+        Gauss point g."""
+        dN = self.shape_grad
+        # pairs[g, xy, k] = dN_a/dx dN_b/dy, so that metric[c, g] . pairs[g]
+        # is one product per Gauss point over all cells
+        pairs = np.einsum("gkx,gky->gxyk", dN[:, _PAIR_A], dN[:, _PAIR_B]).reshape(4, 4, len(_PAIR_A))
+        by_point = np.matmul(self.metric.reshape(-1, 4, 4).transpose(1, 0, 2), pairs)
+        return _frozen(by_point.transpose(1, 0, 2) * self.gauss_weight[:, :, None])
+
+    @cached_property
+    def _band_index(self):
+        """Where each entry of _stiffness_terms lands: its place, cell by
+        cell, in the flattened LAPACK upper band (Fortran order,
+        half-bandwidth nt + 2) of the whole mesh's matrix."""
+        bandwidth = int(self.conn[0, 2] - self.conn[0, 0])  # nt + 2
+        row = np.minimum(self.conn[:, _PAIR_A], self.conn[:, _PAIR_B])
+        col = np.maximum(self.conn[:, _PAIR_A], self.conn[:, _PAIR_B])
+        return _frozen((col * (bandwidth + 1) + bandwidth + row - col).ravel())
+
 
 def _frozen(a):
     """a as a read-only C-contiguous array (a copy unless a already is one)."""
@@ -179,8 +225,9 @@ class Eigen2DResult:
     counts every class solve behind the result, on the result's own mesh
     only (not a coarse level's).  At p = 2, converged holds
     when each class's residual is at most RESIDUAL_TOL or its rounding
-    level eps max(K_ii / M_ii) / mu, whichever is larger; at other p it is
-    the descent's (solve_mu1_nonlinear).
+    level eps max(K_ii / M_ii) / mu, whichever is larger; at other p the
+    descent's residual is held to the same bound, with mu the class's
+    p = 2 eigenvalue (solve_mu1_nonlinear).
     """
 
     mu: float
@@ -450,6 +497,18 @@ def assemble(mesh):
     return tuple(Stencil(offsets, A.reshape(len(offsets), mesh.n_nodes)) for A in (K, M))
 
 
+def _upper_band(A):
+    """A symmetric Stencil's LAPACK upper band, in Fortran order: row
+    bandwidth - offset holds the diagonal of that offset, column-aligned
+    as the Stencil stores it, with bandwidth its largest offset."""
+    bandwidth = int(np.max(A.offsets))
+    band = np.zeros((bandwidth + 1, A.data.shape[1]), order="F")
+    for offset, diagonal in zip(A.offsets.tolist(), A.data):
+        if offset >= 0:
+            band[bandwidth - offset] = diagonal
+    return band
+
+
 class _BandCholesky:
     """Banded Cholesky factor of a symmetric positive definite Stencil.
 
@@ -462,12 +521,18 @@ class _BandCholesky:
     """
 
     def __init__(self, A):
-        n = A.data.shape[1]
-        self.bandwidth = int(np.max(A.offsets))
-        band = np.zeros((self.bandwidth + 1, n), order="F")
-        for offset, diagonal in zip(A.offsets.tolist(), A.data):
-            if offset >= 0:
-                band[self.bandwidth - offset] = diagonal
+        self._factorize(_upper_band(A))
+
+    @classmethod
+    def of_band(cls, band):
+        """Factor of the matrix stored in band, its LAPACK upper band in
+        Fortran order, which the factorization overwrites."""
+        chol = cls.__new__(cls)
+        chol._factorize(band)
+        return chol
+
+    def _factorize(self, band):
+        self.bandwidth = len(band) - 1
         lapack = _lapack()
         self._factor, info = lapack.dpbtrf(band, overwrite_ab=1)
         self._dpbtrs = lapack.dpbtrs
@@ -874,37 +939,43 @@ def solve_mu1_nonlinear(domain, p, ns=256, nt=16, odd=False):
     zero; the even class enforces the zero weighted p-mean constraint with
     a scalar shift on the half mesh's lumped masses, whose midline nodes
     carry half the whole-strip mass, so the constraint is the whole
-    strip's.  Directions are preconditioned by the half strip's one
-    K + sigma M band factor (its leading block for the odd class), and an
-    even direction is projected onto the tangent space of that constraint,
-    along P^-1 w with w = m |u|^(p-2) (|u| floored at 1e-12): a direction
-    off it would be partly undone by the shift.  The step is
+    strip's.  Directions are preconditioned by P = K_w + sigma M, the
+    stiffness weighted by (E / max E)^(p/2 - 1) at each Gauss point
+    (E = |grad u|^2 in the strip's metric, floored at 1e-8 max E) plus
+    sigma = 1e-3 mu times the mass, factored at the start and again
+    whenever a log-weight has moved by more than log 1.5 (module
+    docstring); the odd class solves with the factor of its leading block.
+    An even direction is projected onto the tangent space of the
+    constraint, along P^-1 w with w = m |u|^(p-2) (|u| floored at 1e-12):
+    a direction off it would be partly undone by the shift.  The step is
     Barzilai-Borwein (BB2) in that inner product (module docstring),
     doubled from the last accepted trial step when either of its products
     is not positive, with a backtracking safeguard.  The gradient and its
     direction are computed only at accepted iterates: a rejected candidate
-    costs one projection and one quotient value.  residual is ||P^-1 g|| /
-    mu at the last iterate: the 2-norm of its direction over the half mesh's
-    nodes, over mu, so it grows with the node count.  The residual stop
-    comes first: the descent stops converged on the first accepted step
-    whose residual is at most DESCENT_TOL = 1e-6.  Short of it, it stops
-    converged when 40 step halvings fail to lower the quotient (fewer once
-    u - step * d rounds to u, since every shorter step repeats that
-    candidate) or the quotient drops by at most STALL_TOL = 1e-9
-    (relative) over STALL_WINDOW = 50 accepted steps, and unconverged
-    after DESCENT_MAX_ITER = 20000 steps: converged reports
-    stagnation, the attainable notion of success for a descent method, and
-    mu is an upper estimate of the discrete minimum.  A descent whose first
-    line search accepts no step is converged only when its residual is at
-    most RESIDUAL_TOL.  parity is the class searched; gap, mesh and u are
-    as Eigen2DResult says, u numbered like build_mesh(domain, ns, nt) for
-    the full solve.  At p = 2 it returns the result of solve_mu1_linear, or
-    of solve_mu1_odd_linear when odd.
+    costs one projection and one quotient value.  residual is
+    ||(K + sigma M)^-1 g|| / mu at the last iterate, with the p = 2
+    factor of the class (and, in the even class, the same projection),
+    whatever P is: the 2-norm over the half mesh's nodes, over mu, so it
+    grows with the node count.  The residual stop comes first: the descent
+    stops on the first accepted step whose residual is at most
+    DESCENT_TOL = 1e-6.  Short of it, it stops when 40 step halvings fail
+    to lower the quotient (fewer once u - step * d rounds to u, since every
+    shorter step repeats that candidate) or the quotient drops by at most
+    STALL_TOL = 1e-9 (relative) over STALL_WINDOW = 50 accepted steps, and
+    after DESCENT_MAX_ITER = 20000 steps.  converged holds when one of the
+    stop rules fired, not the step cap, and the residual is at most
+    RESIDUAL_TOL or the p = 2 class's rounding level ritz_floor / mu_2,
+    whichever is larger: the p = 2 rule (Eigen2DResult).  A stagnated
+    descent above that is reported unconverged, and its mu is an upper
+    estimate of the discrete minimum.  parity is the class searched; gap,
+    mesh and u are as Eigen2DResult says, u numbered like
+    build_mesh(domain, ns, nt) for the full solve.  At p = 2 it returns the
+    result of solve_mu1_linear, or of solve_mu1_odd_linear when odd.
 
     Each class's descent at each p is kept with the half strip until a
     different strip or mesh is solved (module docstring).  When the odd
     class wins, the full and the odd request therefore share one descent,
-    and a sweep over p on one strip shares the mesh, factor and p = 2
+    and a sweep over p on one strip shares the mesh, p = 2 factor and p = 2
     class solves.  mesh is read-only and shared; u is the caller's own.
     """
     if not 1.0 < p < np.inf:
@@ -916,6 +987,22 @@ def solve_mu1_nonlinear(domain, p, ns=256, nt=16, odd=False):
 
 # |u| is floored here in the even class's constraint weight m |u|^(p-2).
 TANGENT_FLOOR = 1e-12
+# The reweighted preconditioner's energy floor, relative to the largest
+# Gauss-point energy, and the move of any log-weight since the last
+# factorization that makes the descent factor it anew.
+WEIGHT_FLOOR = 1e-8
+REFACTOR_LOG_MOVE = np.log(1.5)
+
+
+def _weighted_band(mesh, weight, m_band, sigma):
+    """The LAPACK upper band of K_w + sigma M: K_w the stiffness with
+    weight[c, g] on its integrand at each Gauss point (Mesh2D's
+    _stiffness_terms), m_band the mass matrix's band."""
+    entries = np.matmul(weight[:, None, :], mesh._stiffness_terms)
+    band = np.bincount(mesh._band_index, entries.ravel(), minlength=m_band.size)
+    band = band.reshape(m_band.shape[::-1]).T  # Fortran order, as m_band
+    band += sigma * m_band
+    return band
 
 
 # An overflow in |grad u|^p makes the quotient inf, which evaluate reports
@@ -925,7 +1012,8 @@ def _descent(half, p, parity):
     """Rayleigh descent at p in one mirror class of half (solve_mu1_nonlinear)."""
     start = half.result(2.0, parity)
     mesh = half.mesh
-    chol = half.chol[parity]
+    free = half.free[parity]
+    m_band = _upper_band(Stencil(half.offsets, half.pencil[1]))
 
     if parity == "even":
         # Summed as compressed rows, whose rounding the kept reports carry.
@@ -934,7 +1022,7 @@ def _descent(half, p, parity):
         def constrain(vec):
             return vec - pmean_shift(vec, m_lump, p)
 
-        def precondition(g, vec):
+        def precondition(chol, g, vec):
             # P^-1 g projected along P^-1 w onto w . d = 0, the tangent
             # space of sum m |u|^(p-2) u = 0 at vec.
             w = m_lump * np.maximum(np.abs(vec), TANGENT_FLOOR) ** (p - 2.0)
@@ -942,7 +1030,6 @@ def _descent(half, p, parity):
             return d - ((w @ d) / (w @ pw)) * pw
 
     else:
-        free = half.free["odd"]
 
         def constrain(vec):
             # In place: vec is the descent's own array, a copy of the start
@@ -952,7 +1039,7 @@ def _descent(half, p, parity):
             vec[free:] = 0.0
             return vec
 
-        def precondition(g, vec):
+        def precondition(chol, g, vec):
             d = np.zeros(mesh.n_nodes)
             d[:free] = chol.solve(g[:free])
             return d
@@ -962,33 +1049,57 @@ def _descent(half, p, parity):
         return vec / np.abs(vec).max()
 
     def evaluate(vec):
-        """The quotient at vec and a function computing its gradient g and
-        preconditioned direction P^-1 g: a rejected candidate never pays
-        for them.  The quotient is inf when its numerator or denominator is
-        not a finite positive double, as when |grad u|^p leaves double
-        range at large p."""
+        """The quotient at vec, its Gauss-point energy, and a function
+        computing its gradient: a rejected candidate never pays for it.
+        The quotient is inf when its numerator or denominator is not a
+        finite positive double, as when |grad u|^p leaves double range at
+        large p."""
         num, den, grad, energy, ug = _p_rayleigh(mesh, vec, p)
 
-        def direction():
-            g = _p_rayleigh_grad(mesh, p, num, den, grad, energy, ug)
-            return g, precondition(g, vec)
+        def gradient():
+            return _p_rayleigh_grad(mesh, p, num, den, grad, energy, ug)
 
         if not (0.0 < num < np.inf and 0.0 < den < np.inf):
-            return np.inf, direction
-        return num / den, direction
+            return np.inf, energy, gradient
+        return num / den, energy, gradient
+
+    def log_weight(energy):
+        """log (E / max E)^(p/2 - 1), E floored at WEIGHT_FLOOR max E: a
+        log, so that no power of the energy can overflow."""
+        top = energy.max()
+        return (0.5 * p - 1.0) * np.log(np.maximum(energy / top, WEIGHT_FLOOR))
+
+    def factor(log_w, value):
+        """The class's factor of K_w + sigma M, sigma = SHIFT value: the
+        leading block's in the odd class."""
+        band = _weighted_band(mesh, np.exp(log_w), m_band, SHIFT * value)
+        return _BandCholesky.of_band(band[:, :free])
+
+    def measure(g, vec, value):
+        """The residual ||P^-1 g|| / mu with the p = 2 factor, whatever P is."""
+        residual = float(np.linalg.norm(precondition(half.chol[parity], g, vec)) / value)
+        if not residual < np.inf:
+            raise SolveFailure(
+                f"the p-quotient's gradient at p={p:.9g} is not finite; "
+                "p is too large for double precision"
+            )
+        return residual
 
     u = project(start.u.copy())
-    value, direction = evaluate(u)
+    value, energy, gradient = evaluate(u)
     if not value < np.inf:
         raise SolveFailure(
             f"the p-quotient at p={p:.9g} is not finite at the p = 2 start; "
             "p is too large for double precision"
         )
-    g, d = direction()
-    residual = float(np.linalg.norm(d) / value)
+    g = gradient()
+    residual = measure(g, u, value)
+    factored = log_weight(energy)
+    chol = factor(factored, value)
+    d = precondition(chol, g, u)
     step = 1.0
     history = [value]
-    converged = False
+    stopped = True
     iterations = 0
     for iterations in range(1, DESCENT_MAX_ITER + 1):
         trial = step
@@ -996,7 +1107,7 @@ def _descent(half, p, parity):
         for _ in range(40):
             raw = u - trial * d
             cand = project(raw)
-            cval, cdirection = evaluate(cand)
+            cval, cenergy, cgradient = evaluate(cand)
             if cval < value:
                 accepted = True
                 break
@@ -1007,9 +1118,16 @@ def _descent(half, p, parity):
                 break
             trial *= 0.5
         if not accepted:
-            converged = True
             break
-        cg, cd = cdirection()
+        cg = cgradient()
+        log_w = log_weight(cenergy)
+        if np.max(np.abs(log_w - factored)) > REFACTOR_LOG_MOVE:
+            factored = log_w
+            chol = factor(factored, cval)
+            # The old direction in the new factor's metric, so that cd - d
+            # below is P^-1 y for one P.
+            d = precondition(chol, g, u)
+        cd = precondition(chol, cg, cand)
         # Barzilai-Borwein (BB2) step in the P inner product: with
         # y = g_new - g_old, P^-1 y is the change of direction.
         du = cand - u
@@ -1018,26 +1136,20 @@ def _descent(half, p, parity):
         yy = float((cd - d) @ y)
         step = sy / yy if sy > 0 and yy > 0 else trial * 2.0
         u, g, d, value = cand, cg, cd, cval
-        residual = float(np.linalg.norm(d) / value)
+        residual = measure(g, u, value)
         history.append(value)
         if residual <= DESCENT_TOL:
-            converged = True
             break
         if len(history) > STALL_WINDOW:
             drop = history[-STALL_WINDOW - 1] - value
             if drop <= STALL_TOL * value:
-                converged = True
                 break
+    else:
+        stopped = False  # DESCENT_MAX_ITER steps, and no rule stopped it
 
-    if not residual < np.inf:
-        raise SolveFailure(
-            f"the p-quotient's gradient at p={p:.9g} is not finite; "
-            "p is too large for double precision"
-        )
-    if len(history) == 1:
-        # No step was accepted: the start has stagnated, not converged,
-        # unless it is already nearly critical.
-        converged = residual <= RESIDUAL_TOL
+    # Whatever rule stopped the descent, it is converged only as far as its
+    # residual says, by the p = 2 class's rule.
+    converged = stopped and residual <= max(RESIDUAL_TOL, half.ritz_floor / start.mu)
     _read_only(u)
     return _ClassResult(
         parity=parity, mu=float(value), u=u, residual=residual, iterations=iterations,

@@ -108,6 +108,28 @@ class TestSweep:
         assert sweep.fitted_rate == pytest.approx(1.0, abs=0.15)
 
 
+def test_near_one_sweep_descents_take_few_steps(monkeypatch):
+    # At p = 1.2393 the doubled mesh's descents, preconditioned by the p = 2
+    # stiffness alone, took 14 000 to 17 000 steps (5 s for the sweep).
+    from fermi_spectra import eig2d
+
+    steps = []
+    original = eig2d._descent
+
+    def recorded(half, p, parity):
+        result = original(half, p, parity)
+        steps.append((half.mesh.n_nodes, result.iterations))
+        return result
+
+    monkeypatch.setattr(eig2d, "_descent", recorded)
+    monkeypatch.setattr(eig2d, "_slot", None)
+    domain = make_domain(reconstruct_from_curvature(math.pi, lambda s: -0.5), width_profile(0.4, math.pi))
+    sweep = epsilon_sweep(domain, 1.2393, [0.4, 0.2], MeshPolicy(16, 16))
+    assert sweep.failures == [None, None]
+    fine = [n for nodes, n in steps if nodes == 17 * 33]  # the 32 x 32 half mesh
+    assert len(fine) == 2 and max(fine) <= 500
+
+
 class TestFailureHandling:
     def test_folding_entry_marked_failed(self, unit_width_curved):
         result = epsilon_sweep(

@@ -629,16 +629,19 @@ class TestNonlinearSolver:
 
     @pytest.mark.parametrize("odd", [False, True], ids=["full", "odd"])
     def test_no_accepted_step_is_converged_only_near_critical(self, annulus, monkeypatch, odd):
-        # At p = 100 every trial of the first line search is rejected, far
-        # from a critical point: that is stagnation, not convergence.
+        # With the gradient's sign flipped every direction points uphill, so
+        # every trial of the first line search is rejected, far from a
+        # critical point: that is stagnation, not convergence.
+        original = eig2d._p_rayleigh_grad
+        monkeypatch.setattr(eig2d, "_p_rayleigh_grad", lambda *args: -original(*args))
         monkeypatch.setattr(eig2d, "_slot", None)
-        result = solve_mu1_nonlinear(annulus, 100.0, ns=64, nt=16, odd=odd)
+        result = solve_mu1_nonlinear(annulus, 3.0, ns=64, nt=16, odd=odd)
         assert result.iterations == 1
         assert result.residual > eig2d.RESIDUAL_TOL
         assert not result.converged
         monkeypatch.setattr(eig2d, "_slot", None)
         monkeypatch.setattr(eig2d, "RESIDUAL_TOL", 2.0 * result.residual)
-        assert solve_mu1_nonlinear(annulus, 100.0, ns=64, nt=16, odd=odd).converged
+        assert solve_mu1_nonlinear(annulus, 3.0, ns=64, nt=16, odd=odd).converged
 
     def test_narrower_strip_approaches_segment_value(self, annulus):
         # constant width and curvature: the thin limit weight is constant,
@@ -648,6 +651,86 @@ class TestNonlinearSolver:
         a = solve_mu1_nonlinear(annulus, p, ns=64, nt=8)
         b = solve_mu1_nonlinear(scale_width(annulus, 0.5), p, ns=64, nt=8)
         assert abs(b.mu - limit) < abs(a.mu - limit)
+
+
+class TestReweightedDescent:
+    """The descent preconditioned by K_w + sigma M: the stiffness with the
+    weight (E / max E)^(p/2 - 1) on each Gauss point's energy E, factored
+    anew when a log-weight moves by more than log 1.5."""
+
+    @pytest.fixture(scope="class")
+    def half_mesh(self, wavy):
+        mesh = build_mesh(wavy, 8, 6, s_range=(0.0, 0.5 * wavy.L))
+        return mesh, *assemble(mesh)
+
+    def test_unit_weight_gives_the_shifted_stiffness(self, half_mesh):
+        mesh, K, M = half_mesh
+        band = eig2d._weighted_band(mesh, np.ones_like(mesh.gauss_weight), eig2d._upper_band(M), 0.25)
+        expected = eig2d._upper_band(Stencil(K.offsets, K.data + 0.25 * M.data))
+        assert band.flags.f_contiguous
+        np.testing.assert_allclose(band, expected, rtol=0.0, atol=1e-14 * np.abs(expected).max())
+
+    def test_weight_multiplies_the_gauss_weights(self, half_mesh):
+        # K_w is assemble's K on the mesh whose Gauss weights carry the weight.
+        mesh, _, M = half_mesh
+        weight = np.exp(np.random.default_rng(5).normal(size=mesh.gauss_weight.shape))
+        K_w, _ = assemble(dataclasses.replace(mesh, gauss_weight=mesh.gauss_weight * weight))
+        band = eig2d._weighted_band(mesh, weight, eig2d._upper_band(M), 0.0)
+        expected = eig2d._upper_band(K_w)
+        np.testing.assert_allclose(band, expected, rtol=0.0, atol=1e-14 * np.abs(expected).max())
+
+    def test_refactors_only_when_a_log_weight_moves(self, wavy, monkeypatch, empty_slot):
+        logs = []
+        original = eig2d._weighted_band
+
+        def recorded(mesh, weight, *args):
+            logs.append(np.log(weight))
+            return original(mesh, weight, *args)
+
+        monkeypatch.setattr(eig2d, "_weighted_band", recorded)
+        result = solve_mu1_nonlinear(wavy, 1.5, ns=32, nt=8, odd=True)
+        assert result.converged and result.residual <= eig2d.DESCENT_TOL
+        assert 1 < len(logs) < result.iterations
+        for old, new in zip(logs, logs[1:]):
+            assert np.max(np.abs(new - old)) > eig2d.REFACTOR_LOG_MOVE
+
+    # The odd class of configs/rectangle.json at 256 x 16, against its exact
+    # value (pi_p / L)^p.  Below p = 1.5 the descent still stalls above the
+    # tolerance, near the right mu: at p = 1.2 it stops at residual 0.2.
+    @pytest.mark.parametrize("p", [1.2, 1.5, 3.0, 8.0, 16.0])
+    def test_rectangle_ladder(self, p):
+        result = solve_mu1_nonlinear(config_strip("rectangle"), p, 256, 16, odd=True)
+        assert result.mu == pytest.approx((pi_p(p) / math.pi) ** p, rel=2e-4)
+        half = eig2d._slot[1]
+        tol = max(eig2d.RESIDUAL_TOL, half.ritz_floor / half.result(2.0, "odd").mu)
+        assert result.converged == (result.residual <= tol)
+        if p >= 1.5:
+            assert result.converged and result.residual <= eig2d.DESCENT_TOL
+
+    @pytest.mark.parametrize("config, p, ns", [("rectangle", 1.2, 512), ("thin_strip", 3.0, 64)])
+    def test_stalled_descent_is_converged_only_at_a_small_residual(self, monkeypatch, config, p, ns):
+        # Both stop on the stall or collapse rule above RESIDUAL_TOL.  The
+        # rectangle's mu is within 1e-5 of exact all the same.
+        domain = config_strip(config)
+        monkeypatch.setattr(eig2d, "_slot", None)
+        result = solve_mu1_nonlinear(domain, p, ns, 16)
+        assert result.iterations < eig2d.DESCENT_MAX_ITER
+        assert result.residual > eig2d.RESIDUAL_TOL
+        assert not result.converged
+        if config == "rectangle":
+            assert result.mu == pytest.approx((pi_p(p) / math.pi) ** p, rel=1e-5)
+        monkeypatch.setattr(eig2d, "_slot", None)
+        monkeypatch.setattr(eig2d, "RESIDUAL_TOL", 2.0 * result.residual)
+        assert solve_mu1_nonlinear(domain, p, ns, 16).converged
+
+    def test_step_cap_is_never_converged(self, wavy, monkeypatch):
+        # The step cap is no stop rule: a descent it cuts off is not
+        # converged, whatever the tolerance.
+        monkeypatch.setattr(eig2d, "RESIDUAL_TOL", np.inf)
+        monkeypatch.setattr(eig2d, "DESCENT_MAX_ITER", 2)
+        monkeypatch.setattr(eig2d, "_slot", None)
+        result = solve_mu1_nonlinear(wavy, 1.5, ns=32, nt=8, odd=True)
+        assert result.iterations == 2 and not result.converged
 
 
 def result_fields(result):
@@ -691,8 +774,9 @@ class TestKeptHalfStrip:
 
     @pytest.mark.parametrize("name, mesh", MEMO_STRIPS)
     def test_one_factor_class_solve_and_descent_each(self, strips, monkeypatch, empty_slot, name, mesh):
-        # Full and odd at p = 2, 3 and 4 on one strip and mesh: one band
-        # factor, one p = 2 solve per class, one descent per (p, class).
+        # Full and odd at p = 2, 3 and 4 on one strip and mesh: one p = 2
+        # band factor, one p = 2 solve per class, one descent per (p, class).
+        # The descents' reweighted factors (_BandCholesky.of_band) are their own.
         domain = strips[name]
         calls = {"factor": 0, "class": 0, "descent": 0}
 
