@@ -49,7 +49,7 @@ fine-level iterations only.
 
 The mesh's cell tables (conn, shape, shape_grad, metric, gauss_weight)
 are the one discrete representation of the strip.  assemble contracts
-them into the p = 2 matrices and writes them straight onto the 9-point
+them into cell matrices, and _scatter sums them onto the 9-point
 stencil of the t-fastest numbering, as a Stencil: nine diagonals, each
 stored column-aligned, as LAPACK stores its upper band, so the band
 factor packs its input with one row copy per upper diagonal.  One numpy
@@ -77,12 +77,12 @@ Wank, Numer. Math. 145, 2020).  P is factored at the start and again
 whenever a log-weight has moved by more than REFACTOR_LOG_MOVE = log 1.5
 since the last factorization: 3 or 4 times per descent on a 16 x 16
 strip, more often where the weights keep moving (13 times in 20 steps at
-p = 1.5 on a 128 x 12 one).  A refresh reads the mesh's per-Gauss-point
-stiffness terms and their places in the LAPACK band (Mesh2D's
-_stiffness_terms and _band_index, built on the first descent), so it is
-one matrix product, one bincount and pbtrf, with no assembly.  The
-descent measures its Barzilai-Borwein step in P's inner product, the
-metric the direction lives in: with y the change of gradient between
+p = 1.5 on a 128 x 12 one).  A refresh weights the mesh's per-Gauss-point
+stiffness terms (Mesh2D's _stiffness_terms, built on the first descent)
+and sums them through assemble's scatter onto the upper diagonals: one
+matrix product, one bincount and pbtrf, with no assembly.  The descent
+measures its Barzilai-Borwein step in P's inner product, the metric the
+direction lives in: with y the change of gradient between
 accepted iterates and du the change of iterate, the step is
 (du . y) / (P^-1 y . y), and P^-1 y is the change of direction (after a
 refresh, the old direction is solved again with the new factor).  Its
@@ -105,7 +105,7 @@ coarse one above the threshold), one p = 2 solve per class and one
 descent per (p, class).  The state is held until a strip or mesh that
 differs is solved, and is dropped before the new one is built; at
 1024 x 64 it is about 29 MiB after the p = 2 solves, and a descent adds
-its mesh tables (12.5 MiB of them for the reweighted stiffness alone).
+its mesh tables (10 MiB of them for the reweighted stiffness alone).
 Its arrays are read-only: results share
 the mesh, and every returned u is the caller's own array.  A failed solve
 is not kept.  Every request, full or odd at any p, becomes its
@@ -129,9 +129,12 @@ from .eig1d import pmean_shift
 from .errors import BadExponent, DegenerateCell, FermiSpectraError, SolveFailure
 
 _GPTS = np.array([-1.0, 1.0]) / np.sqrt(3.0)
-# A cell's ten local node pairs a <= b (the upper triangle of its matrix).
+# A cell's ten local node pairs a <= b (the upper triangle of its matrix),
+# and the same pairs turned onto the mesh matrix's upper triangle (local
+# node 3, the next along t, is numbered before 1 and 2, the next along s).
 _PAIR_A = np.array([0, 0, 0, 0, 1, 1, 1, 2, 2, 3])
 _PAIR_B = np.array([0, 1, 2, 3, 1, 2, 3, 2, 3, 3])
+_UPPER_PAIRS = ((0, 0), (0, 1), (0, 2), (0, 3), (1, 1), (1, 2), (3, 1), (2, 2), (3, 2), (3, 3))
 
 
 @dataclass(eq=False)
@@ -142,7 +145,8 @@ class Mesh2D:
     reweighted preconditioner (_weighted_band) read the tables in a layout
     of their own: the private cached properties below, built from the
     fields on first use and then kept, read-only, in the instance's
-    __dict__.  A mesh only solved at p = 2 never builds them.
+    __dict__.  A mesh only solved at p = 2 never builds them, and none
+    of them says where a cell pair lands in a matrix (_scatter).
     """
 
     conn: np.ndarray
@@ -180,28 +184,24 @@ class Mesh2D:
         """conn flattened, the node of each term the gradient scatters."""
         return _frozen(self.conn.ravel())
 
+    @property
+    def _gradient_pairs(self):
+        """[x, y, g, a, b] = dN_a/dx dN_b/dy at Gauss point g, the products
+        both stiffness contractions read (assemble, _stiffness_terms)."""
+        dN = np.moveaxis(self.shape_grad, 2, 0)  # (x, g, a)
+        return dN[:, None, :, :, None] * dN[None, :, :, None, :]
+
     @cached_property
     def _stiffness_terms(self):
         """The stiffness by Gauss point, for the descent's reweighted
         preconditioner (_weighted_band): [c, g, k] is the integrand
         w grad N_a . G grad N_b of cell c's k-th local pair a <= b at its
         Gauss point g."""
-        dN = self.shape_grad
         # pairs[g, xy, k] = dN_a/dx dN_b/dy, so that metric[c, g] . pairs[g]
         # is one product per Gauss point over all cells
-        pairs = np.einsum("gkx,gky->gxyk", dN[:, _PAIR_A], dN[:, _PAIR_B]).reshape(4, 4, len(_PAIR_A))
+        pairs = np.moveaxis(self._gradient_pairs[..., _PAIR_A, _PAIR_B], 2, 0).reshape(4, 4, len(_PAIR_A))
         by_point = np.matmul(self.metric.reshape(-1, 4, 4).transpose(1, 0, 2), pairs)
         return _frozen(by_point.transpose(1, 0, 2) * self.gauss_weight[:, :, None])
-
-    @cached_property
-    def _band_index(self):
-        """Where each entry of _stiffness_terms lands: its place, cell by
-        cell, in the flattened LAPACK upper band (Fortran order,
-        half-bandwidth nt + 2) of the whole mesh's matrix."""
-        bandwidth = int(self.conn[0, 2] - self.conn[0, 0])  # nt + 2
-        row = np.minimum(self.conn[:, _PAIR_A], self.conn[:, _PAIR_B])
-        col = np.maximum(self.conn[:, _PAIR_A], self.conn[:, _PAIR_B])
-        return _frozen((col * (bandwidth + 1) + bandwidth + row - col).ravel())
 
 
 def _frozen(a):
@@ -374,8 +374,9 @@ class Stencil:
 # Up to this many nodes _stencil_product reads all nine diagonals at once
 # (_grid_product): a small product costs its numpy calls, and this takes
 # two, not two per diagonal.  On larger meshes its strided reduction is
-# the slower one.
-_GRID_NODES = 4096
+# the slower one: solve_mu1_linear takes 4.4 against 5.2 ms by diagonals
+# on a half mesh of 1105 nodes, 8.2 against 7.7 ms on 2193 (one BLAS thread).
+_GRID_NODES = 2048
 # Nodes per chunk of the product by diagonals: a chunk of the product and
 # its temporary stay in a core's L2 cache.
 _CHUNK = 16384
@@ -445,67 +446,64 @@ def _row_sums(A):
     return np.add.reduceat(rows[nonzero], np.cumsum(count) - count)
 
 
-# Contraction orders of assemble's einsums: the ones einsum_path picks on
-# every mesh of 16 cells or more.  Fixing them skips the path search on
-# each call, which costs more than the contraction on small meshes.
-_K_PATH = ["einsum_path", (0, 2), (0, 1), (0, 1)]
-_M_PATH = ["einsum_path", (1, 2), (0, 1)]
+def _scatter(mesh, entries, pairs):
+    """The Stencil summing entries[c, k] into A[i, j], i and j the nodes of
+    cell c's local nodes a and b, (a, b) the k-th of pairs.
+
+    build_mesh numbers the nodes t-fastest, so local node a of a cell is
+    its base node conn[c, 0] plus step[a], step = (0, nt + 1, nt + 2, 1):
+    the pair (a, b) lands on the diagonal of offset step[b] - step[a], at
+    column conn[c, 0] + step[b].  One np.bincount sums the entries in
+    ascending cell order, from zero.
+    """
+    n = mesh.n_nodes
+    first = mesh.conn[0].tolist()
+    step = [node - first[0] for node in first]
+    offsets = sorted({j - i for i in step for j in step})  # nine, seven when nt = 1
+    lands = [offsets.index(step[b] - step[a]) * n + step[b] for a, b in pairs]
+    data = np.bincount((mesh.conn[:, :1] + lands).ravel(), entries.ravel(), minlength=len(offsets) * n)
+    return Stencil(np.array(offsets), data.reshape(-1, n))
 
 
 def assemble(mesh):
     """Stiffness and mass matrices for the quadratic (p = 2) forms, as
-    Stencils on the mesh's 9-point stencil.
+    Stencils on the mesh's 9-point stencil (_scatter).  The cell matrices
+    are one product each: w G in (x, y, g) order times the shape-gradient
+    pair table (Mesh2D._gradient_pairs), and w times N_a N_b.
 
-    build_mesh numbers the nodes t-fastest, so local node a of a cell is
-    node conn[:, 0] + step[a], step = (0, nt + 1, nt + 2, 1), and the cell
-    entry (a, b) lands on the diagonal of offset step[b] - step[a], at
-    column conn[:, 0] + step[b].  Diagonals are stored column-aligned
-    (Stencil), and each is filled by one strided addition per (a, b) pair,
-    a in the order 2, 1, 3, 0: every entry sums its cells in ascending cell
-    order.
-
-    Raises DegenerateCell when a cell matrix overflows, as on a strip so
-    short that the squared shape gradients (of order 1 / hs^2) leave
-    double range.
+    Raises DegenerateCell when a cell matrix overflows (its sums are then
+    inf or nan), as on a strip so short that the squared shape gradients
+    (of order 1 / hs^2) leave double range.
     """
     w = mesh.gauss_weight
-    dN = mesh.shape_grad
     N = mesh.shape
+    weighted_metric = np.empty((len(w), 2, 2, 4))  # (cell, x, y, g)
     with np.errstate(over="ignore", invalid="ignore"):
-        k_cells = np.einsum("cg,gax,cgxy,gby->cab", w, dN, mesh.metric, dN, optimize=_K_PATH)
-        m_cells = np.einsum("cg,ga,gb->cab", w, N, N, optimize=_M_PATH)
-    if not (np.isfinite(k_cells).all() and np.isfinite(m_cells).all()):
+        np.multiply(w[:, :, None, None], mesh.metric, out=weighted_metric.transpose(0, 3, 1, 2))
+        k_cells = weighted_metric.reshape(-1, 16) @ mesh._gradient_pairs.reshape(16, 16)
+        del weighted_metric  # no two cell tables are held with _scatter's index
+        K = _scatter(mesh, k_cells, np.ndindex(4, 4))
+        del k_cells
+        M = _scatter(mesh, w @ (N[:, :, None] * N[:, None, :]).reshape(4, 16), np.ndindex(4, 4))
+    if not (np.isfinite(K.data).all() and np.isfinite(M.data).all()):
         span = mesh.node_s[-1] - mesh.node_s[0]
         raise DegenerateCell(
             f"cell matrices overflow in the stiffness contraction (mesh length {span:.6g}); "
             "the strip is too short for double precision"
         )
-    step = mesh.conn[0] - mesh.conn[0, 0]  # (0, nt + 1, nt + 2, 1)
-    stride = step[1]
-    nt = stride - 1
-    ns = len(mesh.conn) // nt
-    offsets, diagonal = np.unique(step[None, :] - step[:, None], return_inverse=True)
-    diagonal = diagonal.reshape(4, 4)
-    K = np.zeros((len(offsets), ns + 1, stride))
-    M = np.zeros_like(K)
-    for a in (2, 1, 3, 0):
-        for b in range(4):
-            i, j = divmod(step[b], stride)  # node b's place in the cell, along s and t
-            target = (diagonal[a, b], slice(i, i + ns), slice(j, j + nt))
-            K[target] += k_cells[:, a, b].reshape(ns, nt)
-            M[target] += m_cells[:, a, b].reshape(ns, nt)
-    return tuple(Stencil(offsets, A.reshape(len(offsets), mesh.n_nodes)) for A in (K, M))
+    return K, M
 
 
 def _upper_band(A):
     """A symmetric Stencil's LAPACK upper band, in Fortran order: row
     bandwidth - offset holds the diagonal of that offset, column-aligned
     as the Stencil stores it, with bandwidth its largest offset."""
-    bandwidth = int(np.max(A.offsets))
+    offsets = A.offsets.tolist()
+    bandwidth = max(offsets)
     band = np.zeros((bandwidth + 1, A.data.shape[1]), order="F")
-    for offset, diagonal in zip(A.offsets.tolist(), A.data):
+    for k, offset in enumerate(offsets):
         if offset >= 0:
-            band[bandwidth - offset] = diagonal
+            band[bandwidth - offset] = A.data[k]
     return band
 
 
@@ -997,10 +995,10 @@ REFACTOR_LOG_MOVE = np.log(1.5)
 def _weighted_band(mesh, weight, m_band, sigma):
     """The LAPACK upper band of K_w + sigma M: K_w the stiffness with
     weight[c, g] on its integrand at each Gauss point (Mesh2D's
-    _stiffness_terms), m_band the mass matrix's band."""
+    _stiffness_terms), scattered onto its upper diagonals, and m_band the
+    mass matrix's band."""
     entries = np.matmul(weight[:, None, :], mesh._stiffness_terms)
-    band = np.bincount(mesh._band_index, entries.ravel(), minlength=m_band.size)
-    band = band.reshape(m_band.shape[::-1]).T  # Fortran order, as m_band
+    band = _upper_band(_scatter(mesh, entries, _UPPER_PAIRS))
     band += sigma * m_band
     return band
 

@@ -209,12 +209,19 @@ def parabola():
     return build_domain(load_config(CONFIG_DIR / "parabola.json", command="solve2d"))
 
 
+# The contraction orders np.einsum_path picks for the cell matrices on every
+# mesh of 16 cells or more.
+K_PATH = ["einsum_path", (0, 2), (0, 1), (0, 1)]
+M_PATH = ["einsum_path", (1, 2), (0, 1)]
+
+
 def reference_assemble(mesh):
-    """assemble by scattering every cell entry into a COO matrix summed as
-    CSR: the assembly the stencil one replaced."""
+    """assemble by contracting the cell matrices with np.einsum and
+    scattering every cell entry into a COO matrix summed as CSR: the
+    assembly the stencil one replaced."""
     w, dN, N = mesh.gauss_weight, mesh.shape_grad, mesh.shape
-    k_cells = np.einsum("cg,gax,cgxy,gby->cab", w, dN, mesh.metric, dN, optimize=eig2d._K_PATH)
-    m_cells = np.einsum("cg,ga,gb->cab", w, N, N, optimize=eig2d._M_PATH)
+    k_cells = np.einsum("cg,gax,cgxy,gby->cab", w, dN, mesh.metric, dN, optimize=K_PATH)
+    m_cells = np.einsum("cg,ga,gb->cab", w, N, N, optimize=M_PATH)
     rows = np.broadcast_to(mesh.conn[:, :, None], k_cells.shape).ravel()
     cols = np.broadcast_to(mesh.conn[:, None, :], k_cells.shape).ravel()
     n = mesh.n_nodes
@@ -678,6 +685,24 @@ class TestReweightedDescent:
         band = eig2d._weighted_band(mesh, weight, eig2d._upper_band(M), 0.0)
         expected = eig2d._upper_band(K_w)
         np.testing.assert_allclose(band, expected, rtol=0.0, atol=1e-14 * np.abs(expected).max())
+
+    @pytest.mark.parametrize("ns, nt", [(16, 16), (64, 4), (16, 1)])
+    def test_band_matches_coo_scatter(self, wavy, ns, nt):
+        # Each entry of _stiffness_terms placed straight into the LAPACK
+        # upper band through conn, cell by cell: a COO reference that never
+        # forms a Stencil.
+        mesh = build_mesh(wavy, ns // 2, nt, s_range=(0.0, 0.5 * wavy.L))
+        _, M = assemble(mesh)
+        m_band = eig2d._upper_band(M)
+        weight = np.exp(np.random.default_rng(11).normal(size=mesh.gauss_weight.shape))
+        entries = np.matmul(weight[:, None, :], mesh._stiffness_terms)[:, 0]
+        nodes_a, nodes_b = mesh.conn[:, eig2d._PAIR_A], mesh.conn[:, eig2d._PAIR_B]
+        rows, cols = np.minimum(nodes_a, nodes_b), np.maximum(nodes_a, nodes_b)
+        bandwidth = nt + 2
+        expected = np.zeros_like(m_band)
+        np.add.at(expected, (bandwidth + rows - cols, cols), entries)
+        expected += 0.3 * m_band
+        np.testing.assert_array_equal(eig2d._weighted_band(mesh, weight, m_band, 0.3), expected)
 
     def test_refactors_only_when_a_log_weight_moves(self, wavy, monkeypatch, empty_slot):
         logs = []
