@@ -20,8 +20,9 @@ K_ZERO = 1e-12
 
 
 def _require_p(p):
-    if not p > 1.0:
-        raise BadExponent(f"p must exceed 1 (got {p})")
+    """The package's one exponent contract: 1 < p < inf (NaN fails it)."""
+    if not 1.0 < p < math.inf:
+        raise BadExponent(f"p must exceed 1 and be finite (got {p})")
 
 
 def _power(base, p):
@@ -340,8 +341,8 @@ def figure2_data(p_grid):
     one-dimensional eigenvalue.
     """
     p_arr = np.asarray(p_grid, dtype=float)
-    if np.any(p_arr <= 1.0):
-        raise BadExponent("p grid must lie in (1, inf)")
+    for p in p_arr.ravel().tolist():
+        _require_p(p)
     x = 1.0 / p_arr
     r = np.sinc(x)  # sin(pi x) / (pi x)
     b = np.exp(x * np.log1p(-x))
@@ -439,6 +440,20 @@ def _embedded_hypothesis(domain):
     return HypothesisCheck("embedded strip", domain.valid, float(domain.collision_count))
 
 
+def _strip_bound(label, name, constant, domain, p, checks):
+    """The BoundReport of a strip lower bound constant * (pi_p / L)^p,
+    applicable when every hypothesis check passed."""
+    L = domain.L
+    value = _finite(constant * _power(pi_p(p) / L, p), f"the {label} bound", L)
+    return BoundReport(
+        label=label,
+        value=float(value),
+        constants={"pi_p": pi_p(p), name: constant, "L": L, "p": p},
+        hypothesis_results=checks,
+        applicable=all(c.passed for c in checks),
+    )
+
+
 WIDTH_TOL = 1e-9
 
 
@@ -449,7 +464,6 @@ def lower_bound_constant_width(domain, p, concavity_tol=1e-9):
     _require_p(p)
     delta = domain.width.delta_samples
     k = domain.curve.k_samples
-    L = domain.L
 
     spread = float((np.max(delta) - np.min(delta)) / np.max(delta))
     conc = concavity_check(k, concavity_tol)
@@ -459,16 +473,7 @@ def lower_bound_constant_width(domain, p, concavity_tol=1e-9):
         _jacobian_hypothesis(domain),
         _embedded_hypothesis(domain),
     ]
-
-    A_p = _bound_constants(domain, p)[0]
-    value = _finite(A_p * _power(pi_p(p) / L, p), "the constant-width bound", L)
-    return BoundReport(
-        label="constant-width",
-        value=float(value),
-        constants={"pi_p": pi_p(p), "A_p": A_p, "L": L, "p": p},
-        hypothesis_results=checks,
-        applicable=all(c.passed for c in checks),
-    )
+    return _strip_bound("constant-width", "A_p", _bound_constants(domain, p)[0], domain, p, checks)
 
 
 SLOPE_TOL = 1e-9
@@ -484,7 +489,6 @@ def lower_bound_variable_width(domain, p, concavity_tol=1e-9):
     _require_p(p)
     delta = domain.width.delta_samples
     k = domain.curve.k_samples
-    L = domain.L
 
     conc_w = concavity_check(delta, concavity_tol)
     conc_dk = concavity_check(delta * k, concavity_tol)
@@ -501,16 +505,7 @@ def lower_bound_variable_width(domain, p, concavity_tol=1e-9):
         _jacobian_hypothesis(domain),
         _embedded_hypothesis(domain),
     ]
-
-    B_p = _bound_constants(domain, p)[1]
-    value = _finite(B_p * _power(pi_p(p) / L, p), "the variable-width bound", L)
-    return BoundReport(
-        label="variable-width",
-        value=float(value),
-        constants={"pi_p": pi_p(p), "B_p": B_p, "L": L, "p": p},
-        hypothesis_results=checks,
-        applicable=all(c.passed for c in checks),
-    )
+    return _strip_bound("variable-width", "B_p", _bound_constants(domain, p)[1], domain, p, checks)
 
 
 def lyapunov_bound_report(domain, p):

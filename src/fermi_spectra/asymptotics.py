@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analysis import _simpson, certify_odd, fermi_layer_integral
+from .analysis import _require_p, _simpson, certify_odd, fermi_layer_integral
 from .eig1d import OneDimProblem, solve_shooting
 from .errors import FermiSpectraError
 from .geometry import scale_width
@@ -67,8 +67,11 @@ def upper_bound_epsilon(domain, p, eps, limit_result=None):
     function on the strip with width eps * delta, has Dirichlet integrand
     |u'|^p (1 + r k)^(1-p) and mass |u|^p (1 + r k); integrating the layer
     exactly in r leaves two one-dimensional Simpson integrals.  The value
-    bounds the strip eigenvalue from above for every eps.
+    bounds the strip eigenvalue from above for every eps.  p is held to
+    the package's exponent contract (BadExponent) whether or not the
+    caller passes limit_result.
     """
+    _require_p(p)
     if limit_result is None:
         limit_result = solve_shooting(limit_problem(domain, p))
     s = domain.s_samples

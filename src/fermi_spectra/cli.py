@@ -293,6 +293,12 @@ def emit_report(doc, tables, out_dir):
 
 
 def main(argv=None):
+    # One BLAS thread unless the caller set one: the strip solver's band
+    # Cholesky (dpbtrf) runs on narrow bands, where threading costs more
+    # than it saves.  scipy's OpenBLAS reads this when it loads, at the
+    # first factorization, after main starts.
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(var, "1")
     parser = argparse.ArgumentParser(
         prog="fermi-spectra",
         description="Eigenvalue bounds and solvers for curved planar strips.",

@@ -27,12 +27,13 @@ neither loads a scipy subpackage.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import lyapunov_bound
-from .errors import BadExponent, FermiSpectraError, NoCrossing, SolveFailure, StiffFailure
+from .analysis import _require_p, lyapunov_bound
+from .errors import FermiSpectraError, NoCrossing, SolveFailure, StiffFailure
 from .geometry import _check_weight
 
 PHI_FLOOR = 1e-14
@@ -46,8 +47,7 @@ class OneDimProblem:
     evenness_tol: float = 1e-8
 
     def __post_init__(self):
-        if not 1.0 < self.p < np.inf:
-            raise BadExponent(f"p must exceed 1 and be finite (got {self.p})")
+        _require_p(self.p)
         if not self.L > 0.0:
             raise ValueError("L must be positive")
         w = np.asarray(self.w_samples, dtype=float)
@@ -494,8 +494,14 @@ def solve_shooting(problem, tol=1e-10, n_steps=4096):
     smallest crossed mu shot) is at most tol * mu wide, iterations counts
     the n_steps shots, and the eigenfunction is the trajectory of the
     largest uncrossed one, extended oddly to [0, L] and sampled on the
-    problem grid; its boundary defect is the residual.
+    problem grid; its boundary defect is the residual.  Raises ValueError
+    unless n_steps is an integer of at least 1 and 0 <= tol < inf (at
+    tol = 0 the root is never converged, and mu is the best the shots give).
     """
+    if isinstance(n_steps, bool) or not isinstance(n_steps, numbers.Integral) or n_steps < 1:
+        raise ValueError(f"n_steps must be an integer of at least 1 (got {n_steps!r})")
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"tol must be finite and not negative (got {tol!r})")
     below = None
     for n in (n_steps // _LEVEL_RATIO**2, n_steps // _LEVEL_RATIO):
         if n >= _COARSE_MIN_STEPS:

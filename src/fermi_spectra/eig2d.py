@@ -50,10 +50,11 @@ fine-level iterations only.
 The mesh's cell tables (conn, shape, shape_grad, metric, gauss_weight)
 are the one discrete representation of the strip.  assemble contracts
 them into cell matrices, and _scatter sums them onto the 9-point
-stencil of the t-fastest numbering, as a Stencil: nine diagonals, each
-stored column-aligned, as LAPACK stores its upper band, so the band
-factor packs its input with one row copy per upper diagonal.  One numpy
-routine (_stencil_product) multiplies by them.  The descent's p-quotient
+stencil of the t-fastest numbering, as a Stencil: the diagonals its cell
+pairs land on (all nine for K and M), each stored column-aligned, as
+LAPACK stores its upper band, so the band factor packs its input with
+one row copy per upper diagonal.  One numpy routine (_stencil_product)
+multiplies by them.  The descent's p-quotient
 (p != 2) gathers each cell's nodal values through conn and contracts them
 with the shape tables at the Gauss points; its gradient scatters the
 per-cell terms back to the nodes with one bincount.  No matrix is built
@@ -61,10 +62,10 @@ for it.  Both read the tables in the layout they use, which the mesh
 derives from its fields on its first quotient evaluation and keeps,
 read-only, in its __dict__ (Mesh2D's cached properties): each metric
 component, the transposed shape tables and the shape gradients as
-contiguous arrays, and conn flattened.  A mesh solved only at p = 2 never
-builds them.  Every term keeps the floating-point operations, and their
-order, of the formulas read straight from the fields, so the quotient and
-its gradient are the same to the bit.
+contiguous arrays.  A mesh solved only at p = 2 never builds them.
+Every term keeps the floating-point operations, and their order, of the
+formulas read straight from the fields, so the quotient and its
+gradient are the same to the bit.
 
 The descent (p != 2) runs on the same half band, in one mirror class,
 and preconditions its direction by P = K_w + sigma M, sigma = SHIFT mu:
@@ -79,8 +80,8 @@ since the last factorization: 3 or 4 times per descent on a 16 x 16
 strip, more often where the weights keep moving (13 times in 20 steps at
 p = 1.5 on a 128 x 12 one).  A refresh weights the mesh's per-Gauss-point
 stiffness terms (Mesh2D's _stiffness_terms, built on the first descent)
-and sums them through assemble's scatter onto the upper diagonals: one
-matrix product, one bincount and pbtrf, with no assembly.  The descent
+and sums them through assemble's scatter onto its five upper diagonals:
+one matrix product, one bincount and pbtrf, with no assembly.  The descent
 measures its Barzilai-Borwein step in P's inner product, the metric the
 direction lives in: with y the change of gradient between
 accepted iterates and du the change of iterate, the step is
@@ -90,8 +91,8 @@ residual is ||(K + sigma M)^-1 g|| / mu on the p = 2 factor, whatever P
 is, one more band solve per accepted step.  It stops on the first
 accepted step where the residual is at most DESCENT_TOL, the usual exit
 of a Barzilai-Borwein descent; below it the steps lower the quotient by
-rounding only.  Short of it, it stops on stagnation, and is converged
-only if its residual says so (solve_mu1_nonlinear).
+rounding only.  Short of it, it stops on stagnation.  Whatever stopped
+it, it is converged by the p = 2 rule, on its residual (Eigen2DResult).
 
 Solves on one strip share their work.  The module keeps one half strip,
 the latest solved: its mesh, K and M, band factor, and one memo of class
@@ -109,8 +110,8 @@ its mesh tables (10 MiB of them for the reweighted stiffness alone).
 Its arrays are read-only: results share
 the mesh, and every returned u is the caller's own array.  A failed solve
 is not kept.  Every request, full or odd at any p, becomes its
-Eigen2DResult in one place (_strip_result), which judges a p = 2
-result's converged when the result is made.
+Eigen2DResult in one place (_strip_result), which judges converged, by
+one rule for every class at every p, when the result is made.
 """
 
 from __future__ import annotations
@@ -125,8 +126,9 @@ from functools import cached_property
 
 import numpy as np
 
+from .analysis import _require_p
 from .eig1d import pmean_shift
-from .errors import BadExponent, DegenerateCell, FermiSpectraError, SolveFailure
+from .errors import DegenerateCell, FermiSpectraError, SolveFailure
 
 _GPTS = np.array([-1.0, 1.0]) / np.sqrt(3.0)
 # A cell's ten local node pairs a <= b (the upper triangle of its matrix),
@@ -145,8 +147,9 @@ class Mesh2D:
     reweighted preconditioner (_weighted_band) read the tables in a layout
     of their own: the private cached properties below, built from the
     fields on first use and then kept, read-only, in the instance's
-    __dict__.  A mesh only solved at p = 2 never builds them, and none
-    of them says where a cell pair lands in a matrix (_scatter).
+    __dict__.  conn needs no such copy: conn.ravel() is a view.  A mesh
+    only solved at p = 2 never builds them, and none of them says where a
+    cell pair lands in a matrix (_scatter).
     """
 
     conn: np.ndarray
@@ -178,11 +181,6 @@ class Mesh2D:
     def _shape_grad_terms(self):
         """dN/ds and dN/dt, each a contiguous (Gauss point, node) table."""
         return _frozen(np.moveaxis(self.shape_grad, 2, 0))
-
-    @cached_property
-    def _conn_flat(self):
-        """conn flattened, the node of each term the gradient scatters."""
-        return _frozen(self.conn.ravel())
 
     @property
     def _gradient_pairs(self):
@@ -223,11 +221,11 @@ class Eigen2DResult:
     full solves (mirrored from the half strip; at p = 2 unit in the whole
     strip's mass norm) and of the half mesh for the odd ones.  iterations
     counts every class solve behind the result, on the result's own mesh
-    only (not a coarse level's).  At p = 2, converged holds
-    when each class's residual is at most RESIDUAL_TOL or its rounding
-    level eps max(K_ii / M_ii) / mu, whichever is larger; at other p the
-    descent's residual is held to the same bound, with mu the class's
-    p = 2 eigenvalue (solve_mu1_nonlinear).
+    only (not a coarse level's).  converged holds when, in each class
+    behind the result, a stop rule fired and the residual is at most
+    RESIDUAL_TOL or the class's rounding level eps max(K_ii / M_ii) / mu_2,
+    mu_2 its p = 2 eigenvalue, whichever is larger: one rule at every p,
+    judged when the result is made (_strip_result).
     """
 
     mu: float
@@ -453,14 +451,17 @@ def _scatter(mesh, entries, pairs):
     build_mesh numbers the nodes t-fastest, so local node a of a cell is
     its base node conn[c, 0] plus step[a], step = (0, nt + 1, nt + 2, 1):
     the pair (a, b) lands on the diagonal of offset step[b] - step[a], at
-    column conn[c, 0] + step[b].  One np.bincount sums the entries in
-    ascending cell order, from zero.
+    column conn[c, 0] + step[b].  The Stencil holds the diagonals the pairs
+    land on and no others: nine for all sixteen pairs (seven when nt = 1),
+    the five upper ones 0, 1, nt, nt + 1 and nt + 2 for _UPPER_PAIRS.  One
+    np.bincount sums the entries in ascending cell order, from zero.
     """
     n = mesh.n_nodes
     first = mesh.conn[0].tolist()
     step = [node - first[0] for node in first]
-    offsets = sorted({j - i for i in step for j in step})  # nine, seven when nt = 1
-    lands = [offsets.index(step[b] - step[a]) * n + step[b] for a, b in pairs]
+    steps = [(step[a], step[b]) for a, b in pairs]
+    offsets = sorted({j - i for i, j in steps})
+    lands = [offsets.index(j - i) * n + j for i, j in steps]
     data = np.bincount((mesh.conn[:, :1] + lands).ravel(), entries.ravel(), minlength=len(offsets) * n)
     return Stencil(np.array(offsets), data.reshape(-1, n))
 
@@ -590,10 +591,10 @@ class _ClassResult:
     """One mirror class's solve at one p, on the half mesh.
 
     At p = 2 it is the inverse iteration: next_mu is the class's second
-    Ritz value and next_u its vector, and converged only says the stop rule
-    fired, since the residual is judged when a result is made
-    (_strip_result).  At other p it is the Rayleigh descent, with its own
-    converged and no next_mu or next_u.
+    Ritz value and next_u its vector.  At other p it is the Rayleigh
+    descent, with no next_mu or next_u.  stopped says that a stop rule
+    fired (not the descent's step cap); whether the result is converged is
+    judged from it and the residual when a result is made (_strip_result).
     """
 
     parity: str
@@ -601,7 +602,7 @@ class _ClassResult:
     u: np.ndarray
     residual: float
     iterations: int
-    converged: bool
+    stopped: bool
     next_mu: float | None
     next_u: np.ndarray | None
 
@@ -760,7 +761,7 @@ class _HalfStrip:
         _read_only(u, next_u)
         return _ClassResult(
             parity=parity, mu=mu, u=u, residual=residual, iterations=it,
-            converged=True, next_mu=float(theta[target + 1]), next_u=next_u,
+            stopped=True, next_mu=float(theta[target + 1]), next_u=next_u,
         )
 
     def lowest(self):
@@ -827,7 +828,8 @@ def _half_strip(domain, ns, nt):
 def _strip_result(domain, p, ns, nt, odd):
     """The Eigen2DResult of one request: the odd class, or the p = 2
     winner's class mirrored onto the whole strip, taken with the other
-    class at p = 2 for the gap, iterations and converged."""
+    class at p = 2 for the gap, iterations and converged (Eigen2DResult's
+    one rule, at every p)."""
     half = _half_strip(domain, ns, nt)
     linear = p == 2.0
     if odd:
@@ -840,11 +842,11 @@ def _strip_result(domain, p, ns, nt, odd):
         if linear:
             u /= np.sqrt(2.0)  # unit in the whole strip's mass norm
     first = classes[0]
-    if linear:
-        converged = all(c.residual <= max(RESIDUAL_TOL, half.ritz_floor / c.mu) for c in classes)
-        gap = min([first.next_mu] + [c.mu for c in classes[1:]]) / first.mu - 1.0
-    else:
-        converged, gap = first.converged, None
+    converged = all(
+        c.stopped and c.residual <= max(RESIDUAL_TOL, half.ritz_floor / half.result(2.0, c.parity).mu)
+        for c in classes
+    )
+    gap = min([first.next_mu] + [c.mu for c in classes[1:]]) / first.mu - 1.0 if linear else None
     return Eigen2DResult(
         mu=first.mu, u=u, residual=first.residual,
         method=("linear" if linear else "descent") + ("-odd" if odd else ""),
@@ -918,7 +920,7 @@ def _p_rayleigh_grad(mesh, p, num, den, grad, energy, ug):
     flux_t = s1 * (g_ts * gs + g_tt * gt)
     dN_s, dN_t = mesh._shape_grad_terms
     cells = flux_s @ dN_s + flux_t @ dN_t - (num / den) * (s2 @ mesh.shape)
-    return p * np.bincount(mesh._conn_flat, cells.ravel(), minlength=mesh.n_nodes) / den
+    return p * np.bincount(mesh.conn.ravel(), cells.ravel(), minlength=mesh.n_nodes) / den
 
 
 DESCENT_MAX_ITER = 20000
@@ -960,15 +962,14 @@ def solve_mu1_nonlinear(domain, p, ns=256, nt=16, odd=False):
     to lower the quotient (fewer once u - step * d rounds to u, since every
     shorter step repeats that candidate) or the quotient drops by at most
     STALL_TOL = 1e-9 (relative) over STALL_WINDOW = 50 accepted steps, and
-    after DESCENT_MAX_ITER = 20000 steps.  converged holds when one of the
-    stop rules fired, not the step cap, and the residual is at most
-    RESIDUAL_TOL or the p = 2 class's rounding level ritz_floor / mu_2,
-    whichever is larger: the p = 2 rule (Eigen2DResult).  A stagnated
-    descent above that is reported unconverged, and its mu is an upper
-    estimate of the discrete minimum.  parity is the class searched; gap,
-    mesh and u are as Eigen2DResult says, u numbered like
-    build_mesh(domain, ns, nt) for the full solve.  At p = 2 it returns the
-    result of solve_mu1_linear, or of solve_mu1_odd_linear when odd.
+    after DESCENT_MAX_ITER = 20000 steps.  converged is Eigen2DResult's one
+    rule: a stop rule fired, not the step cap, and the residual is within
+    the p = 2 class's bound.  A stagnated descent above it is unconverged,
+    and its mu is an upper estimate of the discrete minimum.  parity is the
+    class searched; gap, mesh and u are as Eigen2DResult says, u numbered
+    like build_mesh(domain, ns, nt) for the full solve.  At p = 2 it
+    returns the result of solve_mu1_linear, or of solve_mu1_odd_linear
+    when odd.  p outside (1, inf) raises BadExponent.
 
     Each class's descent at each p is kept with the half strip until a
     different strip or mesh is solved (module docstring).  When the odd
@@ -976,8 +977,7 @@ def solve_mu1_nonlinear(domain, p, ns=256, nt=16, odd=False):
     and a sweep over p on one strip shares the mesh, p = 2 factor and p = 2
     class solves.  mesh is read-only and shared; u is the caller's own.
     """
-    if not 1.0 < p < np.inf:
-        raise BadExponent(f"p must exceed 1 and be finite (got {p})")
+    _require_p(p)
     if p == 2.0:
         return solve_mu1_odd_linear(domain, ns, nt) if odd else solve_mu1_linear(domain, ns, nt)
     return _strip_result(domain, p, ns, nt, odd)
@@ -1144,12 +1144,8 @@ def _descent(half, p, parity):
                 break
     else:
         stopped = False  # DESCENT_MAX_ITER steps, and no rule stopped it
-
-    # Whatever rule stopped the descent, it is converged only as far as its
-    # residual says, by the p = 2 class's rule.
-    converged = stopped and residual <= max(RESIDUAL_TOL, half.ritz_floor / start.mu)
     _read_only(u)
     return _ClassResult(
         parity=parity, mu=float(value), u=u, residual=residual, iterations=iterations,
-        converged=converged, next_mu=None, next_u=None,
+        stopped=stopped, next_mu=None, next_u=None,
     )

@@ -45,7 +45,7 @@ class NonpositiveWeight(FermiSpectraError):
 
 
 class BadExponent(FermiSpectraError):
-    """The exponent p lies outside (1, infinity)."""
+    """The exponent p lies outside (1, infinity), or is NaN (analysis._require_p)."""
 
 
 class OutOfDomain(FermiSpectraError):

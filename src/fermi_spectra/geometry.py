@@ -276,6 +276,8 @@ def reconstruct_from_curvature(L, k, n_samples=1024, symmetry_tol=1e-6):
     L = float(L)
     if L <= 0:
         raise ValueError("L must be positive")
+    if not n_samples >= 2:
+        raise ValueError(f"n_samples must be at least 2 (got {n_samples!r})")
     s_grid = np.linspace(0.0, L, n_samples)
     k_eval = _profile(k, L)
     k_samples = k_eval(s_grid)
@@ -324,6 +326,8 @@ def reconstruct_from_curvature(L, k, n_samples=1024, symmetry_tol=1e-6):
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def width_profile(width, L, n_samples=1024, evenness_tol=1e-8):
     """Sample a width description (callable, constant, or samples) on [0, L]."""
+    if not n_samples >= 2:
+        raise ValueError(f"n_samples must be at least 2 (got {n_samples!r})")
     s_grid = np.linspace(0.0, float(L), n_samples)
     delta = _profile(width, float(L))(s_grid)
     _check_weight(delta, evenness_tol, "width")

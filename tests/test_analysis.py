@@ -37,6 +37,8 @@ from fermi_spectra import (
 )
 from fermi_spectra import test_function_upper_bound as cosine_upper_bound
 from fermi_spectra.analysis import _simpson
+from fermi_spectra.asymptotics import epsilon_sweep, limit_problem, upper_bound_epsilon
+from fermi_spectra.eig1d import solve_shooting
 from fermi_spectra.errors import BadExponent
 
 # quadrature oracle outputs, frozen to 12 decimal places
@@ -46,6 +48,31 @@ PI_P_FROZEN = {
     3.0: 3.046991999046,
     5.0: 2.821000590042,
     100.0: 2.094391123337,
+}
+
+
+# Outside the package's one exponent contract, 1 < p < inf.
+BAD_EXPONENTS = [1.0, 0.5, -2.0, math.inf, math.nan]
+BAD_EXPONENT_MESSAGE = "p must exceed 1 and be finite"
+
+# Every public entry point of the closed-form layer that takes p, called
+# on a strip; upper_bound_epsilon is given its limit result, so that its
+# own check is the one tested.
+EXPONENT_ENTRIES = {
+    "pi_p": lambda domain, p: pi_p(p),
+    "pi_p_quadrature": lambda domain, p: pi_p_quadrature(p),
+    "c_p": lambda domain, p: c_p(p),
+    "a_p": a_p,
+    "b_p": b_p,
+    "test_function_upper_bound": cosine_upper_bound,
+    "lower_bound_constant_width": lower_bound_constant_width,
+    "lower_bound_variable_width": lower_bound_variable_width,
+    "lyapunov_bound": lambda domain, p: lyapunov_bound(domain.width.delta_samples, domain.L, p),
+    "lyapunov_bound_report": lyapunov_bound_report,
+    "epsilon_sweep": lambda domain, p: epsilon_sweep(domain, p, [0.5]),
+    "upper_bound_epsilon": lambda domain, p: upper_bound_epsilon(
+        domain, p, 0.1, solve_shooting(limit_problem(domain, 2.0))
+    ),
 }
 
 
@@ -81,10 +108,12 @@ class TestPiP:
             value = pi_p_quadrature(p)
         assert abs(value - pi_p(p)) < 1e-12
 
-    def test_rejects_bad_exponent(self):
-        for p in (1.0, 0.5, -2.0):
-            with pytest.raises(BadExponent):
-                pi_p(p)
+    def test_rejects_bad_exponent(self, annulus):
+        for entry, call in EXPONENT_ENTRIES.items():
+            for p in BAD_EXPONENTS:
+                with pytest.raises(BadExponent, match=BAD_EXPONENT_MESSAGE):
+                    call(annulus, p)
+                    pytest.fail(f"{entry} accepted p = {p}")
 
     def test_c_p_values(self):
         assert c_p(2.0) == 1.0
@@ -348,8 +377,9 @@ class TestFigure2:
             assert (row[3] > 0.0) == (lhs < pi_p(p))
 
     def test_rejects_exponent_at_most_one(self):
-        with pytest.raises(BadExponent):
-            figure2_data([1.0, 2.0])
+        for p in BAD_EXPONENTS:
+            with pytest.raises(BadExponent, match=BAD_EXPONENT_MESSAGE):
+                figure2_data([2.0, p])
 
 
 class TestProofConstants:

@@ -583,6 +583,29 @@ def run_module(tmp_path, *argv):
 
 
 ANNULUS = Path(__file__).resolve().parents[1] / "configs" / "annulus.json"
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.parametrize("preset", [None, "2"])
+def test_main_defaults_to_one_blas_thread(tmp_path, preset):
+    # main sets each BLAS thread variable the caller left unset to 1, and
+    # keeps one that is set.  In a fresh interpreter, so that the variables
+    # of this process are left alone.
+    cfg = write_cfg(tmp_path, {"figure2_n": 10})
+    script = (
+        "import os\n"
+        "from fermi_spectra.cli import main\n"
+        f"code = main(['figure2', '--config', {str(cfg)!r}, '--out', {str(tmp_path / 'out')!r}])\n"
+        f"print(code, *(os.environ[v] for v in {BLAS_THREAD_VARS!r}))\n"
+    )
+    package_root = Path(fermi_spectra.__file__).resolve().parents[1]
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(package_root), env.get("PYTHONPATH")]))
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == f"0 {preset or '1'} 1 1"
 
 
 @pytest.mark.parametrize("p", ["2000", "3000", "1e308"])

@@ -46,12 +46,12 @@ def even_weight(fn, L, n=513):
 
 class TestValidation:
     def test_rejects_small_exponent(self):
-        with pytest.raises(BadExponent):
+        with pytest.raises(BadExponent, match="p must exceed 1 and be finite"):
             OneDimProblem(L=1.0, p=1.0, w_samples=np.ones(16))
 
     @pytest.mark.parametrize("p", [np.inf, np.nan])
     def test_rejects_non_finite_exponent(self, p):
-        with pytest.raises(BadExponent):
+        with pytest.raises(BadExponent, match="p must exceed 1 and be finite"):
             OneDimProblem(L=1.0, p=p, w_samples=np.ones(16))
 
     def test_rejects_nonpositive_weight(self):
@@ -74,6 +74,19 @@ class TestValidation:
     def test_rejects_too_few_samples(self):
         with pytest.raises(ValueError):
             OneDimProblem(L=1.0, p=2.0, w_samples=np.ones(4))
+
+    @pytest.mark.parametrize("n_steps", [0, -8, 64.0, True])
+    def test_shooting_rejects_bad_step_count(self, n_steps):
+        problem = OneDimProblem(L=math.pi, p=2.0, w_samples=np.ones(16))
+        with pytest.raises(ValueError, match="n_steps must be an integer of at least 1"):
+            solve_shooting(problem, n_steps=n_steps)
+
+    @pytest.mark.parametrize("tol", [-1e-10, np.inf, np.nan])
+    def test_shooting_rejects_bad_tolerance(self, tol):
+        # tol = 0 is allowed: it is never reached (test_unreachable_tolerance_is_not_converged)
+        problem = OneDimProblem(L=math.pi, p=2.0, w_samples=np.ones(16))
+        with pytest.raises(ValueError, match="tol must be finite and not negative"):
+            solve_shooting(problem, tol=tol)
 
 
 class TestConstantWeight:

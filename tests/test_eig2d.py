@@ -314,6 +314,22 @@ class TestStencilAssembly:
         reference = np.linalg.solve((references[0] + 0.5 * references[1]).toarray(), b)
         np.testing.assert_allclose(x, reference, rtol=1e-10)
 
+    @pytest.mark.parametrize("nt", [1, 4, 16])
+    def test_scatter_holds_the_diagonals_its_pairs_land_on(self, wavy, nt):
+        # The ten upper pairs land on five diagonals; all sixteen on nine,
+        # seven when nt = 1, where the t-neighbour and the diagonal
+        # neighbour along s share an offset.  None is left all zero.
+        mesh = build_mesh(wavy, 8, nt, s_range=(0.0, 0.5 * wavy.L))
+        upper = [0, 1, nt, nt + 1, nt + 2]
+        for pairs, expected in [
+            (eig2d._UPPER_PAIRS, sorted(set(upper))),
+            (list(np.ndindex(4, 4)), sorted({sign * o for o in upper for sign in (1, -1)})),
+        ]:
+            A = eig2d._scatter(mesh, np.ones((len(mesh.conn), len(pairs))), pairs)
+            assert A.offsets.tolist() == expected
+            assert np.all(np.any(A.data != 0.0, axis=1))
+        assert len(expected) == (7 if nt == 1 else 9)
+
     @pytest.mark.parametrize("chunk", [97, 1100])
     def test_product_in_chunks_matches_reference(self, wavy, monkeypatch, chunk):
         # chunks that do not divide the node count (1105), as at 1024 x 64;
@@ -1129,9 +1145,9 @@ class TestPQuotient:
             fd[i] = (quotient(u + e) - quotient(u - e)) / (2.0 * h)
         assert np.max(np.abs(grad - fd)) <= 1e-6 * np.max(np.abs(fd))
 
-    @pytest.mark.parametrize("p", [1.0, np.inf, np.nan])
+    @pytest.mark.parametrize("p", [1.0, 0.5, np.inf, np.nan])
     def test_rejects_exponent_outside_one_to_infinity(self, wavy, p):
-        with pytest.raises(BadExponent):
+        with pytest.raises(BadExponent, match="p must exceed 1 and be finite"):
             solve_mu1_nonlinear(wavy, p, ns=32, nt=8)
 
     def test_gradient_only_at_accepted_iterates(self, wavy, monkeypatch, empty_slot):

@@ -130,6 +130,11 @@ class TestParametricCurvature:
 
 
 class TestReconstruction:
+    @pytest.mark.parametrize("n_samples", [1, 0])
+    def test_needs_both_ends(self, n_samples):
+        with pytest.raises(ValueError, match="n_samples must be at least 2"):
+            reconstruct_from_curvature(math.pi, 0.0, n_samples=n_samples)
+
     def test_circle_arc_from_constant_curvature(self):
         spec = reconstruct_from_curvature(2.0, lambda s: 1.0, n_samples=1025)
         # midpoint sits at the origin with tangent (1, 0); center is one
@@ -328,6 +333,11 @@ class TestWidthProfile:
     def test_infinite_constant_rejected(self):
         with pytest.raises(NonpositiveWeight, match="not finite"):
             width_profile(math.inf, 3.0)
+
+    @pytest.mark.parametrize("n_samples", [1, 0])
+    def test_needs_both_ends(self, n_samples):
+        with pytest.raises(ValueError, match="n_samples must be at least 2"):
+            width_profile(0.4, math.pi, n_samples=n_samples)
 
 
 class TestDomain:
