@@ -68,31 +68,45 @@ formulas read straight from the fields, so the quotient and its
 gradient are the same to the bit.
 
 The descent (p != 2) runs on the same half band, in one mirror class,
-and preconditions its direction by P = K_w + sigma M, sigma = SHIFT mu:
-the stiffness with the weight (E / max E)^(p/2 - 1) on the energy
-E = grad u . G grad u at each Gauss point, E floored at WEIGHT_FLOOR
-max E.  K_w is the isotropic part of the numerator's second variation,
-whose weight is |grad u|^(p-2) (its rank-one term along grad u is left
-out), as in the relaxed Kacanov iteration (Diening, Fornasier, Tomasi &
-Wank, Numer. Math. 145, 2020).  P is factored at the start and again
-whenever a log-weight has moved by more than REFACTOR_LOG_MOVE = log 1.5
-since the last factorization: 3 or 4 times per descent on a 16 x 16
-strip, more often where the weights keep moving (13 times in 20 steps at
-p = 1.5 on a 128 x 12 one).  A refresh weights the mesh's per-Gauss-point
-stiffness terms (Mesh2D's _stiffness_terms, built on the first descent)
-and sums them through assemble's scatter onto its five upper diagonals:
-one matrix product, one bincount and pbtrf, with no assembly.  The descent
+and preconditions its direction by P = K_H + sigma M, sigma = SHIFT mu:
+the stiffness with the 2 x 2 tensor
+
+    H = w w_hat (G + (p - 2) a a^T / E_f),  a = G grad u,
+
+at each Gauss point in place of w G, w_hat = (E_f / max E)^(p/2 - 1) the
+weight on the energy E = grad u . G grad u, floored to
+E_f = max(E, WEIGHT_FLOOR max E) (_second_variation).  K_H is the
+numerator's second variation up to a constant factor: its isotropic part,
+whose weight is |grad u|^(p-2), is the relaxed Kacanov stiffness
+(Diening, Fornasier, Tomasi & Wank, Numer. Math. 145, 2020), and its
+rank-one term along grad u is what the descent needs at large p and near
+p = 1.  It is positive definite for every p > 1.  P is factored at the
+start and again whenever a log-weight log w_hat has moved by more than
+REFACTOR_LOG_MOVE = log 1.5 since the last factorization, with the
+rank-one direction taken at that point: 3 or 4 times per descent on a
+16 x 16 strip, more often where the weights keep moving.  A refresh
+builds the tensor from the quotient's Gauss-point terms, contracts it
+with the upper pairs' columns of the shape-gradient pair table in one
+product, as assemble contracts w G, and sums the entries through
+assemble's scatter onto its five upper diagonals: one matrix product, one
+bincount and pbtrf, with no assembly and no table kept but the 16 x 10
+pair columns.  The descent
 measures its Barzilai-Borwein step in P's inner product, the metric the
 direction lives in: with y the change of gradient between
 accepted iterates and du the change of iterate, the step is
 (du . y) / (P^-1 y . y), and P^-1 y is the change of direction (after a
-refresh, the old direction is solved again with the new factor).  Its
+refresh, the old direction is solved again with the new factor).  A
+candidate whose rounded quotient ties the iterate's (within the
+quotient's rounding bound) is judged by the change Q(c) - Q(u) computed
+from per-Gauss-point differences (_quotient_change), whose error shrinks
+with the step, so the line search sees below the quotient's rounding
+floor; every other candidate is judged by the rounded values alone.  Its
 residual is ||(K + sigma M)^-1 g|| / mu on the p = 2 factor, whatever P
 is, one more band solve per accepted step.  It stops on the first
 accepted step where the residual is at most DESCENT_TOL, the usual exit
-of a Barzilai-Borwein descent; below it the steps lower the quotient by
-rounding only.  Short of it, it stops on stagnation.  Whatever stopped
-it, it is converged by the p = 2 rule, on its residual (Eigen2DResult).
+of a Barzilai-Borwein descent.  Short of it, it stops on stagnation.
+Whatever stopped it, it is converged by the p = 2 rule, on its residual
+(Eigen2DResult).
 
 Solves on one strip share their work.  The module keeps one half strip,
 the latest solved: its mesh, K and M, band factor, and one memo of class
@@ -106,7 +120,7 @@ coarse one above the threshold), one p = 2 solve per class and one
 descent per (p, class).  The state is held until a strip or mesh that
 differs is solved, and is dropped before the new one is built; at
 1024 x 64 it is about 29 MiB after the p = 2 solves, and a descent adds
-its mesh tables (10 MiB of them for the reweighted stiffness alone).
+the quotient's mesh tables.
 Its arrays are read-only: results share
 the mesh, and every returned u is the caller's own array.  A failed solve
 is not kept.  Every request, full or odd at any p, becomes its
@@ -131,11 +145,9 @@ from .eig1d import pmean_shift
 from .errors import DegenerateCell, FermiSpectraError, SolveFailure
 
 _GPTS = np.array([-1.0, 1.0]) / np.sqrt(3.0)
-# A cell's ten local node pairs a <= b (the upper triangle of its matrix),
-# and the same pairs turned onto the mesh matrix's upper triangle (local
-# node 3, the next along t, is numbered before 1 and 2, the next along s).
-_PAIR_A = np.array([0, 0, 0, 0, 1, 1, 1, 2, 2, 3])
-_PAIR_B = np.array([0, 1, 2, 3, 1, 2, 3, 2, 3, 3])
+# A cell's ten local node pairs that land on the mesh matrix's upper
+# triangle (local node 3, the next along t, is numbered before 1 and 2, the
+# next along s).
 _UPPER_PAIRS = ((0, 0), (0, 1), (0, 2), (0, 3), (1, 1), (1, 2), (3, 1), (2, 2), (3, 2), (3, 3))
 
 
@@ -143,13 +155,15 @@ _UPPER_PAIRS = ((0, 0), (0, 1), (0, 2), (0, 3), (1, 1), (1, 2), (3, 1), (2, 2), 
 class Mesh2D:
     """A tensor mesh of the reference band with its cell tables (build_mesh).
 
-    The p-quotient (_p_rayleigh, _p_rayleigh_grad) and the descent's
-    reweighted preconditioner (_weighted_band) read the tables in a layout
-    of their own: the private cached properties below, built from the
-    fields on first use and then kept, read-only, in the instance's
-    __dict__.  conn needs no such copy: conn.ravel() is a view.  A mesh
-    only solved at p = 2 never builds them, and none of them says where a
-    cell pair lands in a matrix (_scatter).
+    The p-quotient (_p_rayleigh, _p_rayleigh_grad) and its change
+    (_quotient_change) read the tables in a layout of their own: the
+    private cached properties below, built from the fields on first use and
+    then kept, read-only, in the instance's __dict__.  conn needs no such
+    copy: conn.ravel() is a view.  A mesh only solved at p = 2 never builds
+    them, and none of them says where a cell pair lands in a matrix
+    (_scatter).  The descent's preconditioner keeps only the upper pairs'
+    columns of _gradient_pairs, which assemble reads whole: its tensor is
+    contracted with them at each refresh (_weighted_band).
     """
 
     conn: np.ndarray
@@ -185,21 +199,16 @@ class Mesh2D:
     @property
     def _gradient_pairs(self):
         """[x, y, g, a, b] = dN_a/dx dN_b/dy at Gauss point g, the products
-        both stiffness contractions read (assemble, _stiffness_terms)."""
+        both stiffness contractions read (assemble, _weighted_band)."""
         dN = np.moveaxis(self.shape_grad, 2, 0)  # (x, g, a)
         return dN[:, None, :, :, None] * dN[None, :, :, None, :]
 
     @cached_property
-    def _stiffness_terms(self):
-        """The stiffness by Gauss point, for the descent's reweighted
-        preconditioner (_weighted_band): [c, g, k] is the integrand
-        w grad N_a . G grad N_b of cell c's k-th local pair a <= b at its
-        Gauss point g."""
-        # pairs[g, xy, k] = dN_a/dx dN_b/dy, so that metric[c, g] . pairs[g]
-        # is one product per Gauss point over all cells
-        pairs = np.moveaxis(self._gradient_pairs[..., _PAIR_A, _PAIR_B], 2, 0).reshape(4, 4, len(_PAIR_A))
-        by_point = np.matmul(self.metric.reshape(-1, 4, 4).transpose(1, 0, 2), pairs)
-        return _frozen(by_point.transpose(1, 0, 2) * self.gauss_weight[:, :, None])
+    def _upper_gradient_pairs(self):
+        """The columns of _gradient_pairs for _UPPER_PAIRS, a (16, 10)
+        table in (x, y, g) order: the descent's contraction (_weighted_band)."""
+        a, b = np.array(_UPPER_PAIRS).T
+        return _frozen(self._gradient_pairs[..., a, b].reshape(16, len(a)))
 
 
 def _frozen(a):
@@ -939,20 +948,25 @@ def solve_mu1_nonlinear(domain, p, ns=256, nt=16, odd=False):
     zero; the even class enforces the zero weighted p-mean constraint with
     a scalar shift on the half mesh's lumped masses, whose midline nodes
     carry half the whole-strip mass, so the constraint is the whole
-    strip's.  Directions are preconditioned by P = K_w + sigma M, the
-    stiffness weighted by (E / max E)^(p/2 - 1) at each Gauss point
-    (E = |grad u|^2 in the strip's metric, floored at 1e-8 max E) plus
-    sigma = 1e-3 mu times the mass, factored at the start and again
-    whenever a log-weight has moved by more than log 1.5 (module
-    docstring); the odd class solves with the factor of its leading block.
+    strip's.  Directions are preconditioned by P = K_H + sigma M, the
+    stiffness with the numerator's second variation
+    H = w w_hat (G + (p - 2) a a^T / E_f) at each Gauss point, where
+    a = G grad u, E = |grad u|^2 in the strip's metric, E_f = E floored at
+    1e-8 max E and w_hat = (E_f / max E)^(p/2 - 1), plus sigma = 1e-3 mu
+    times the mass, factored at the start and again whenever a log-weight
+    log w_hat has moved by more than log 1.5 (module docstring); the odd
+    class solves with the factor of its leading block.
     An even direction is projected onto the tangent space of the
     constraint, along P^-1 w with w = m |u|^(p-2) (|u| floored at 1e-12):
     a direction off it would be partly undone by the shift.  The step is
     Barzilai-Borwein (BB2) in that inner product (module docstring),
     doubled from the last accepted trial step when either of its products
-    is not positive, with a backtracking safeguard.  The gradient and its
-    direction are computed only at accepted iterates: a rejected candidate
-    costs one projection and one quotient value.  residual is
+    is not positive, with a backtracking safeguard that accepts a candidate
+    whose rounded quotient is lower, or ties to rounding and is lower by
+    the change computed from differences (module docstring).  The gradient
+    and its direction are computed only at accepted iterates: a rejected
+    candidate costs one projection and one quotient value (and, at a tie,
+    one change).  residual is
     ||(K + sigma M)^-1 g|| / mu at the last iterate, with the p = 2
     factor of the class (and, in the even class, the same projection),
     whatever P is: the 2-norm over the half mesh's nodes, over mu, so it
@@ -985,22 +999,78 @@ def solve_mu1_nonlinear(domain, p, ns=256, nt=16, odd=False):
 
 # |u| is floored here in the even class's constraint weight m |u|^(p-2).
 TANGENT_FLOOR = 1e-12
-# The reweighted preconditioner's energy floor, relative to the largest
+# The descent preconditioner's energy floor, relative to the largest
 # Gauss-point energy, and the move of any log-weight since the last
 # factorization that makes the descent factor it anew.
 WEIGHT_FLOOR = 1e-8
 REFACTOR_LOG_MOVE = np.log(1.5)
 
 
-def _weighted_band(mesh, weight, m_band, sigma):
-    """The LAPACK upper band of K_w + sigma M: K_w the stiffness with
-    weight[c, g] on its integrand at each Gauss point (Mesh2D's
-    _stiffness_terms), scattered onto its upper diagonals, and m_band the
-    mass matrix's band."""
-    entries = np.matmul(weight[:, None, :], mesh._stiffness_terms)
+def _weighted_band(mesh, tensor, m_band, sigma):
+    """The LAPACK upper band of K_H + sigma M: K_H the stiffness with the
+    symmetric 2 x 2 tensor[c, :, :, g] in place of w G at each Gauss point,
+    contracted like assemble's K (one product with the upper pairs'
+    columns of Mesh2D._gradient_pairs, _upper_gradient_pairs) and
+    scattered onto its upper diagonals, and m_band the mass matrix's band."""
+    entries = tensor.reshape(-1, 16) @ mesh._upper_gradient_pairs
     band = _upper_band(_scatter(mesh, entries, _UPPER_PAIRS))
     band += sigma * m_band
     return band
+
+
+def _second_variation(mesh, p, grad, energy, log_w):
+    """The descent's stiffness tensor at each Gauss point, laid out
+    (cells, x, y, g) for _weighted_band:
+
+        H = w w_hat (G + (p - 2) a a^T / E_f),  a = G grad u,
+
+    with w_hat = exp(log_w) = (E_f / max E)^(p/2 - 1) and
+    E_f = max(E, WEIGHT_FLOOR max E), E the energy grad u . G grad u.  It is
+    the second variation of the integral of |grad u|^p, up to the factor
+    p (max E)^(p/2 - 1), with E floored.  Since (a . v)^2 <= E v . G v, it
+    is positive definite for every p > 1: v . H v >= min(1, p - 1) w w_hat
+    v . G v."""
+    gs, gt = grad
+    g_ss, g_st, g_ts, g_tt = mesh._metric_terms
+    a_s, a_t = g_ss * gs + g_st * gt, g_ts * gs + g_tt * gt
+    scale = mesh.gauss_weight * np.exp(log_w)
+    rank = (p - 2.0) * scale / np.maximum(energy, WEIGHT_FLOOR * energy.max())
+    tensor = np.empty((len(scale), 2, 2, 4))
+    tensor[:, 0, 0] = scale * g_ss + rank * a_s * a_s
+    tensor[:, 0, 1] = tensor[:, 1, 0] = scale * g_st + rank * a_s * a_t
+    tensor[:, 1, 1] = scale * g_tt + rank * a_t * a_t
+    return tensor
+
+
+# The branch np.where drops may overflow at large q; a change that is not
+# finite is no decrease, so the candidate is rejected.
+@np.errstate(over="ignore", invalid="ignore")
+def _power_change(base, other, change, q):
+    """other^q - base^q for other = base + change >= 0, base >= 0: written
+    with expm1 and log1p where |change| < base, so that it keeps its digits
+    when other and base agree to rounding."""
+    near = np.abs(change) < base
+    ratio = np.divide(change, base, out=np.zeros_like(base), where=near)
+    return np.where(near, base**q * np.expm1(q * np.log1p(ratio)), other**q - base**q)
+
+
+def _quotient_change(mesh, p, u, cand, at_u, at_cand):
+    """Q(cand) - Q(u) for the p-quotient Q, from _p_rayleigh's terms at
+    both vectors and per-Gauss-point differences: grad (cand - u) at the
+    Gauss points, E_cand - E_u = grad (cand - u) . G (grad cand + grad u)
+    and each term's change by _power_change.  Its rounding error scales
+    with cand - u, where the difference of the two rounded quotients has
+    the quotient's own rounding error."""
+    num, den, (gs, gt), energy, ug = at_u
+    _, _, (cs, ct), cenergy, cug = at_cand
+    ds, dt, dug = (cand - u)[mesh.conn] @ mesh._gauss_tables
+    g_ss, g_st, g_ts, g_tt = mesh._metric_terms
+    ss, st = cs + gs, ct + gt
+    d_energy = ds * (g_ss * ss + g_st * st) + dt * (g_ts * ss + g_tt * st)
+    w = mesh.gauss_weight
+    d_num = float((w * _power_change(energy, cenergy, d_energy, 0.5 * p)).sum())
+    d_den = float((w * _power_change(np.abs(ug), np.abs(cug), np.sign(ug) * dug, p)).sum())
+    return (d_num - (num / den) * d_den) / (den + d_den)
 
 
 # An overflow in |grad u|^p makes the quotient inf, which evaluate reports
@@ -1012,6 +1082,11 @@ def _descent(half, p, parity):
     mesh = half.mesh
     free = half.free[parity]
     m_band = _upper_band(Stencil(half.offsets, half.pencil[1]))
+    # A bound on the quotient's relative rounding error: each of its sums
+    # adds n positive terms, which leaves at most about n eps (Higham,
+    # Accuracy and Stability of Numerical Algorithms, sec. 4.2), with each
+    # term's power good to about p eps.
+    rounding = (mesh.gauss_weight.size + p) * np.finfo(float).eps
 
     if parity == "even":
         # Summed as compressed rows, whose rounding the kept reports carry.
@@ -1047,19 +1122,25 @@ def _descent(half, p, parity):
         return vec / np.abs(vec).max()
 
     def evaluate(vec):
-        """The quotient at vec, its Gauss-point energy, and a function
-        computing its gradient: a rejected candidate never pays for it.
-        The quotient is inf when its numerator or denominator is not a
-        finite positive double, as when |grad u|^p leaves double range at
-        large p."""
-        num, den, grad, energy, ug = _p_rayleigh(mesh, vec, p)
-
-        def gradient():
-            return _p_rayleigh_grad(mesh, p, num, den, grad, energy, ug)
-
+        """The quotient at vec and its Gauss-point terms (_p_rayleigh's),
+        from which the gradient is computed only at accepted iterates: a
+        rejected candidate never pays for it.  The quotient is inf when its
+        numerator or denominator is not a finite positive double, as when
+        |grad u|^p leaves double range at large p."""
+        terms = _p_rayleigh(mesh, vec, p)
+        num, den = terms[:2]
         if not (0.0 < num < np.inf and 0.0 < den < np.inf):
-            return np.inf, energy, gradient
-        return num / den, energy, gradient
+            return np.inf, terms
+        return num / den, terms
+
+    def lower(cand, cval, cterms):
+        """Whether cand lowers the quotient: its rounded value is below the
+        iterate's, or ties it to rounding and the change computed from
+        differences (_quotient_change) is negative."""
+        if cval < value:
+            return True
+        tie = cval - value <= rounding * value
+        return tie and _quotient_change(mesh, p, u, cand, terms, cterms) < 0.0
 
     def log_weight(energy):
         """log (E / max E)^(p/2 - 1), E floored at WEIGHT_FLOOR max E: a
@@ -1067,10 +1148,12 @@ def _descent(half, p, parity):
         top = energy.max()
         return (0.5 * p - 1.0) * np.log(np.maximum(energy / top, WEIGHT_FLOOR))
 
-    def factor(log_w, value):
-        """The class's factor of K_w + sigma M, sigma = SHIFT value: the
+    def factor(log_w, terms, value):
+        """The class's factor of K_H + sigma M, sigma = SHIFT value, K_H
+        the stiffness of _second_variation at the point of terms: the
         leading block's in the odd class."""
-        band = _weighted_band(mesh, np.exp(log_w), m_band, SHIFT * value)
+        tensor = _second_variation(mesh, p, terms[2], terms[3], log_w)
+        band = _weighted_band(mesh, tensor, m_band, SHIFT * value)
         return _BandCholesky.of_band(band[:, :free])
 
     def measure(g, vec, value):
@@ -1084,16 +1167,16 @@ def _descent(half, p, parity):
         return residual
 
     u = project(start.u.copy())
-    value, energy, gradient = evaluate(u)
+    value, terms = evaluate(u)
     if not value < np.inf:
         raise SolveFailure(
             f"the p-quotient at p={p:.9g} is not finite at the p = 2 start; "
             "p is too large for double precision"
         )
-    g = gradient()
+    g = _p_rayleigh_grad(mesh, p, *terms)
     residual = measure(g, u, value)
-    factored = log_weight(energy)
-    chol = factor(factored, value)
+    factored = log_weight(terms[3])
+    chol = factor(factored, terms, value)
     d = precondition(chol, g, u)
     step = 1.0
     history = [value]
@@ -1105,8 +1188,8 @@ def _descent(half, p, parity):
         for _ in range(40):
             raw = u - trial * d
             cand = project(raw)
-            cval, cenergy, cgradient = evaluate(cand)
-            if cval < value:
+            cval, cterms = evaluate(cand)
+            if lower(cand, cval, cterms):
                 accepted = True
                 break
             if (raw == u).all():
@@ -1117,11 +1200,11 @@ def _descent(half, p, parity):
             trial *= 0.5
         if not accepted:
             break
-        cg = cgradient()
-        log_w = log_weight(cenergy)
+        cg = _p_rayleigh_grad(mesh, p, *cterms)
+        log_w = log_weight(cterms[3])
         if np.max(np.abs(log_w - factored)) > REFACTOR_LOG_MOVE:
             factored = log_w
-            chol = factor(factored, cval)
+            chol = factor(factored, cterms, cval)
             # The old direction in the new factor's metric, so that cd - d
             # below is P^-1 y for one P.
             d = precondition(chol, g, u)
@@ -1133,7 +1216,7 @@ def _descent(half, p, parity):
         sy = float(du @ y)
         yy = float((cd - d) @ y)
         step = sy / yy if sy > 0 and yy > 0 else trial * 2.0
-        u, g, d, value = cand, cg, cd, cval
+        u, g, d, value, terms = cand, cg, cd, cval, cterms
         residual = measure(g, u, value)
         history.append(value)
         if residual <= DESCENT_TOL:

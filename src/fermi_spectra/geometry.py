@@ -196,13 +196,16 @@ def curvature_from_parametric(x, y, t_range, n_samples=1024, derivatives=None, s
     equal parameter steps, and L is their sum.  Newton's method inverts
     each arc-length node in its panel, on the same rule from the panel's
     start, clipped to the panel.  Returns a CurveSpec with n_samples
-    uniform arc-length nodes.  Raises ZeroSpeed when the parametrization
+    uniform arc-length nodes, both ends included, so n_samples must be at
+    least 2 (ValueError otherwise).  Raises ZeroSpeed when the parametrization
     stalls or its speed is not finite, SymmetryViolation when the traced
     curve is not mirror symmetric about the vertical axis.
     """
     t0, t1 = float(t_range[0]), float(t_range[1])
     if not t1 > t0:
         raise ValueError("t_range must be increasing")
+    if not n_samples >= 2:
+        raise ValueError(f"n_samples must be at least 2 (got {n_samples!r})")
     fx, fy = _vectorized(x), _vectorized(y)
     if derivatives is not None:
         dx, dy, ddx, ddy = (_vectorized(f) for f in derivatives)

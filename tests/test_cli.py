@@ -710,27 +710,29 @@ def test_sample_array_of_non_numbers_is_config_error(tmp_path, capsys, samples):
 
 
 # solve2d at p != 2 on the 64x16 sample strips of CI: the full and odd
-# results of the descent preconditioned by the reweighted stiffness.  Its
-# mu agrees with the p = 2 preconditioned descent's to 1.3e-14 at p = 1.5
-# and 3; at p = 100 that descent accepted no step and stopped at its start
-# (mu 3.06e10, residual 2.0e3), and this one descends to a stall above
-# RESIDUAL_TOL, so it is not converged.
+# results of the descent preconditioned by the second variation of the
+# numerator (the reweighted stiffness with its rank-one term).  Its mu
+# agrees with the p = 2 preconditioned descent's to 1.3e-14 at p = 1.5 and
+# 3; at p = 100 that descent accepted no step and stopped at its start
+# (mu 3.06e10, residual 2.0e3), the reweighted stiffness without the
+# rank-one term stalled above RESIDUAL_TOL after 914 steps, and this one
+# reaches the residual stop.
 PINNED_DESCENTS = {
     ("annulus", 1.5): {
-        "full": (1.169968605132103, 1.598924704506217e-07, 13, True, "odd"),
-        "odd": (1.169968605132103, 1.598924704506217e-07, 13, True, "odd"),
+        "full": (1.169968605132102, 2.352095173259572e-07, 10, True, "odd"),
+        "odd": (1.169968605132102, 2.352095173259572e-07, 10, True, "odd"),
     },
     ("annulus", 3.0): {
-        "full": (1.3835754746745423, 6.979849409875924e-07, 12, True, "odd"),
-        "odd": (1.3835754746745423, 6.979849409875924e-07, 12, True, "odd"),
+        "full": (1.3835754746745426, 3.969584854399718e-08, 9, True, "odd"),
+        "odd": (1.3835754746745426, 3.969584854399718e-08, 9, True, "odd"),
     },
     ("annulus", 100.0): {
-        "full": (3.77957608992612e-13, 4.100043040980777e-05, 914, False, "odd"),
-        "odd": (3.77957608992612e-13, 4.100043040980777e-05, 914, False, "odd"),
+        "full": (3.7795760899687725e-13, 7.206192374989099e-07, 411, True, "odd"),
+        "odd": (3.7795760899687725e-13, 7.206192374989099e-07, 411, True, "odd"),
     },
     ("wide_sector", 1.5): {
-        "full": (1.0922065523092093, 4.709885475097626e-08, 9, True, "even"),
-        "odd": (1.5042018216156843, 4.845138014275579e-07, 14, True, "odd"),
+        "full": (1.0922065523092108, 3.4338859123696464e-07, 10, True, "even"),
+        "odd": (1.504201821615685, 5.6776570179086245e-08, 11, True, "odd"),
     },
 }
 

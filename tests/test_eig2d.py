@@ -677,9 +677,10 @@ class TestNonlinearSolver:
 
 
 class TestReweightedDescent:
-    """The descent preconditioned by K_w + sigma M: the stiffness with the
-    weight (E / max E)^(p/2 - 1) on each Gauss point's energy E, factored
-    anew when a log-weight moves by more than log 1.5."""
+    """The descent preconditioned by K_H + sigma M: the stiffness with the
+    tensor H = w w_hat (G + (p - 2) a a^T / E_f) at each Gauss point,
+    w_hat = (E_f / max E)^(p/2 - 1) and a = G grad u, factored anew when a
+    log-weight log w_hat moves by more than log 1.5."""
 
     @pytest.fixture(scope="class")
     def half_mesh(self, wavy):
@@ -687,46 +688,81 @@ class TestReweightedDescent:
         return mesh, *assemble(mesh)
 
     def test_unit_weight_gives_the_shifted_stiffness(self, half_mesh):
+        # The tensor w G is assemble's integrand, so K_H is assemble's K.
         mesh, K, M = half_mesh
-        band = eig2d._weighted_band(mesh, np.ones_like(mesh.gauss_weight), eig2d._upper_band(M), 0.25)
+        band = eig2d._weighted_band(mesh, metric_tensor(mesh), eig2d._upper_band(M), 0.25)
         expected = eig2d._upper_band(Stencil(K.offsets, K.data + 0.25 * M.data))
         assert band.flags.f_contiguous
         np.testing.assert_allclose(band, expected, rtol=0.0, atol=1e-14 * np.abs(expected).max())
 
     def test_weight_multiplies_the_gauss_weights(self, half_mesh):
-        # K_w is assemble's K on the mesh whose Gauss weights carry the weight.
+        # A scalar weight on w G is assemble's K on the mesh whose Gauss
+        # weights carry the weight.
         mesh, _, M = half_mesh
         weight = np.exp(np.random.default_rng(5).normal(size=mesh.gauss_weight.shape))
         K_w, _ = assemble(dataclasses.replace(mesh, gauss_weight=mesh.gauss_weight * weight))
-        band = eig2d._weighted_band(mesh, weight, eig2d._upper_band(M), 0.0)
+        band = eig2d._weighted_band(mesh, metric_tensor(mesh, weight), eig2d._upper_band(M), 0.0)
         expected = eig2d._upper_band(K_w)
         np.testing.assert_allclose(band, expected, rtol=0.0, atol=1e-14 * np.abs(expected).max())
 
     @pytest.mark.parametrize("ns, nt", [(16, 16), (64, 4), (16, 1)])
     def test_band_matches_coo_scatter(self, wavy, ns, nt):
-        # Each entry of _stiffness_terms placed straight into the LAPACK
-        # upper band through conn, cell by cell: a COO reference that never
-        # forms a Stencil.
+        # K_H from its definition, rank-one term included, placed straight
+        # into the LAPACK upper band through conn, cell by cell: a COO
+        # reference that never forms a Stencil or a tensor table.  u is
+        # nearly constant on the first column of cells, whose energies are
+        # floored.
+        p = 3.0
         mesh = build_mesh(wavy, ns // 2, nt, s_range=(0.0, 0.5 * wavy.L))
         _, M = assemble(mesh)
         m_band = eig2d._upper_band(M)
-        weight = np.exp(np.random.default_rng(11).normal(size=mesh.gauss_weight.shape))
-        entries = np.matmul(weight[:, None, :], mesh._stiffness_terms)[:, 0]
-        nodes_a, nodes_b = mesh.conn[:, eig2d._PAIR_A], mesh.conn[:, eig2d._PAIR_B]
-        rows, cols = np.minimum(nodes_a, nodes_b), np.maximum(nodes_a, nodes_b)
-        bandwidth = nt + 2
+        u = parity_vector(mesh, wavy.L, "odd", seed=11)
+        u[: 2 * (nt + 1)] = 0.5 + 1e-6 * u[: 2 * (nt + 1)]
         expected = np.zeros_like(m_band)
-        np.add.at(expected, (bandwidth + rows - cols, cols), entries)
+        grads = np.einsum("gax,ca->cgx", mesh.shape_grad, u[mesh.conn])
+        energy = np.einsum("cgx,cgxy,cgy->cg", grads, mesh.metric, grads)
+        floored = np.maximum(energy, eig2d.WEIGHT_FLOOR * energy.max())
+        bandwidth = nt + 2
+        for c, cell in enumerate(mesh.conn):
+            for g in range(4):
+                G, a = mesh.metric[c, g], mesh.metric[c, g] @ grads[c, g]
+                w_hat = (floored[c, g] / energy.max()) ** (0.5 * p - 1.0)
+                H = mesh.gauss_weight[c, g] * w_hat * (G + (p - 2.0) * np.outer(a, a) / floored[c, g])
+                dN = mesh.shape_grad[g]
+                for i, j in eig2d._UPPER_PAIRS:
+                    row, col = min(cell[i], cell[j]), max(cell[i], cell[j])
+                    expected[bandwidth + row - col, col] += dN[i] @ H @ dN[j]
         expected += 0.3 * m_band
-        np.testing.assert_array_equal(eig2d._weighted_band(mesh, weight, m_band, 0.3), expected)
+        assert (energy < eig2d.WEIGHT_FLOOR * energy.max()).any()
+        band = eig2d._weighted_band(mesh, descent_tensor(mesh, u, p)[0], m_band, 0.3)
+        np.testing.assert_allclose(band, expected, rtol=0.0, atol=1e-13 * np.abs(expected).max())
+
+    @pytest.mark.parametrize("p", [1.1, 1.5, 8.0])
+    def test_tensor_is_definite(self, wavy, p):
+        # v . H v >= min(1, p - 1) w w_hat v . G v at every Gauss point,
+        # also where the energy is floored (a constant patch of u).
+        mesh = build_mesh(wavy, 16, 8, s_range=(0.0, 0.5 * wavy.L))
+        u = parity_vector(mesh, wavy.L, "odd", seed=7)
+        u[:27] = 0.5
+        tensor, log_w, energy = descent_tensor(mesh, u, p)
+        H = np.moveaxis(tensor, 3, 1)  # (cells, g, x, y)
+        lowest = np.linalg.eigvalsh(H)[..., 0]
+        bound = min(1.0, p - 1.0) * mesh.gauss_weight * np.exp(log_w) * np.linalg.eigvalsh(mesh.metric)[..., 0]
+        assert (energy <= eig2d.WEIGHT_FLOOR * energy.max()).any()
+        assert np.all(lowest >= bound * (1.0 - 1e-12))
 
     def test_refactors_only_when_a_log_weight_moves(self, wavy, monkeypatch, empty_slot):
+        # At p < 2 the rank-one term lowers H along a alone, so w_hat is the
+        # larger eigenvalue of (w G)^-1 H: the log-weight read back from the
+        # tensor.
         logs = []
         original = eig2d._weighted_band
 
-        def recorded(mesh, weight, *args):
-            logs.append(np.log(weight))
-            return original(mesh, weight, *args)
+        def recorded(mesh, tensor, *args):
+            H = np.moveaxis(tensor, 3, 1)
+            scaled = np.linalg.solve(mesh.gauss_weight[..., None, None] * mesh.metric, H)
+            logs.append(np.log(np.linalg.eigvals(scaled).real.max(axis=-1)))
+            return original(mesh, tensor, *args)
 
         monkeypatch.setattr(eig2d, "_weighted_band", recorded)
         result = solve_mu1_nonlinear(wavy, 1.5, ns=32, nt=8, odd=True)
@@ -748,7 +784,7 @@ class TestReweightedDescent:
         if p >= 1.5:
             assert result.converged and result.residual <= eig2d.DESCENT_TOL
 
-    @pytest.mark.parametrize("config, p, ns", [("rectangle", 1.2, 512), ("thin_strip", 3.0, 64)])
+    @pytest.mark.parametrize("config, p, ns", [("rectangle", 1.2, 512), ("annulus", 1.2, 64)])
     def test_stalled_descent_is_converged_only_at_a_small_residual(self, monkeypatch, config, p, ns):
         # Both stop on the stall or collapse rule above RESIDUAL_TOL.  The
         # rectangle's mu is within 1e-5 of exact all the same.
@@ -1106,6 +1142,19 @@ def traced_descent(monkeypatch, domain, p, mesh, odd, tol):
     return result, events
 
 
+def metric_tensor(mesh, weight=1.0):
+    """weight w G in _weighted_band's (cells, x, y, g) layout."""
+    return np.moveaxis(mesh.metric, 1, 3) * (weight * mesh.gauss_weight)[:, None, None, :]
+
+
+def descent_tensor(mesh, u, p):
+    """_second_variation at u, the log-weight the descent gives it, and
+    the Gauss-point energy."""
+    _, _, grad, energy, _ = _p_rayleigh(mesh, u, p)
+    log_w = (0.5 * p - 1.0) * np.log(np.maximum(energy / energy.max(), eig2d.WEIGHT_FLOOR))
+    return eig2d._second_variation(mesh, p, grad, energy, log_w), log_w, energy
+
+
 class TestPQuotient:
     """The p-quotient on a curved, variable-width strip, on the full mesh
     and on the odd half mesh."""
@@ -1144,6 +1193,26 @@ class TestPQuotient:
             e[i] = h
             fd[i] = (quotient(u + e) - quotient(u - e)) / (2.0 * h)
         assert np.max(np.abs(grad - fd)) <= 1e-6 * np.max(np.abs(fd))
+
+    @pytest.mark.parametrize("mesh_and_u, p", QUOTIENT_CASES, indirect=["mesh_and_u"])
+    def test_change_keeps_its_digits(self, mesh_and_u, p):
+        # On a step of 1e-3 the change from differences is the difference of
+        # the two quotients; on a step of 1e-12, where that difference has
+        # kept about 4 digits, it is the first-order change grad . (c - u)
+        # to 1e-7.
+        mesh, u = mesh_and_u
+        at_u = _p_rayleigh(mesh, u, p)
+        grad = _p_rayleigh_grad(mesh, p, *at_u)
+        direction = np.random.default_rng(13).normal(size=mesh.n_nodes)
+        for h in (1e-3, 1e-12):
+            cand = u + h * direction
+            at_cand = _p_rayleigh(mesh, cand, p)
+            change = eig2d._quotient_change(mesh, p, u, cand, at_u, at_cand)
+            if h == 1e-3:
+                rounded = at_cand[0] / at_cand[1] - at_u[0] / at_u[1]
+                assert change == pytest.approx(rounded, rel=1e-9)
+            else:
+                assert change == pytest.approx(grad @ (cand - u), rel=1e-7)
 
     @pytest.mark.parametrize("p", [1.0, 0.5, np.inf, np.nan])
     def test_rejects_exponent_outside_one_to_infinity(self, wavy, p):
@@ -1223,11 +1292,11 @@ class TestPQuotient:
         assert stopped.mu == pytest.approx(unstopped.mu, rel=1e-12)
 
     def test_descent_short_of_tolerance_is_unchanged(self, monkeypatch):
-        # On the thin strip the descent never reaches DESCENT_TOL, so its
-        # result is the one without the residual stop, bit for bit.
-        domain = config_strip("thin_strip")
-        stopped, _ = traced_descent(monkeypatch, domain, 3.0, (64, 16), False, eig2d.DESCENT_TOL)
-        unstopped, _ = traced_descent(monkeypatch, domain, 3.0, (64, 16), False, 0.0)
+        # On the rectangle at p = 1.2 the descent never reaches DESCENT_TOL,
+        # so its result is the one without the residual stop, bit for bit.
+        domain = config_strip("rectangle")
+        stopped, _ = traced_descent(monkeypatch, domain, 1.2, (512, 16), False, eig2d.DESCENT_TOL)
+        unstopped, _ = traced_descent(monkeypatch, domain, 1.2, (512, 16), False, 0.0)
         assert stopped.residual > eig2d.DESCENT_TOL
         assert (stopped.mu, stopped.residual, stopped.iterations, stopped.converged) == (
             unstopped.mu, unstopped.residual, unstopped.iterations, unstopped.converged,

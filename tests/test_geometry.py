@@ -128,6 +128,13 @@ class TestParametricCurvature:
                 lambda t: t**3, lambda t: t**6 / 2.0, (-1.0, 1.0)
             )
 
+    @pytest.mark.parametrize("n_samples", [1, 0])
+    def test_needs_both_ends(self, n_samples):
+        with pytest.raises(ValueError, match="n_samples must be at least 2"):
+            curvature_from_parametric(
+                lambda t: t, lambda t: 0.5 * t * t, (-1.0, 1.0), n_samples=n_samples
+            )
+
 
 class TestReconstruction:
     @pytest.mark.parametrize("n_samples", [1, 0])
