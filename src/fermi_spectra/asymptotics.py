@@ -24,16 +24,21 @@ from .geometry import scale_width
 @dataclass
 class MeshPolicy:
     """The sweep's mesh: ns an even integer of at least 8, as a config's
-    mesh.ns for the sweep command, and nt at least 16."""
+    mesh.ns for the sweep command, and nt an integer of at least 16, which
+    resolves the width direction."""
 
     ns: int = 256
     nt: int = 16
 
     def __post_init__(self):
-        if self.nt < 16:
-            raise ValueError("nt below 16 under-resolves the width direction")
-        if isinstance(self.ns, bool) or not isinstance(self.ns, numbers.Integral) or self.ns < 8 or self.ns % 2:
+        if _not_integer(self.nt) or self.nt < 16:
+            raise ValueError(f"nt must be an integer of at least 16 (got {self.nt!r})")
+        if _not_integer(self.ns) or self.ns < 8 or self.ns % 2:
             raise ValueError(f"ns must be an even integer of at least 8 (got {self.ns!r})")
+
+
+def _not_integer(n):
+    return isinstance(n, bool) or not isinstance(n, numbers.Integral)
 
 
 @dataclass(eq=False)

@@ -574,7 +574,10 @@ def pmean_shift(values, weights, p):
         raise SolveFailure(f"iterate is not finite (values range over [{lo}, {hi}])")
     if hi - lo == 0.0:
         return lo
-    root, converged = _brentq(g, lo, hi, xtol=1e-15 * max(1.0, abs(hi) + abs(lo)))
+    # A sum that overflows is inf or NaN, and _brentq raises SolveFailure on
+    # a NaN: the overflow is not worth a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        root, converged = _brentq(g, lo, hi, xtol=1e-15 * max(1.0, abs(hi) + abs(lo)))
     if not converged:
         raise SolveFailure(f"p-mean shift did not converge on [{lo}, {hi}]")
     return root

@@ -48,21 +48,24 @@ solve starts from the analytic block, and a result's iterations count
 fine-level iterations only.
 
 The mesh's cell tables (conn, shape, shape_grad, metric, gauss_weight)
-are the one discrete representation of the strip.  assemble contracts
-them into cell matrices, and _scatter sums them onto the 9-point
-stencil of the t-fastest numbering, as a Stencil: the diagonals its cell
-pairs land on (all nine for K and M), each stored column-aligned, as
-LAPACK stores its upper band, so the band factor packs its input with
-one row copy per upper diagonal.  One numpy routine (_stencil_product)
-multiplies by them.  The descent's p-quotient
-(p != 2) gathers each cell's nodal values through conn and contracts them
+are the one discrete representation of the strip.  A cell's node order
+is written once, in _STEPS (each local node's (s, t) step from the cell's
+base node), and conn, the shape tables and _UPPER_PAIRS derive from it.
+assemble contracts the tables into cell matrices, and _scatter sums them
+onto the 9-point stencil of the t-fastest numbering, as a Stencil: the
+diagonals its cell pairs land on (all nine for K and M), each stored
+column-aligned, as LAPACK stores its upper band, so the band factor packs
+its input with one row copy per upper diagonal.  One numpy routine
+(_stencil_product) multiplies by them.  The descent's p-quotient (p != 2)
+gathers each cell's nodal values through conn and contracts them
 with the shape tables at the Gauss points; its gradient scatters the
 per-cell terms back to the nodes with one bincount.  No matrix is built
 for it.  Both read the tables in the layout they use, which the mesh
 derives from its fields on its first quotient evaluation and keeps,
 read-only, in its __dict__ (Mesh2D's cached properties): each metric
-component, the transposed shape tables and the shape gradients as
-contiguous arrays.  A mesh solved only at p = 2 never builds them.
+component and the transposed shape tables as contiguous arrays; the
+gradient reads the shape gradients as transposed views of the latter.
+A mesh solved only at p = 2 never builds them.
 Every term keeps the floating-point operations, and their order, of the
 formulas read straight from the fields, so the quotient and its
 gradient are the same to the bit.
@@ -145,10 +148,16 @@ from .eig1d import pmean_shift
 from .errors import DegenerateCell, FermiSpectraError, SolveFailure
 
 _GPTS = np.array([-1.0, 1.0]) / np.sqrt(3.0)
+# The bilinear element's node order: the (s, t) step of each local node from
+# its cell's base node, counterclockwise.  conn, the shape tables and
+# _UPPER_PAIRS are derived from it.
+_STEPS = np.array([[0, 0], [1, 0], [1, 1], [0, 1]])
 # A cell's ten local node pairs that land on the mesh matrix's upper
-# triangle (local node 3, the next along t, is numbered before 1 and 2, the
-# next along s).
-_UPPER_PAIRS = ((0, 0), (0, 1), (0, 2), (0, 3), (1, 1), (1, 2), (3, 1), (2, 2), (3, 2), (3, 3))
+# triangle: each unordered pair once, the node whose step comes first in
+# the t-fastest numbering first.
+_UPPER_PAIRS = tuple(
+    tuple(sorted(pair, key=_STEPS.tolist().__getitem__)) for pair in np.ndindex(4, 4) if pair[0] <= pair[1]
+)
 
 
 @dataclass(eq=False)
@@ -159,11 +168,13 @@ class Mesh2D:
     (_quotient_change) read the tables in a layout of their own: the
     private cached properties below, built from the fields on first use and
     then kept, read-only, in the instance's __dict__.  conn needs no such
-    copy: conn.ravel() is a view.  A mesh only solved at p = 2 never builds
-    them, and none of them says where a cell pair lands in a matrix
-    (_scatter).  The descent's preconditioner keeps only the upper pairs'
-    columns of _gradient_pairs, which assemble reads whole: its tensor is
-    contracted with them at each refresh (_weighted_band).
+    copy (conn.ravel() is a view), nor do the shape gradients, which the
+    gradient reads as transposed views of _gauss_tables.  A mesh only solved
+    at p = 2 never builds them, and none of them says where a cell pair
+    lands in a matrix (_scatter).  The descent's preconditioner keeps only
+    the upper pairs' columns of _gradient_pairs, which assemble reads whole:
+    its tensor is contracted with them at each refresh (_weighted_band).
+    conn, shape and shape_grad number a cell's nodes in the order of _STEPS.
     """
 
     conn: np.ndarray
@@ -190,11 +201,6 @@ class Mesh2D:
         (du/ds, du/dt, u) at the Gauss points of cells with nodal values U."""
         dN = self.shape_grad
         return _frozen(np.stack([dN[:, :, 0].T, dN[:, :, 1].T, self.shape.T]))
-
-    @cached_property
-    def _shape_grad_terms(self):
-        """dN/ds and dN/dt, each a contiguous (Gauss point, node) table."""
-        return _frozen(np.moveaxis(self.shape_grad, 2, 0))
 
     @property
     def _gradient_pairs(self):
@@ -269,34 +275,17 @@ def build_mesh(domain, ns, nt, s_range=None):
     node_t = t_nodes[jj].ravel()
 
     ci, cj = np.meshgrid(np.arange(ns), np.arange(nt), indexing="ij")
-    ci = ci.ravel()
-    cj = cj.ravel()
-    stride = nt + 1
-    conn = np.stack(
-        [
-            ci * stride + cj,
-            (ci + 1) * stride + cj,
-            (ci + 1) * stride + cj + 1,
-            ci * stride + cj + 1,
-        ],
-        axis=1,
-    )
+    base = ci.ravel() * (nt + 1) + cj.ravel()
+    conn = base[:, None] + _STEPS @ (nt + 1, 1)
 
-    # Gauss point g of a cell sits at (_GPTS[gi[g]], _GPTS[gj[g]]).
+    # Gauss point g of a cell sits at (_GPTS[gi[g]], _GPTS[gj[g]]).  With
+    # sigma = 2 step - 1, node a's shape is 0.25 (1 + sigma_s xi)(1 + sigma_t eta).
     gi, gj = (a.ravel() for a in np.meshgrid([0, 1], [0, 1], indexing="ij"))
     xi, eta = _GPTS[gi], _GPTS[gj]
-    shape = 0.25 * np.stack(
-        [
-            (1 - xi) * (1 - eta),
-            (1 + xi) * (1 - eta),
-            (1 + xi) * (1 + eta),
-            (1 - xi) * (1 + eta),
-        ],
-        axis=1,
-    )
-    dxi = 0.25 * np.stack([-(1 - eta), (1 - eta), (1 + eta), -(1 + eta)], axis=1)
-    deta = 0.25 * np.stack([-(1 - xi), -(1 + xi), (1 + xi), (1 - xi)], axis=1)
-    shape_grad = np.stack([dxi * (2.0 / hs), deta * (2.0 / ht)], axis=2)
+    sigma = 2 * _STEPS - 1
+    factor = 1 + sigma * np.stack([xi, eta], axis=1)[:, None, :]  # (g, a, (s, t))
+    shape = 0.25 * (factor[..., 0] * factor[..., 1])
+    shape_grad = 0.25 * (sigma * factor[..., ::-1]) * (2.0 / hs, 2.0 / ht)
 
     # k, delta and delta' depend on s alone: they are read once per column of
     # Gauss points (2 ns values), and the point data is formed on a
@@ -458,7 +447,8 @@ def _scatter(mesh, entries, pairs):
     cell c's local nodes a and b, (a, b) the k-th of pairs.
 
     build_mesh numbers the nodes t-fastest, so local node a of a cell is
-    its base node conn[c, 0] plus step[a], step = (0, nt + 1, nt + 2, 1):
+    its base node conn[c, 0] plus step[a] = _STEPS[a] . (nt + 1, 1), which
+    is (0, nt + 1, nt + 2, 1):
     the pair (a, b) lands on the diagonal of offset step[b] - step[a], at
     column conn[c, 0] + step[b].  The Stencil holds the diagonals the pairs
     land on and no others: nine for all sixteen pairs (seven when nt = 1),
@@ -927,8 +917,8 @@ def _p_rayleigh_grad(mesh, p, num, den, grad, energy, ug):
     s2 = mesh.gauss_weight * np.abs(ug) ** (p - 1.0) * np.sign(ug)
     flux_s = s1 * (g_ss * gs + g_st * gt)
     flux_t = s1 * (g_ts * gs + g_tt * gt)
-    dN_s, dN_t = mesh._shape_grad_terms
-    cells = flux_s @ dN_s + flux_t @ dN_t - (num / den) * (s2 @ mesh.shape)
+    dN_s, dN_t = mesh._gauss_tables[:2]
+    cells = flux_s @ dN_s.T + flux_t @ dN_t.T - (num / den) * (s2 @ mesh.shape)
     return p * np.bincount(mesh.conn.ravel(), cells.ravel(), minlength=mesh.n_nodes) / den
 
 

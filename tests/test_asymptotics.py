@@ -157,6 +157,15 @@ class TestFailureHandling:
         with pytest.raises(ValueError, match="even integer of at least 8"):
             MeshPolicy(ns=ns, nt=16)
 
+    @pytest.mark.parametrize("nt", [8, 15, 0, 16.0, 16.5, True, "16", None])
+    def test_mesh_policy_rejects_nt_that_is_not_an_integer_of_at_least_16(self, nt):
+        # A float nt used to pass and end the sweep in a TypeError from
+        # np.linspace, True was called "below 16" and "16" failed the
+        # comparison with a TypeError.
+        with pytest.raises(ValueError, match="nt must be an integer of at least 16"):
+            MeshPolicy(ns=8, nt=nt)
+
     def test_mesh_policy_accepts_the_config_floor(self):
         assert MeshPolicy(ns=8, nt=16).ns == 8
         assert MeshPolicy(ns=np.int64(64), nt=16).ns == 64
+        assert MeshPolicy(ns=8, nt=np.int64(16)).nt == 16

@@ -405,6 +405,20 @@ class TestExitCodes:
         assert "overflow" in err
         assert "Traceback" not in err
 
+    def test_overflowing_pmean_shift_is_solver_error(self, tmp_path, capsys):
+        # At p = 100 on the wide sector the even descent's p-mean shift sums
+        # powers that overflow to NaN.  That is a solver error, reported
+        # without a numpy warning: any warning raised here fails the test.
+        cfg = Path(__file__).resolve().parents[1] / "configs" / "wide_sector.json"
+        argv = ["solve2d", "--config", str(cfg), "--out", str(tmp_path / "out")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([*argv, "--p", "100", "--ns", "64", "--nt", "16"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "solver error: SolveFailure" in err
+        assert "Traceback" not in err
+
     def test_bounds_on_folded_strip_are_not_applicable(self, tmp_path, capsys):
         # k = 4 with width 0.4 keeps the area factor positive but the
         # boundary crosses itself; the strip bounds need an embedded strip,

@@ -314,12 +314,17 @@ class TestStencilAssembly:
         reference = np.linalg.solve((references[0] + 0.5 * references[1]).toarray(), b)
         np.testing.assert_allclose(x, reference, rtol=1e-10)
 
-    @pytest.mark.parametrize("nt", [1, 4, 16])
+    @pytest.mark.parametrize("nt", [1, 2, 4, 16])
     def test_scatter_holds_the_diagonals_its_pairs_land_on(self, wavy, nt):
         # The ten upper pairs land on five diagonals; all sixteen on nine,
         # seven when nt = 1, where the t-neighbour and the diagonal
-        # neighbour along s share an offset.  None is left all zero.
+        # neighbour along s share an offset.  None is left all zero.  The
+        # upper pairs hold each unordered pair of local nodes once, each on
+        # the upper triangle in every cell.
         mesh = build_mesh(wavy, 8, nt, s_range=(0.0, 0.5 * wavy.L))
+        upper_pairs = eig2d._UPPER_PAIRS
+        assert sorted(sorted(pair) for pair in upper_pairs) == [[a, b] for a, b in np.ndindex(4, 4) if a <= b]
+        assert all((mesh.conn[:, a] <= mesh.conn[:, b]).all() for a, b in upper_pairs)
         upper = [0, 1, nt, nt + 1, nt + 2]
         for pairs, expected in [
             (eig2d._UPPER_PAIRS, sorted(set(upper))),
@@ -329,6 +334,29 @@ class TestStencilAssembly:
             assert A.offsets.tolist() == expected
             assert np.all(np.any(A.data != 0.0, axis=1))
         assert len(expected) == (7 if nt == 1 else 9)
+
+    @pytest.mark.parametrize("nt", [1, 2, 16])
+    def test_element_tables_follow_the_node_order(self, wavy, nt):
+        # conn steps from each cell's base node as _STEPS says, and the
+        # shape tables interpolate every bilinear field exactly: its values
+        # and both derivatives at the Gauss points, which sit at
+        # (_GPTS[g // 2], _GPTS[g % 2]) in the cell's reference square.
+        ns = 6
+        mesh = build_mesh(wavy, ns, nt, s_range=(0.0, 0.5 * wavy.L))
+        assert (mesh.conn - mesh.conn[:, :1] == eig2d._STEPS @ (nt + 1, 1)).all()
+        np.testing.assert_allclose(mesh.shape.sum(axis=1), 1.0, rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(mesh.shape_grad.sum(axis=1), 0.0, rtol=0.0, atol=1e-13)
+        alpha, beta, gamma, delta = np.random.default_rng(2).normal(size=4)
+        s, t = mesh.node_s, mesh.node_t
+        u = alpha + beta * s + gamma * t + delta * s * t
+        base = mesh.conn[:, :1]
+        xi, eta = eig2d._GPTS[np.arange(4) // 2], eig2d._GPTS[np.arange(4) % 2]
+        sg = s[base] + 0.5 * (1.0 + xi) * (0.5 * wavy.L / ns)
+        tg = t[base] + 0.5 * (1.0 + eta) / nt
+        ue = u[mesh.conn]
+        np.testing.assert_allclose(ue @ mesh.shape.T, alpha + beta * sg + gamma * tg + delta * sg * tg, atol=1e-13)
+        np.testing.assert_allclose(ue @ mesh.shape_grad[:, :, 0].T, beta + delta * tg, atol=1e-12)
+        np.testing.assert_allclose(ue @ mesh.shape_grad[:, :, 1].T, gamma + delta * sg, atol=1e-12)
 
     @pytest.mark.parametrize("chunk", [97, 1100])
     def test_product_in_chunks_matches_reference(self, wavy, monkeypatch, chunk):
